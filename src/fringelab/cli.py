@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,23 +56,6 @@ from .schemas import (
 _CONVENTION_NOTE = ("symmetric splitters: transmission sqrt(T), reflection "
                     "i*sqrt(1-T); upper arm transmitted at splitter 1 and "
                     "carries the phase; D0 bright at phi=0")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything a command run depends on; equal manifests, equal bytes."""
-
-    command: str
-    config_path: str | None = None
-    events_path: str | None = None
-    out_path: str | None = None
-    seed: int = DEFAULT_SEED
-    trials: int = DEFAULT_TRIALS
-    resolution: int = 101
-    suite: str = "all"
-    phis: tuple[float, ...] | None = None
-    tol_algebra: float = REL_TOL_ALGEBRA
-    tol_sampled: float = REL_TOL_SAMPLED
 
 
 def _parse_seed(text: str) -> int:
@@ -147,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_interfere.add_argument("--config",
                              help="experiment JSON (default: ideal 50/50 bench)")
     p_interfere.add_argument("--phis", type=_parse_phis,
+                             default=tuple(float(v) for v in np.linspace(
+                                 0.0, 2.0 * math.pi, 65)),
                              help="sweep grid start:stop:steps "
                                   "(default 0:2pi:65, endpoints included)")
     p_interfere.add_argument("--out", help="output CSV path (default stdout)")
@@ -156,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nogo.add_argument("--resolution", type=_parse_positive, default=101,
                         help="path-weight grid resolution (default 101)")
     p_nogo.add_argument("--phis", type=_parse_phis,
+                        default=uniform_phase_grid(32),
                         help="phase grid start:stop:steps "
                              "(default: 32 evenly spaced phases over one period)")
     p_nogo.add_argument("--out", help="write the JSON report here")
@@ -194,10 +179,10 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def cmd_transform(manifest: RunManifest) -> int:
-    with open(manifest.events_path, "r", encoding="utf-8") as fh:
+def cmd_transform(args: argparse.Namespace) -> int:
+    with open(args.events, "r", encoding="utf-8") as fh:
         events = parse_events_csv(fh.read())
-    with open(manifest.config_path, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8") as fh:
         m = frame_map_from_dict(load_json(fh.read()))
     if m.spatial_dim != 1:
         raise SchemaError("transform expects a 1+1 map for t,x events")
@@ -211,7 +196,7 @@ def cmd_transform(manifest: RunManifest) -> int:
         lines.append(",".join(format_float(v) for v in (
             p.t, p.x[0], q.t, q.x[0],
             event_interval(p, m.c), event_interval(q, m.c))))
-    _write_text(manifest.out_path, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -226,12 +211,9 @@ def _format_conditional(value: float | None) -> str:
     return "nan" if value is None else format_float(value)
 
 
-def cmd_interfere(manifest: RunManifest) -> int:
-    config = _load_experiment(manifest.config_path)
-    phis = manifest.phis
-    if phis is None:
-        phis = tuple(float(v) for v in np.linspace(0.0, 2.0 * math.pi, 65))
-    sweep = phase_sweep(config, phis)
+def cmd_interfere(args: argparse.Namespace) -> int:
+    config = _load_experiment(args.config)
+    sweep = phase_sweep(config, args.phis)
     vis = visibility(sweep)
     lines = [f"# {_CONVENTION_NOTE}",
              f"# visibility = {format_float(vis)}",
@@ -242,43 +224,42 @@ def cmd_interfere(manifest: RunManifest) -> int:
             format_float(d.p_absorbed),
             _format_conditional(d.p_d0_given_detected),
             _format_conditional(d.p_d1_given_detected)]))
-    _write_text(manifest.out_path, "\n".join(lines) + "\n")
-    if manifest.out_path is not None:
+    _write_text(args.out, "\n".join(lines) + "\n")
+    if args.out is not None:
         print(f"visibility = {format_float(vis)}")
     return 0
 
 
-def cmd_nogo(manifest: RunManifest) -> int:
-    phis = manifest.phis if manifest.phis is not None else uniform_phase_grid(32)
-    report = no_go_search(phis, manifest.resolution)
+def cmd_nogo(args: argparse.Namespace) -> int:
+    report = no_go_search(args.phis, args.resolution)
     print(f"classical configurations enumerated: {report.classical_config_count}")
     print(f"phases: {report.phase_count}, weight resolution: {report.resolution}")
     print(f"max classical variation: "
           f"{format_float(report.max_classical_variation)}")
     print(f"amplitude visibility: {format_float(report.amplitude_visibility)}")
     print(f"no-go contrast: {'PASS' if report.passed else 'FAIL'}")
-    if manifest.out_path is not None:
-        _write_text(manifest.out_path, dump_json(report.as_dict()))
+    if args.out is not None:
+        _write_text(args.out, dump_json(report.as_dict()))
     return 0 if report.passed else 1
 
 
-def cmd_check(manifest: RunManifest) -> int:
-    ctx = CheckContext(seed=manifest.seed, trials=manifest.trials,
-                       resolution=manifest.resolution,
-                       tol_algebra=manifest.tol_algebra,
-                       tol_sampled=manifest.tol_sampled)
-    results = run_checks(ctx, manifest.suite)
+def cmd_check(args: argparse.Namespace) -> int:
+    ctx = CheckContext(seed=args.seed, trials=args.trials,
+                       resolution=args.resolution,
+                       tol_algebra=args.tol_algebra,
+                       tol_sampled=args.tol_sampled)
+    results = run_checks(ctx, args.suite)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         print(f"{mark}  {r.id}  [{r.paper_ref}]  {r.detail}")
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} checks passed "
-          f"(suite: {manifest.suite}, seed: {manifest.seed})")
-    report = {"suite": manifest.suite,
+          f"(suite: {args.suite}, seed: {args.seed})")
+    report = {"suite": args.suite,
               "checks": [r.as_dict() for r in results]}
     text = dump_json(report)
-    if manifest.out_path is not None:
-        _write_text(manifest.out_path, text)
+    if args.out is not None:
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0 if passed == len(results) else 1
@@ -287,28 +268,12 @@ def cmd_check(manifest: RunManifest) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        config_path=getattr(args, "config", None),
-        events_path=getattr(args, "events", None),
-        out_path=getattr(args, "out", None),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        trials=getattr(args, "trials", DEFAULT_TRIALS),
-        resolution=getattr(args, "resolution", 101),
-        suite=getattr(args, "suite", "all"),
-        phis=getattr(args, "phis", None),
-        tol_algebra=getattr(args, "tol_algebra", REL_TOL_ALGEBRA),
-        tol_sampled=getattr(args, "tol_sampled", REL_TOL_SAMPLED),
-    )
     commands = {"transform": cmd_transform, "interfere": cmd_interfere,
                 "nogo": cmd_nogo, "check": cmd_check}
     try:
-        return commands[manifest.command](manifest)
+        return commands[args.command](args)
     except (SchemaError, ConfigError, KinematicsError,
-            NoMatchingChecksError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+            NoMatchingChecksError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

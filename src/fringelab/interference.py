@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -79,6 +80,11 @@ class Composition(str, Enum):
     CLASSICAL_MIXTURE = "classical_mixture"
 
 
+_ENUM_FIELDS = (("blocked_arm", BlockedArm),
+                ("detector_model", DetectorModel),
+                ("composition", Composition))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Operational description of one interferometer run.
@@ -101,9 +107,7 @@ class ExperimentConfig:
             object.__setattr__(self, "mixture_weights",
                                tuple(self.mixture_weights))
         # Plain strings are accepted wherever an enum value is expected.
-        for name, kind in (("blocked_arm", BlockedArm),
-                           ("detector_model", DetectorModel),
-                           ("composition", Composition)):
+        for name, kind in _ENUM_FIELDS:
             value = getattr(self, name)
             if isinstance(value, str) and not isinstance(value, kind):
                 try:
@@ -123,25 +127,24 @@ class ExperimentConfig:
     def problems(self) -> list[str]:
         """Every invariant violation, named by field."""
         out = []
+        # Ranges are tested by comparison, not math.isfinite: comparisons
+        # reject nan and, unlike isfinite, do not overflow on a JSON int too
+        # large for a float.
         for name in ("splitter1", "splitter2"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 out.append(f"{name}: must be a number")
-            elif not (math.isfinite(value) and 0.0 <= value <= 1.0):
+            elif not 0.0 <= value <= 1.0:
                 out.append(f"{name}: transmissivity must lie in [0, 1], got {value!r}")
         if not isinstance(self.phase, (int, float)) or isinstance(self.phase, bool):
             out.append("phase: must be a number")
-        elif not math.isfinite(self.phase):
+        elif not abs(self.phase) <= sys.float_info.max:
             out.append("phase: must be finite")
-        if not isinstance(self.blocked_arm, BlockedArm):
-            out.append(f"blocked_arm: must be one of "
-                       f"{[m.value for m in BlockedArm]}")
-        if not isinstance(self.detector_model, DetectorModel):
-            out.append(f"detector_model: must be one of "
-                       f"{[m.value for m in DetectorModel]}")
-        if not isinstance(self.composition, Composition):
-            out.append(f"composition: must be one of "
-                       f"{[m.value for m in Composition]}")
+        for name, kind in _ENUM_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                allowed = ", ".join(m.value for m in kind)
+                out.append(f"{name}: {value!r} is not one of [{allowed}]")
         if self.mixture_weights is not None:
             w = self.mixture_weights
             if (not isinstance(w, (tuple, list)) or len(w) != 2
@@ -149,7 +152,7 @@ class ExperimentConfig:
                            for v in w)):
                 out.append("mixture_weights: must be two numbers (upper, lower)")
             else:
-                if any(not math.isfinite(v) or v < 0.0 for v in w):
+                if any(not 0.0 <= v <= sys.float_info.max for v in w):
                     out.append("mixture_weights: weights must be finite and nonnegative")
                 elif abs(math.fsum(w) - 1.0) > REL_TOL_ALGEBRA:
                     out.append(f"mixture_weights: must sum to 1, got {math.fsum(w)!r}")

@@ -8,18 +8,13 @@ problem before raising so a bad file is fixed in one round trip.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Sequence
 
 from .constants import DEFAULT_C
-from .interference import (
-    BlockedArm,
-    Composition,
-    ConfigError,
-    DetectorModel,
-    ExperimentConfig,
-)
+from .interference import ConfigError, ExperimentConfig
 from .kinematics import BranchKind, FrameMap, KinematicsError, SpacetimePoint
 
 SCHEMA_VERSION = 1
@@ -37,17 +32,20 @@ def _check_schema_field(doc: dict, problems: list[str]) -> None:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        float(v)  # an int too large for a float is no usable number
+    except OverflowError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_FIELDS = frozenset({
-    "schema", "splitter1", "splitter2", "phase", "blocked_arm",
-    "detector_model", "composition", "mixture_weights",
-})
+_EXPERIMENT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:
@@ -69,35 +67,14 @@ def experiment_config_from_dict(doc) -> ExperimentConfig:
         raise SchemaError("experiment config must be a JSON object")
     problems: list[str] = []
     _check_schema_field(doc, problems)
-    unknown = sorted(set(doc) - _EXPERIMENT_FIELDS)
+    unknown = sorted(set(doc) - _EXPERIMENT_FIELDS - {"schema"})
     if unknown:
         problems.append(f"unknown fields rejected: {', '.join(unknown)}")
-    kwargs = {}
-    for name in ("splitter1", "splitter2", "phase"):
-        if name in doc:
-            if not _is_number(doc[name]):
-                problems.append(f"{name}: must be a number")
-            else:
-                kwargs[name] = float(doc[name])
-    for name, enum_type in (("blocked_arm", BlockedArm),
-                            ("detector_model", DetectorModel),
-                            ("composition", Composition)):
-        if name in doc:
-            try:
-                kwargs[name] = enum_type(doc[name])
-            except ValueError:
-                allowed = ", ".join(m.value for m in enum_type)
-                problems.append(f"{name}: {doc[name]!r} is not one of [{allowed}]")
-    if "mixture_weights" in doc and doc["mixture_weights"] is not None:
-        w = doc["mixture_weights"]
-        if not isinstance(w, list) or len(w) != 2 or not all(_is_number(v) for v in w):
-            problems.append("mixture_weights: must be a two-number list or null")
-        else:
-            kwargs["mixture_weights"] = (float(w[0]), float(w[1]))
-    # Value-range violations on the fields that did parse are folded into
-    # the same message, so one round trip surfaces every offense.
+    # Field values are validated in one place, ExperimentConfig.problems();
+    # its messages join the schema's so one round trip surfaces every offense.
     try:
-        config = ExperimentConfig(**kwargs)
+        config = ExperimentConfig(**{name: doc[name]
+                                     for name in _EXPERIMENT_FIELDS & set(doc)})
     except ConfigError as err:
         problems.append(str(err))
         config = None
@@ -278,3 +255,5 @@ def load_json(text: str):
     except json.JSONDecodeError as err:
         raise SchemaError(f"invalid JSON at line {err.lineno}, "
                           f"column {err.colno}: {err.msg}") from None
+    except ValueError as err:  # an integer past Python's digit limit
+        raise SchemaError(f"invalid JSON: {err}") from None

@@ -1,11 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fringelab.cli import main
+from fringelab.interference import BlockedArm, Composition, DetectorModel
+from fringelab.kinematics import BranchKind
 from fringelab.schemas import dump_json, parse_events_csv
 
 
@@ -164,6 +170,106 @@ def test_interfere_rejects_bad_config_listing_fields(tmp_path, capsys):
     assert code == 2
     for needle in ("splitter1", "phase", "oops"):
         assert needle in err
+
+
+HUGE = 10 ** 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("interfere", {"splitter1": HUGE}, "splitter1"),
+    ("interfere", {"phase": -HUGE}, "phase"),
+    ("interfere", {"composition": "classical_mixture",
+                   "mixture_weights": [HUGE, 0]}, "mixture_weights"),
+    ("transform", {"branch": "subluminal", "V": HUGE}, "V"),
+    ("transform", {"branch": "subluminal", "V": 0.5, "c": HUGE}, "c"),
+    ("transform", {"branch": "general-linear",
+                   "linear_part": [[HUGE, 0], [0, 1]]}, "linear_part"),
+    ("transform", {"branch": "subluminal", "V": 0.5,
+                   "translation": [HUGE, 0]}, "translation"),
+])
+def test_huge_integers_exit_2_naming_the_field(tmp_path, capsys,
+                                               command, doc, field):
+    config = write(tmp_path / "doc.json", dump_json({"schema": 1, **doc}))
+    argv = [command, "--config", config]
+    if command == "transform":
+        argv += ["--events", write(tmp_path / "events.csv", EVENTS)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"{field}:" in err
+
+
+# Any JSON value, including the awkward ones: huge ints, nan and inf.
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.integers(-(10 ** 400), 10 ** 400), st.floats(), st.text(max_size=6))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_numbers = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+
+
+def _field(plausible):
+    return st.one_of(plausible, _json_values)
+
+
+def _values_of(enum):
+    return _field(st.sampled_from([m.value for m in enum]))
+
+
+_experiment_docs = st.fixed_dictionaries({}, optional={
+    "schema": _field(st.just(1)),
+    "splitter1": _field(st.floats(0.0, 1.0)),
+    "splitter2": _field(st.floats(0.0, 1.0)),
+    "phase": _field(_numbers),
+    "blocked_arm": _values_of(BlockedArm),
+    "detector_model": _values_of(DetectorModel),
+    "composition": _values_of(Composition),
+    "mixture_weights": _field(st.lists(_numbers, min_size=2, max_size=2)),
+    "junk": _json_values,
+})
+_map_docs = st.fixed_dictionaries({}, optional={
+    "schema": _field(st.just(1)),
+    "branch": _values_of(BranchKind),
+    "V": _field(st.floats(-3.0, 3.0)),
+    "eta": _field(st.sampled_from([1, -1])),
+    "c": _field(st.floats(0.0, 3.0)),
+    "translation": _field(st.lists(_numbers, min_size=2, max_size=2)),
+    "linear_part": _field(st.lists(st.lists(_numbers, min_size=2, max_size=2),
+                                   min_size=2, max_size=2)),
+    "junk": _json_values,
+})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    (workdir / "events.csv").write_text(EVENTS, encoding="utf-8")
+    return workdir
+
+
+def _exit_code(workdir, doc, *argv):
+    config = workdir / "doc.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        return main([*argv, "--config", str(config)])
+
+
+@given(doc=st.one_of(_experiment_docs, _json_values))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_experiment_documents_never_crash(fuzz_dir, doc):
+    code = _exit_code(fuzz_dir, doc, "interfere", "--phis", "0:1:2")
+    assert code in (0, 1, 2)
+
+
+@given(doc=st.one_of(_map_docs, _json_values))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_map_documents_never_crash(fuzz_dir, doc):
+    code = _exit_code(fuzz_dir, doc, "transform",
+                      "--events", str(fuzz_dir / "events.csv"))
+    assert code in (0, 1, 2)
 
 
 def test_phis_flag_validation():

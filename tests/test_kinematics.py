@@ -166,6 +166,20 @@ def test_velocity_addition_half_plus_half_is_exactly_point_eight():
     assert velocity_addition(0.5, 0.5) == 0.8
 
 
+def test_velocity_addition_rejects_speeds_outside_the_subluminal_band():
+    for V1, V2 in ((2.0, 3.0), (1.0, -1.0), (0.5, math.nan)):
+        with pytest.raises(SpeedDomainError):
+            velocity_addition(V1, V2)
+
+
+def test_boosts_reject_a_light_speed_whose_square_underflows():
+    # c * c is 0.0 here, so the boost formulas would divide by zero.
+    with pytest.raises(KinematicsError):
+        FrameMap.boost(0.0, c=1e-300)
+    with pytest.raises(KinematicsError):
+        FrameMap.superluminal(1e-299, 1, c=1e-300)
+
+
 def test_frame_map_constructors_and_apply():
     m = FrameMap.boost(0.6)
     assert m.branch is BranchKind.SUBLUMINAL

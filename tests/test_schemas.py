@@ -61,6 +61,13 @@ def test_all_problems_reported_together():
     message = str(err.value)
     for needle in ("splitter1", "phase", "blocked_arm", "junk"):
         assert needle in message
+    assert "'sideways'" in message
+
+
+def test_integer_past_the_digit_limit_is_a_schema_error():
+    with pytest.raises(SchemaError) as err:
+        load_json('{"phase": 1' + "0" * 5000 + "}")
+    assert "invalid JSON" in str(err.value)
 
 
 def test_config_value_errors_become_schema_errors():

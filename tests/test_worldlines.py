@@ -96,6 +96,9 @@ def test_no_branching_flags_self_intersecting_fixture():
     verts = _pts((0.0, 0.0), (2.0, 2.0), (1.0, 3.0), (3.0, -1.0))
     broken = Worldline(verts, check_simple=False)
     assert not check_no_branching(broken, FrameMap.identity())
+    # Under the identity map the image is the vertex list, and the simplicity
+    # test alone rejects it: the revisited vertex repeats.
+    assert not polyline_is_simple(broken.points_array())
     assert not check_no_branching(broken, FrameMap.boost(0.5))
 
 
@@ -105,6 +108,9 @@ def test_no_branching_flags_a_y_shaped_identification():
     verts = _pts((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (1.0, 1.0), (2.0, 0.0))
     broken = Worldline(verts, check_simple=False)
     assert not check_no_branching(broken, FrameMap.identity())
+    # Under the identity map the image is the vertex list, and the simplicity
+    # test alone rejects it: the revisited vertex repeats.
+    assert not polyline_is_simple(broken.points_array())
 
 
 def test_no_branching_on_random_simple_walks():
