@@ -41,7 +41,6 @@ from .constants import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     REL_TOL_ALGEBRA,
-    REL_TOL_SAMPLED,
 )
 from .interference import (
     BlockedArm,
@@ -87,7 +86,6 @@ class CheckContext:
     trials: int = DEFAULT_TRIALS
     resolution: int = 101
     tol_algebra: float = REL_TOL_ALGEBRA
-    tol_sampled: float = REL_TOL_SAMPLED
 
 
 @dataclass(frozen=True)

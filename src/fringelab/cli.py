@@ -32,7 +32,6 @@ from .constants import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     REL_TOL_ALGEBRA,
-    REL_TOL_SAMPLED,
 )
 from .interference import (
     ConfigError,
@@ -163,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--tol-algebra", type=_parse_tolerance,
                          default=REL_TOL_ALGEBRA,
                          help="relative tolerance for closed-form identities")
-    p_check.add_argument("--tol-sampled", type=_parse_tolerance,
-                         default=REL_TOL_SAMPLED,
-                         help="relative tolerance for sampled geometry")
     p_check.add_argument("--out", help="write the JSON report here "
                                        "(default: print it after the text)")
     return parser
@@ -246,8 +242,7 @@ def cmd_nogo(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     ctx = CheckContext(seed=args.seed, trials=args.trials,
                        resolution=args.resolution,
-                       tol_algebra=args.tol_algebra,
-                       tol_sampled=args.tol_sampled)
+                       tol_algebra=args.tol_algebra)
     results = run_checks(ctx, args.suite)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

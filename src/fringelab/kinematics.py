@@ -26,6 +26,7 @@ module is safe for arbitrary parallel use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -50,6 +51,28 @@ class SpeedDomainError(KinematicsError):
 
 class SingularMapError(KinematicsError):
     """Linear part is not invertible within tolerance."""
+
+
+def _is_number(v) -> bool:
+    # A bool is not a number, and neither is an int too large for a float.
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
+def _finite_array(value) -> np.ndarray | None:
+    """``value`` as a float array, or None unless every entry is a finite number."""
+    try:
+        entries = np.array(value, dtype=object)
+    except ValueError:  # nesting that numpy cannot shape
+        return None
+    if all(_is_number(v) and math.isfinite(v) for v in entries.flat):
+        return entries.astype(float)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +133,13 @@ def minkowski_metric(spatial_dim: int, c: float = DEFAULT_C) -> np.ndarray:
 
 def event_interval(p: SpacetimePoint, c: float = DEFAULT_C) -> float:
     """Signed interval of ``p`` relative to the origin: |x|^2 - c^2 t^2."""
-    return math.fsum(v * v for v in p.x) - (c * p.t) ** 2
+    try:
+        value = math.fsum(v * v for v in p.x) - (c * p.t) ** 2
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise KinematicsError(f"interval: not a finite float for {p}")
+    return value
 
 
 def interval_value(a: SpacetimePoint, b: SpacetimePoint,
@@ -119,7 +148,13 @@ def interval_value(a: SpacetimePoint, b: SpacetimePoint,
     if a.spatial_dim != b.spatial_dim:
         raise KinematicsError("events have different dimensions")
     dt = b.t - a.t
-    return math.fsum((xb - xa) ** 2 for xa, xb in zip(a.x, b.x)) - (c * dt) ** 2
+    try:
+        value = math.fsum((xb - xa) ** 2 for xa, xb in zip(a.x, b.x)) - (c * dt) ** 2
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise KinematicsError(f"interval: not a finite float from {a} to {b}")
+    return value
 
 
 def _interval_scale(a: SpacetimePoint, b: SpacetimePoint, c: float) -> float:
@@ -185,28 +220,29 @@ def in_causal_past(e: SpacetimePoint, candidate: SpacetimePoint,
 
 def _require_light_speed(c: float):
     # The boost formulas divide by c*c, so the square must be a positive
-    # finite float too (a tiny c underflows it to zero).
-    if not (c > 0.0 and 0.0 < c * c < math.inf):
+    # finite float too (a tiny c underflows it to zero, a huge one to inf).
+    if not (_is_number(c) and c > 0.0 and 0.0 < float(c) * float(c) < math.inf):
         raise KinematicsError(
-            f"c must be positive with a finite nonzero square, got c={c!r}")
+            f"c: must be positive with a finite nonzero square, got {c!r}")
 
 
 def _require_subluminal(V: float, c: float):
     _require_light_speed(c)
     if not math.isfinite(V):
-        raise SpeedDomainError("velocity must be finite")
+        raise SpeedDomainError("V: must be finite")
     if abs(V) >= c * (1.0 - SPEED_GUARD_BAND):
         raise SpeedDomainError(
-            f"subluminal branch needs |V| < c, got V={V!r} with c={c!r}")
+            f"V: subluminal branch needs |V| < c, got V={V!r} with c={c!r}")
 
 
 def _require_superluminal(V: float, c: float):
     _require_light_speed(c)
-    if not math.isfinite(V):
-        raise SpeedDomainError("velocity must be finite")
+    if not math.isfinite((V / c) * (V / c)):  # superluminal_gamma squares V/c
+        raise SpeedDomainError(
+            f"V: (V/c)^2 must be a finite float, got V={V!r} with c={c!r}")
     if abs(V) <= c * (1.0 + SPEED_GUARD_BAND):
         raise SpeedDomainError(
-            f"superluminal branch needs |V| > c, got V={V!r} with c={c!r}")
+            f"V: superluminal branch needs |V| > c, got V={V!r} with c={c!r}")
 
 
 def lorentz_gamma(V: float, c: float = DEFAULT_C) -> float:
@@ -239,8 +275,8 @@ def superluminal_matrix(V: float, eta: int, c: float = DEFAULT_C) -> np.ndarray:
     Negates the interval exactly: the pullback of diag(-c^2, 1) is its own
     negative for either sign of eta.
     """
-    if eta not in (1, -1):
-        raise KinematicsError(f"eta must be +1 or -1, got {eta!r}")
+    if isinstance(eta, bool) or eta not in (1, -1):
+        raise KinematicsError(f"eta: must be +1 or -1, got {eta!r}")
     g = superluminal_gamma(V, c)
     return eta * g * np.array([[1.0, -V / (c * c)],
                                [-V, 1.0]])
@@ -254,8 +290,7 @@ def general_boost_matrix(v: Sequence[float], c: float = DEFAULT_C) -> np.ndarray
     speed = float(np.linalg.norm(v))
     if speed == 0.0:
         return np.eye(4)
-    _require_subluminal(speed, c)
-    g = 1.0 / math.sqrt(1.0 - (speed / c) ** 2)
+    g = lorentz_gamma(speed, c)
     m = np.eye(4)
     m[0, 0] = g
     m[0, 1:] = -g * v / (c * c)
@@ -296,91 +331,127 @@ class BranchKind(str, Enum):
 class FrameMap:
     """An affine map between coordinate descriptions.
 
-    ``branch`` records how the map was built: the two boost branches carry
-    their velocity (and, for the faster-than-light branch, the mandatory
-    sign ``eta``); anything else is ``general-linear``.  The linear part of
-    a boost branch must agree with the matrix rebuilt from its parameters.
+    ``branch`` (a BranchKind or its value) records how the map was built:
+    the boost branches carry their velocity (and, for the faster-than-light
+    branch, the mandatory sign ``eta``), build their linear part from it and
+    check a given one against it; anything else is ``general-linear`` and
+    needs ``linear_part``.  Every branch needs ``c`` positive with a finite
+    nonzero square.  Construction is the one validator of a map's fields:
+    it names every field problem in one KinematicsError, then raises
+    SpeedDomainError or SingularMapError for a value outside its domain.
     """
 
     branch: BranchKind
-    V: float | None
-    eta: int | None
-    linear_part: np.ndarray
-    translation: np.ndarray
-    c: float
+    V: float | None = None
+    eta: int | None = None
+    linear_part: np.ndarray | None = None
+    translation: np.ndarray | None = None
+    c: float = DEFAULT_C
 
     def __post_init__(self):
-        lin = np.array(self.linear_part, dtype=float)
-        if lin.ndim != 2 or lin.shape[0] != lin.shape[1]:
-            raise KinematicsError("linear part must be a square matrix")
-        if lin.shape[0] not in (2, 4):
-            raise KinematicsError("only 1+1 and 1+3 maps are supported")
-        if not np.all(np.isfinite(lin)):
-            raise KinematicsError("linear part must be finite")
-        tr = np.array(self.translation, dtype=float)
-        if tr.shape != (lin.shape[0],):
-            raise KinematicsError("translation length must match the map dimension")
-        if not np.all(np.isfinite(tr)):
-            raise KinematicsError("translation must be finite")
-        if self.c <= 0.0 or not math.isfinite(self.c):
-            raise KinematicsError("c must be a positive finite constant")
-        if abs(np.linalg.det(lin)) <= 1e-12:
-            raise SingularMapError("linear part is singular within tolerance")
-        self._check_branch(lin)
+        branch, V, eta, lin, tr, c = (self.branch, self.V, self.eta,
+                                      self.linear_part, self.translation, self.c)
+        problems = []
+        try:
+            branch = BranchKind(branch)
+        except ValueError:
+            allowed = ", ".join(m.value for m in BranchKind)
+            problems.append(f"branch: {branch!r} is not one of [{allowed}]")
+            branch = None
+        boost = branch in (BranchKind.SUBLUMINAL, BranchKind.SUPERLUMINAL)
+        if V is None:
+            if boost:
+                problems.append(f"V: required for the {branch.value} branch")
+        elif branch is BranchKind.GENERAL_LINEAR:
+            problems.append("V: not allowed for the general-linear branch")
+        elif not _is_number(V):
+            problems.append("V: must be a number")
+        if eta is None:
+            if branch is BranchKind.SUPERLUMINAL:
+                problems.append("eta: required for the superluminal branch "
+                                "(no default; both signs are admissible)")
+        elif branch in (BranchKind.SUBLUMINAL, BranchKind.GENERAL_LINEAR):
+            problems.append(f"eta: not allowed for the {branch.value} branch")
+        elif isinstance(eta, bool) or eta not in (1, -1):
+            problems.append("eta: must be 1 or -1")
+        dim = 2 if boost else None
+        if lin is not None:
+            lin = _finite_array(lin)
+            if lin is None or lin.shape not in ((2, 2), (4, 4)):
+                problems.append("linear_part: must be a 2x2 (1+1) or 4x4 (1+3) "
+                                "matrix of finite numbers")
+                lin = dim = None
+            else:
+                dim = len(lin)
+        elif branch is BranchKind.GENERAL_LINEAR:
+            problems.append("linear_part: required for the general-linear branch")
+        if tr is None:
+            tr = np.zeros(dim or 2)
+        elif isinstance(tr, SpacetimePoint):
+            tr = tr.to_vector()
+        else:
+            tr = _finite_array(tr)
+        if tr is None or tr.ndim != 1:
+            problems.append("translation: must be a list of finite numbers")
+        elif dim is not None and len(tr) != dim:
+            problems.append(f"translation: must have {dim} components")
+        try:
+            _require_light_speed(c)
+        except KinematicsError as err:
+            problems.append(str(err))
+        if problems:
+            raise KinematicsError("; ".join(problems))
+        if branch is BranchKind.GENERAL_LINEAR:
+            # |det L| over the product of its row lengths (Hadamard's bound)
+            # lies in [0, 1] and is unchanged when L is scaled.  Each row is
+            # first divided by its largest entry, so nothing over- or underflows.
+            peaks = np.max(np.abs(lin), axis=1, keepdims=True)
+            rows = lin / np.where(peaks > 0.0, peaks, 1.0)
+            lengths = np.linalg.norm(rows, axis=1)
+            if abs(np.linalg.det(rows)) <= REL_TOL_ALGEBRA * np.prod(lengths):
+                raise SingularMapError("linear_part: singular within tolerance, "
+                                       "relative to its row lengths")
+        else:
+            V = float(V)
+            if branch is BranchKind.SUBLUMINAL:
+                expected = boost_matrix(V, c, dim - 1)
+            else:
+                eta = int(eta)
+                expected = superluminal_matrix(V, eta, c)
+            if lin is None:
+                lin = expected
+            elif lin.shape != expected.shape or not np.allclose(
+                    lin, expected, rtol=REL_TOL_SAMPLED,
+                    atol=REL_TOL_SAMPLED * np.max(np.abs(expected))):
+                raise KinematicsError(
+                    f"linear_part: does not match the {branch.value} matrix "
+                    f"for V={V!r}, eta={eta!r}")
         lin.setflags(write=False)
         tr.setflags(write=False)
-        object.__setattr__(self, "linear_part", lin)
-        object.__setattr__(self, "translation", tr)
-        object.__setattr__(self, "c", float(self.c))
-
-    def _check_branch(self, lin: np.ndarray):
-        if self.branch is BranchKind.SUBLUMINAL:
-            if self.V is None:
-                raise KinematicsError("subluminal branch requires a velocity")
-            if self.eta is not None:
-                raise KinematicsError("eta is meaningful only for the superluminal branch")
-            expected = boost_matrix(self.V, self.c, lin.shape[0] - 1)
-        elif self.branch is BranchKind.SUPERLUMINAL:
-            if self.V is None or self.eta is None:
-                raise KinematicsError("superluminal branch requires V and eta")
-            if lin.shape[0] != 2:
-                raise KinematicsError("the superluminal branch exists only in 1+1")
-            expected = superluminal_matrix(self.V, self.eta, self.c)
-        else:
-            if self.V is not None or self.eta is not None:
-                raise KinematicsError("general-linear maps carry no V or eta")
-            return
-        scale = np.max(np.abs(expected))
-        if not np.allclose(lin, expected, rtol=REL_TOL_SAMPLED,
-                           atol=REL_TOL_SAMPLED * scale):
-            raise KinematicsError(
-                f"linear part does not match the {self.branch.value} matrix for "
-                f"V={self.V!r}, eta={self.eta!r}")
+        for name, value in (("branch", branch), ("V", V), ("eta", eta),
+                            ("linear_part", lin), ("translation", tr), ("c", float(c))):
+            object.__setattr__(self, name, value)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def boost(cls, V: float, c: float = DEFAULT_C, spatial_dim: int = 1,
               translation: SpacetimePoint | Sequence[float] | None = None) -> "FrameMap":
-        lin = boost_matrix(V, c, spatial_dim)
-        return cls(BranchKind.SUBLUMINAL, float(V), None, lin,
-                   _as_translation(translation, spatial_dim + 1), c)
+        lin = None if spatial_dim == 1 else boost_matrix(V, c, spatial_dim)
+        return cls(BranchKind.SUBLUMINAL, V, None, lin, translation, c)
 
     @classmethod
     def superluminal(cls, V: float, eta: int, c: float = DEFAULT_C,
                      translation: SpacetimePoint | Sequence[float] | None = None
                      ) -> "FrameMap":
-        lin = superluminal_matrix(V, eta, c)
-        return cls(BranchKind.SUPERLUMINAL, float(V), int(eta), lin,
-                   _as_translation(translation, 2), c)
+        return cls(BranchKind.SUPERLUMINAL, V, eta, None, translation, c)
 
     @classmethod
     def general_linear(cls, linear_part: Sequence[Sequence[float]],
                        translation: SpacetimePoint | Sequence[float] | None = None,
                        c: float = DEFAULT_C) -> "FrameMap":
-        lin = np.asarray(linear_part, dtype=float)
-        return cls(BranchKind.GENERAL_LINEAR, None, None, lin,
-                   _as_translation(translation, lin.shape[0]), c)
+        return cls(BranchKind.GENERAL_LINEAR, None, None, linear_part,
+                   translation, c)
 
     @classmethod
     def identity(cls, spatial_dim: int = 1, c: float = DEFAULT_C) -> "FrameMap":
@@ -405,17 +476,6 @@ class FrameMap:
             self.linear_part @ p.to_vector() + self.translation)
 
     __call__ = apply
-
-
-def _as_translation(translation, dim: int) -> np.ndarray:
-    if translation is None:
-        return np.zeros(dim)
-    if isinstance(translation, SpacetimePoint):
-        return translation.to_vector()
-    tr = np.asarray(translation, dtype=float)
-    if tr.shape != (dim,):
-        raise KinematicsError(f"translation must have {dim} components")
-    return tr
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Every document carries ``schema: 1``.  Unknown fields are rejected rather
 than ignored: a typo in a physics-critical field like ``eta`` must fail
-loudly, not silently fall back to a default.  Validation gathers every
-problem before raising so a bad file is fixed in one round trip.
+loudly, not silently fall back to a default.  This module checks only the
+envelope; ExperimentConfig and FrameMap check field values.  Every problem
+is gathered before raising so a bad file is fixed in one round trip.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 from typing import Sequence
 
-from .constants import DEFAULT_C
 from .interference import ConfigError, ExperimentConfig
 from .kinematics import BranchKind, FrameMap, KinematicsError, SpacetimePoint
 
@@ -29,16 +29,6 @@ def _check_schema_field(doc: dict, problems: list[str]) -> None:
         problems.append("schema: missing (expected 1)")
     elif doc["schema"] != SCHEMA_VERSION:
         problems.append(f"schema: unsupported version {doc['schema']!r} (expected 1)")
-
-
-def _is_number(v) -> bool:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        float(v)  # an int too large for a float is no usable number
-    except OverflowError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +77,7 @@ def experiment_config_from_dict(doc) -> ExperimentConfig:
 # frame maps
 # ---------------------------------------------------------------------------
 
-_FRAME_MAP_FIELDS = frozenset({
-    "schema", "branch", "V", "eta", "c", "translation", "linear_part",
-})
+_FRAME_MAP_FIELDS = frozenset(f.name for f in dataclasses.fields(FrameMap))
 
 
 def frame_map_to_dict(m: FrameMap) -> dict:
@@ -113,81 +101,24 @@ def frame_map_from_dict(doc) -> FrameMap:
         raise SchemaError("map spec must be a JSON object")
     problems: list[str] = []
     _check_schema_field(doc, problems)
-    unknown = sorted(set(doc) - _FRAME_MAP_FIELDS)
+    unknown = sorted(set(doc) - _FRAME_MAP_FIELDS - {"schema"})
     if unknown:
         problems.append(f"unknown fields rejected: {', '.join(unknown)}")
-    branch = None
-    if "branch" not in doc:
-        problems.append("branch: missing (subluminal, superluminal, or general-linear)")
-    else:
-        try:
-            branch = BranchKind(doc["branch"])
-        except ValueError:
-            allowed = ", ".join(m.value for m in BranchKind)
-            problems.append(f"branch: {doc['branch']!r} is not one of [{allowed}]")
-    c = DEFAULT_C
-    if "c" in doc:
-        if not _is_number(doc["c"]) or doc["c"] <= 0:
-            problems.append("c: must be a positive number")
-        else:
-            c = float(doc["c"])
-    translation = None
-    if "translation" in doc and doc["translation"] is not None:
-        tr = doc["translation"]
-        if not isinstance(tr, list) or not all(_is_number(v) for v in tr):
-            problems.append("translation: must be a list of numbers")
-        else:
-            translation = [float(v) for v in tr]
-    V = None
-    if "V" in doc:
-        if not _is_number(doc["V"]):
-            problems.append("V: must be a number")
-        else:
-            V = float(doc["V"])
-    eta = None
-    if "eta" in doc:
-        if doc["eta"] not in (1, -1):
-            problems.append("eta: must be 1 or -1")
-        else:
-            eta = int(doc["eta"])
-
-    if branch is BranchKind.SUBLUMINAL:
-        if V is None:
-            problems.append("V: required for the subluminal branch")
-        if eta is not None:
-            problems.append("eta: not allowed for the subluminal branch")
-        if "linear_part" in doc:
-            problems.append("linear_part: not allowed for the subluminal branch")
-    elif branch is BranchKind.SUPERLUMINAL:
-        if V is None:
-            problems.append("V: required for the superluminal branch")
-        if eta is None:
-            problems.append("eta: required for the superluminal branch "
-                            "(no default; both signs are admissible)")
-        if "linear_part" in doc:
-            problems.append("linear_part: not allowed for the superluminal branch")
-    elif branch is BranchKind.GENERAL_LINEAR:
-        if V is not None or "eta" in doc:
-            problems.append("V/eta: not allowed for general-linear maps")
-        lp = doc.get("linear_part")
-        if (not isinstance(lp, list) or not lp
-                or not all(isinstance(row, list) and all(_is_number(v) for v in row)
-                           for row in lp)
-                or len({len(row) for row in lp}) != 1
-                or len(lp) != len(lp[0])):
-            problems.append("linear_part: required square number matrix "
-                            "for general-linear maps")
+    fields = {name: doc[name] for name in _FRAME_MAP_FIELDS & set(doc)}
+    # A boost document gives its velocity, never its matrix.
+    if (fields.get("branch") in (BranchKind.SUBLUMINAL, BranchKind.SUPERLUMINAL)
+            and "linear_part" in fields):
+        problems.append(f"linear_part: not allowed for the {doc['branch']} branch")
+        del fields["linear_part"]
+    # FrameMap alone validates field values (a missing branch is passed as
+    # None); its messages join the schema's, so one round trip names them all.
+    try:
+        frame_map = FrameMap(**{"branch": None, **fields})
+    except KinematicsError as err:
+        problems.append(str(err))
     if problems:
         raise SchemaError("; ".join(problems))
-    try:
-        if branch is BranchKind.SUBLUMINAL:
-            return FrameMap.boost(V, c, translation=translation)
-        if branch is BranchKind.SUPERLUMINAL:
-            return FrameMap.superluminal(V, eta, c, translation=translation)
-        return FrameMap.general_linear(doc["linear_part"],
-                                       translation=translation, c=c)
-    except KinematicsError as err:
-        raise SchemaError(str(err)) from None
+    return frame_map
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,29 @@ def test_huge_integers_exit_2_naming_the_field(tmp_path, capsys,
     assert f"{field}:" in err
 
 
+IDENTITY = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("events, doc, field", [
+    (EVENTS, {"branch": "general-linear", "linear_part": IDENTITY, "c": 1e200}, "c"),
+    ("t,x\n1,0\n", {"branch": "general-linear", "linear_part": IDENTITY,
+                     "c": 1e-300}, "c"),
+    (EVENTS, {"branch": "superluminal", "V": 2.0, "eta": True}, "eta"),
+    (EVENTS, {"branch": "superluminal", "V": 1e200, "eta": 1}, "V"),
+    ("t,x\n1e200,0\n", {"branch": "subluminal", "V": 0.5}, "interval"),
+    ("t,x\n0,1e200\n", {"branch": "general-linear", "linear_part": IDENTITY},
+     "interval"),
+], ids=["c-huge", "c-tiny", "eta-bool", "V-huge", "t-huge", "x-huge"])
+def test_out_of_range_values_exit_2_naming_the_field(tmp_path, capsys,
+                                                     events, doc, field):
+    config = write(tmp_path / "doc.json", dump_json({"schema": 1, **doc}))
+    code, out, err = run(capsys, "transform", "--config", config,
+                         "--events", write(tmp_path / "events.csv", events))
+    assert code == 2
+    assert f"{field}:" in err
+    assert out == ""
+
+
 # Any JSON value, including the awkward ones: huge ints, nan and inf.
 _json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),
@@ -207,7 +230,9 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
-_numbers = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+# Large finite floats reach the overflow class: c or V near 1e200.
+_large_floats = st.floats(allow_nan=False, allow_infinity=False)
+_numbers = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0), _large_floats)
 
 
 def _field(plausible):
@@ -232,9 +257,9 @@ _experiment_docs = st.fixed_dictionaries({}, optional={
 _map_docs = st.fixed_dictionaries({}, optional={
     "schema": _field(st.just(1)),
     "branch": _values_of(BranchKind),
-    "V": _field(st.floats(-3.0, 3.0)),
+    "V": _field(st.one_of(st.floats(-3.0, 3.0), _large_floats)),
     "eta": _field(st.sampled_from([1, -1])),
-    "c": _field(st.floats(0.0, 3.0)),
+    "c": _field(st.one_of(st.floats(0.0, 3.0), _large_floats)),
     "translation": _field(st.lists(_numbers, min_size=2, max_size=2)),
     "linear_part": _field(st.lists(st.lists(_numbers, min_size=2, max_size=2),
                                    min_size=2, max_size=2)),
@@ -281,6 +306,12 @@ def test_phis_flag_validation():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["interfere", "--phis", "0:1:0"])
+    assert exc.value.code == 2
+
+
+def test_check_has_no_sampled_tolerance_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--tol-sampled", "1e-9"])
     assert exc.value.code == 2
 
 

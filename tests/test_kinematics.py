@@ -221,6 +221,74 @@ def test_frame_map_rejects_singular_linear_part():
         FrameMap.general_linear([[1.0, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1e-5, 1e-3, 1.0, 1e3, 1e5, 1e7])
+def test_singularity_test_is_scale_invariant(scale):
+    m = FrameMap.general_linear(scale * np.eye(2))
+    assert m.linear_part[0, 0] == scale
+    with pytest.raises(SingularMapError):
+        FrameMap.general_linear(scale * np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_frame_map_gathers_every_field_problem():
+    with pytest.raises(KinematicsError) as err:
+        FrameMap("superluminal", "fast", None, None, [1.0, "a"], -1.0)
+    message = str(err.value)
+    for needle in ("V:", "eta:", "translation:", "c:"):
+        assert needle in message
+    with pytest.raises(KinematicsError) as err:
+        FrameMap("warp", True, True, [[1.0, 0.0]], c=1e200)
+    message = str(err.value)
+    for needle in ("branch: 'warp'", "V:", "eta:", "linear_part:", "c:"):
+        assert needle in message
+
+
+def test_frame_map_fields_default_and_coerce():
+    m = FrameMap("subluminal", 0.6)
+    assert m.branch is BranchKind.SUBLUMINAL and m.eta is None and m.c == 1.0
+    assert np.array_equal(m.linear_part, boost_matrix(0.6))
+    assert np.array_equal(m.translation, np.zeros(2))
+    s = FrameMap(BranchKind.SUPERLUMINAL, 2, 1.0)
+    assert s.V == 2.0 and s.eta == 1 and isinstance(s.eta, int)
+
+
+def test_a_bool_is_not_a_number():
+    with pytest.raises(KinematicsError) as err:
+        FrameMap.superluminal(2.0, True)
+    assert "eta:" in str(err.value)
+    with pytest.raises(KinematicsError) as err:
+        FrameMap.boost(False)
+    assert "V:" in str(err.value)
+    with pytest.raises(KinematicsError):
+        superluminal_matrix(2.0, True)
+
+
+def test_light_speed_rule_holds_for_every_branch():
+    for c in (1e200, 1e-300, 0.0, -1.0, math.inf, math.nan, 10 ** 400):
+        with pytest.raises(KinematicsError) as err:
+            FrameMap.general_linear(np.eye(2), c=c)
+        assert "c:" in str(err.value)
+
+
+def test_huge_superluminal_velocity_is_a_domain_error():
+    with pytest.raises(SpeedDomainError):
+        superluminal_gamma(1e200)
+    with pytest.raises(SpeedDomainError):
+        FrameMap.superluminal(1e200, 1)
+    with pytest.raises(SpeedDomainError):
+        FrameMap.superluminal(3.0, -1, c=1e-154)
+
+
+def test_interval_overflow_is_a_named_error():
+    o = SpacetimePoint(0.0, 0.0)
+    for p in (SpacetimePoint(1e200, 0.0), SpacetimePoint(0.0, 1e200)):
+        with pytest.raises(KinematicsError):
+            event_interval(p)
+        with pytest.raises(KinematicsError):
+            interval_value(o, p)
+    with pytest.raises(KinematicsError):
+        event_interval(SpacetimePoint(1.0, 0.0), c=1e200)
+
+
 def test_frame_map_arrays_are_read_only():
     m = FrameMap.boost(0.3)
     with pytest.raises(ValueError):

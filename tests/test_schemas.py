@@ -110,6 +110,29 @@ def test_frame_map_rejects_misplaced_fields():
         frame_map_from_dict({"schema": 1, "branch": "warp", "V": 3.0})
 
 
+def test_all_map_problems_reported_together():
+    doc = {"schema": 1, "branch": "superluminal", "V": "fast", "c": -1,
+           "translation": [1, "a"], "junk": 1}
+    with pytest.raises(SchemaError) as err:
+        frame_map_from_dict(doc)
+    message = str(err.value)
+    for needle in ("V:", "eta:", "c:", "translation:", "junk"):
+        assert needle in message
+
+
+def test_frame_map_envelope_rules():
+    # A missing branch is named alongside the other fields' problems.
+    with pytest.raises(SchemaError) as err:
+        frame_map_from_dict({"schema": 1, "V": "fast"})
+    assert "branch:" in str(err.value) and "V:" in str(err.value)
+    # A boost document may not carry a matrix, even the right one.
+    doc = frame_map_to_dict(FrameMap.boost(0.5))
+    doc["linear_part"] = FrameMap.boost(0.5).linear_part.tolist()
+    with pytest.raises(SchemaError) as err:
+        frame_map_from_dict(doc)
+    assert str(err.value) == "linear_part: not allowed for the subluminal branch"
+
+
 def test_frame_map_domain_errors_surface_as_schema_errors():
     with pytest.raises(SchemaError):
         frame_map_from_dict({"schema": 1, "branch": "subluminal", "V": 1.0})
