@@ -8,10 +8,11 @@ mixture); and a continuous one-parameter multiplicative phase action
 ``phase(a) * phase(b) = phase(a + b)`` supplies the tunable relative phase.
 
 Probability is deliberately not hard-wired to the squared norm.  Any
-functional from amplitudes to nonnegative weights can be registered as a
-ProbabilityRule; the squared norm is only the default realization, and the
-tests assert just the minimal requirements (global-phase invariance,
-normalization, additivity over distinguishable outcomes).
+functional from amplitudes to nonnegative weights can be wrapped as a
+ProbabilityRule and passed to evaluate or simulate; the squared norm is only
+the default realization, and the tests assert just the minimal requirements
+(global-phase invariance, normalization, additivity over distinguishable
+outcomes).
 
 carrier_minimality_check probes why two real dimensions are needed: on a
 one-dimensional real carrier the only continuous multiplicative phase
@@ -28,6 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence as SequenceType, Union
 
 import numpy as np
+
+from .constants import REL_TOL_ALGEBRA
 
 
 class AmplitudeError(ValueError):
@@ -99,9 +102,11 @@ def norm_squared(a: Amplitude) -> float:
 class ProbabilityRule:
     """Named functional sending an amplitude to a nonnegative weight.
 
-    Registered rules are expected to be invariant under a global phase and
-    to produce weights that normalize additively over distinguishable
-    outcomes; check_global_phase_invariance tests the first property.
+    Rules are passed as objects wherever a weight is needed.  They are
+    expected to be invariant under a global phase and to produce weights
+    that normalize additively over distinguishable outcomes;
+    check_global_phase_invariance tests the first property.  Every weight a
+    rule returns is checked to be finite and nonnegative.
     """
 
     name: str
@@ -116,25 +121,6 @@ class ProbabilityRule:
 
 
 SQUARED_NORM = ProbabilityRule("squared-norm", norm_squared)
-
-RULES: dict[str, ProbabilityRule] = {SQUARED_NORM.name: SQUARED_NORM}
-
-
-def register_rule(rule: ProbabilityRule) -> ProbabilityRule:
-    if rule.name in RULES:
-        raise AmplitudeError(f"rule {rule.name!r} is already registered")
-    RULES[rule.name] = rule
-    return rule
-
-
-def get_rule(rule: Union[str, ProbabilityRule]) -> ProbabilityRule:
-    if isinstance(rule, ProbabilityRule):
-        return rule
-    try:
-        return RULES[rule]
-    except KeyError:
-        known = ", ".join(sorted(RULES))
-        raise AmplitudeError(f"unknown rule {rule!r}; registered: {known}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +220,13 @@ def _product_reduce(combo: tuple[Amplitude, ...]) -> Amplitude:
     return out
 
 
-def evaluate(g: AlternativeGraph,
-             rule: Union[str, ProbabilityRule] = SQUARED_NORM) -> float:
+def evaluate(g: AlternativeGraph, rule: ProbabilityRule = SQUARED_NORM) -> float:
     """Raw (unnormalized) outcome weight of one process graph."""
-    r = get_rule(rule)
-    return math.fsum(r(a) for a in components(g))
+    return math.fsum(rule(a) for a in components(g))
 
 
 def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],
-                      rule: Union[str, ProbabilityRule] = SQUARED_NORM
-                      ) -> dict[str, float]:
+                      rule: ProbabilityRule = SQUARED_NORM) -> dict[str, float]:
     """Normalized weights over a set of declared, mutually exclusive outcomes.
 
     Raises DegenerateOutcomesError when every outcome weighs zero (for
@@ -252,8 +235,7 @@ def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],
     """
     if not outcomes:
         raise GraphStructureError("need at least one declared outcome")
-    r = get_rule(rule)
-    raw = {name: evaluate(g, r) for name, g in outcomes.items()}
+    raw = {name: evaluate(g, rule) for name, g in outcomes.items()}
     total = math.fsum(raw.values())
     if total <= 0.0:
         raise DegenerateOutcomesError(
@@ -266,20 +248,18 @@ def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],
 # ---------------------------------------------------------------------------
 
 
-def check_global_phase_invariance(rule: Union[str, ProbabilityRule],
-                                  trials: int,
-                                  rng: np.random.Generator | int | None = None,
-                                  tol: float = 1e-12) -> bool:
-    """True iff P(u(phi) A) == P(A) within ``tol`` over random trials."""
+def check_global_phase_invariance(rule: ProbabilityRule, trials: int,
+                                  rng: np.random.Generator | int | None = None
+                                  ) -> bool:
+    """True iff P(u(phi) A) == P(A) within REL_TOL_ALGEBRA over random trials."""
     if trials < 1:
         raise AmplitudeError("trials must be at least 1")
-    r = get_rule(rule)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     for _ in range(trials):
         a = Amplitude(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        if abs(r(concat(phase(phi), a)) - r(a)) > tol:
+        if abs(rule(concat(phase(phi), a)) - rule(a)) > REL_TOL_ALGEBRA:
             return False
     return True
 
@@ -305,22 +285,8 @@ class CarrierMinimalityReport:
     two_dimensional_alters: bool
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "actions": [
-                {"exponent": rec.exponent,
-                 "phase_invariant": rec.phase_invariant,
-                 "alters_recombination": rec.alters_recombination}
-                for rec in self.actions],
-            "one_dimensional_success": self.one_dimensional_success,
-            "two_dimensional_invariant": self.two_dimensional_invariant,
-            "two_dimensional_alters": self.two_dimensional_alters,
-            "passed": self.passed,
-        }
-
 
 _DEFAULT_EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-_CARRIER_TOL = 1e-12
 
 
 def carrier_minimality_check(phis: SequenceType[float],
@@ -351,21 +317,21 @@ def carrier_minimality_check(phis: SequenceType[float],
             base = a * a
             for p in phis:
                 acted = math.exp(s * p) * a
-                if abs(acted * acted - base) > _CARRIER_TOL:
+                if abs(acted * acted - base) > REL_TOL_ALGEBRA:
                     invariant = False
                     break
             if not invariant:
                 break
         recombined = [(1.0 + math.exp(s * p)) ** 2 for p in phis]
-        alters = (max(recombined) - min(recombined)) > _CARRIER_TOL
+        alters = (max(recombined) - min(recombined)) > REL_TOL_ALGEBRA
         records.append(CarrierActionRecord(s, invariant, alters))
     two_invariant = all(
         abs(norm_squared(concat(phase(p), Amplitude(a, 0.3))) -
-            norm_squared(Amplitude(a, 0.3))) <= _CARRIER_TOL
+            norm_squared(Amplitude(a, 0.3))) <= REL_TOL_ALGEBRA
         for a in probes for p in phis)
     two_recombined = [norm_squared(sum_alternatives(UNIT, phase(p)))
                       for p in phis]
-    two_alters = (max(two_recombined) - min(two_recombined)) > _CARRIER_TOL
+    two_alters = (max(two_recombined) - min(two_recombined)) > REL_TOL_ALGEBRA
     one_success = any(rec.satisfies_both for rec in records)
     return CarrierMinimalityReport(
         actions=tuple(records),

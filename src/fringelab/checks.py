@@ -1,7 +1,8 @@
 """Registered invariant checks behind the ``check`` command.
 
-Each check is a pure function of a context (seed, trial counts, tolerances)
-and reports one pass/fail line.  Checks never raise: an exception inside a
+Each check is a pure function of a context (seed, trial count, no-go
+resolution) and reports one pass/fail line; tolerances come from
+``constants``.  Checks never raise: an exception inside a
 check body becomes a failed line.  Randomness is deterministic per check:
 check number i draws from ``default_rng([seed, i])`` with i being the
 position in the full registry, so a filtered run reproduces exactly the
@@ -29,7 +30,6 @@ from .amplitudes import (
     SQUARED_NORM,
     carrier_minimality_check,
     check_global_phase_invariance,
-    components,
     concat,
     evaluate,
     evaluate_outcomes,
@@ -44,7 +44,6 @@ from .constants import (
 )
 from .interference import (
     BlockedArm,
-    Composition,
     ExperimentConfig,
     check_O1_robustness,
     check_O3_frame_invariance,
@@ -85,7 +84,6 @@ class CheckContext:
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
     resolution: int = 101
-    tol_algebra: float = REL_TOL_ALGEBRA
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ def _check_boost_interval(ctx: CheckContext, rng) -> tuple[bool, str]:
         q = lorentz_boost(p, V)
         scale = p.x[0] ** 2 + p.t ** 2
         worst = max(worst, abs(event_interval(q) - event_interval(p)) / scale)
-    ok = worst <= ctx.tol_algebra
+    ok = worst <= REL_TOL_ALGEBRA
     return ok, (f"|V|<c preserves the interval; worst relative drift "
                 f"{format_float(worst)} over {ctx.trials} trials")
 
@@ -193,7 +191,7 @@ def _check_interval_flip(ctx: CheckContext, rng) -> tuple[bool, str]:
         q = superluminal_map(p, V, eta)
         scale = p.x[0] ** 2 + p.t ** 2
         worst = max(worst, abs(event_interval(q) + event_interval(p)) / scale)
-    ok = worst <= ctx.tol_algebra
+    ok = worst <= REL_TOL_ALGEBRA
     return ok, (f"|V|>c negates the interval for both eta; worst relative "
                 f"defect {format_float(worst)} over {ctx.trials} trials")
 
@@ -215,7 +213,7 @@ def _check_velocity_addition(ctx: CheckContext, rng) -> tuple[bool, str]:
     w = velocity_addition(0.5, 0.5)
     if w != 0.8:
         return False, f"0.5c plus 0.5c gave {format_float(w)}, expected 0.8"
-    ok = worst <= ctx.tol_algebra
+    ok = worst <= REL_TOL_ALGEBRA
     return ok, (f"compose(boost,boost) matches the velocity-addition boost; "
                 f"worst deviation {format_float(worst)}")
 
@@ -347,7 +345,7 @@ def _check_phase_group_law(ctx: CheckContext, rng) -> tuple[bool, str]:
     ident = phase(0.0)
     if (ident.re, ident.im) != (1.0, 0.0):
         return False, "phase(0) is not the multiplicative identity"
-    ok = worst <= ctx.tol_algebra
+    ok = worst <= REL_TOL_ALGEBRA
     return ok, (f"phase(a)*phase(b)=phase(a+b); worst component error "
                 f"{format_float(worst)} over {ctx.trials} trials")
 
@@ -375,7 +373,7 @@ def _check_concat_associativity(ctx: CheckContext, rng) -> tuple[bool, str]:
         rhs = concat(a, concat(b, c))
         scale = 1.0 + abs(lhs.re) + abs(lhs.im)
         worst = max(worst, abs(lhs.re - rhs.re) / scale, abs(lhs.im - rhs.im) / scale)
-    ok = worst <= ctx.tol_algebra
+    ok = worst <= REL_TOL_ALGEBRA
     return ok, (f"leg concatenation associative; worst relative error "
                 f"{format_float(worst)} over {ctx.trials} trials")
 
@@ -388,7 +386,7 @@ def _check_distributivity(ctx: CheckContext, rng) -> tuple[bool, str]:
         rhs = sum_alternatives(concat(c, a), concat(c, b))
         scale = 1.0 + abs(lhs.re) + abs(lhs.im)
         worst = max(worst, abs(lhs.re - rhs.re) / scale, abs(lhs.im - rhs.im) / scale)
-    ok = worst <= ctx.tol_algebra
+    ok = worst <= REL_TOL_ALGEBRA
     return ok, (f"concatenation distributes over alternative sums; worst "
                 f"relative error {format_float(worst)}")
 
@@ -407,8 +405,7 @@ def _check_interference_witness(ctx: CheckContext, rng) -> tuple[bool, str]:
 
 
 def _check_global_phase_invariance(ctx: CheckContext, rng) -> tuple[bool, str]:
-    ok = check_global_phase_invariance(SQUARED_NORM, ctx.trials, rng=rng,
-                                       tol=ctx.tol_algebra)
+    ok = check_global_phase_invariance(SQUARED_NORM, ctx.trials, rng=rng)
     return ok, (f"default rule invariant under global phase on {ctx.trials} "
                 f"random amplitudes")
 
@@ -422,12 +419,12 @@ def _check_outcome_normalization(ctx: CheckContext, rng) -> tuple[bool, str]:
             out = evaluate_outcomes(graphs, SQUARED_NORM)
         except DegenerateOutcomesError:
             continue
-        if abs(math.fsum(out.values()) - 1.0) > ctx.tol_algebra:
+        if abs(math.fsum(out.values()) - 1.0) > REL_TOL_ALGEBRA:
             return False, "normalized outcome weights do not sum to 1"
         recorded = Branch(tuple(graphs.values()), distinguishable=True)
         total = evaluate(recorded, SQUARED_NORM)
         parts = math.fsum(evaluate(g, SQUARED_NORM) for g in graphs.values())
-        if abs(total - parts) > ctx.tol_algebra * (1.0 + parts):
+        if abs(total - parts) > REL_TOL_ALGEBRA * (1.0 + parts):
             return False, "distinguishable branch weight is not additive"
     cancel = Branch((Leaf(phase(0.0)), Leaf(Amplitude(-1.0, 0.0))),
                     distinguishable=False)
@@ -476,9 +473,9 @@ def _check_fringe_law(ctx: CheckContext, rng) -> tuple[bool, str]:
         worst = max(worst, abs(d.p_d0 + opposite.p_d0 - 1.0))
     step = 2.0 * math.pi / 64
     for (_, a), (_, b) in zip(sweep, sweep[1:]):
-        if abs(b.p_d0 - a.p_d0) > 0.5 * step + ctx.tol_algebra:
+        if abs(b.p_d0 - a.p_d0) > 0.5 * step + REL_TOL_ALGEBRA:
             return False, "fringe moved faster than its slope bound"
-    ok = worst <= ctx.tol_algebra
+    ok = worst <= REL_TOL_ALGEBRA
     return ok, (f"p_d0 follows the half-angle cosine law; worst error "
                 f"{format_float(worst)} over 64 phases")
 

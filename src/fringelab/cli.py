@@ -28,11 +28,7 @@ from .checks import (
     NoMatchingChecksError,
     run_checks,
 )
-from .constants import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    REL_TOL_ALGEBRA,
-)
+from .constants import DEFAULT_SEED, DEFAULT_TRIALS
 from .interference import (
     ConfigError,
     ExperimentConfig,
@@ -77,16 +73,6 @@ def _parse_positive(text: str) -> int:
     return value
 
 
-def _parse_tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError("tolerance must be positive and finite")
-    return value
-
-
 def _parse_phis(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -104,7 +90,12 @@ def _parse_phis(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("phase grid needs at least one step")
     if steps == 1:
         return (start,)
-    return tuple(float(v) for v in np.linspace(start, stop, steps))
+    with np.errstate(all="ignore"):
+        grid = np.linspace(start, stop, steps)
+    if not np.all(np.isfinite(grid)):
+        raise argparse.ArgumentTypeError(
+            f"phase grid {text!r} has points that overflow a float")
+    return tuple(float(v) for v in grid)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--resolution", type=_parse_positive, default=101,
                          help="weight grid resolution for the no-go check "
                               "(default 101)")
-    p_check.add_argument("--tol-algebra", type=_parse_tolerance,
-                         default=REL_TOL_ALGEBRA,
-                         help="relative tolerance for closed-form identities")
     p_check.add_argument("--out", help="write the JSON report here "
                                        "(default: print it after the text)")
     return parser
@@ -241,8 +229,7 @@ def cmd_nogo(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     ctx = CheckContext(seed=args.seed, trials=args.trials,
-                       resolution=args.resolution,
-                       tol_algebra=args.tol_algebra)
+                       resolution=args.resolution)
     results = run_checks(ctx, args.suite)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

@@ -1,9 +1,15 @@
 """Shared numerical policy.
 
-Tolerances are stated once here and referenced everywhere else.  Closed-form
-algebraic identities (interval preservation, group laws) are checked at
-REL_TOL_ALGEBRA; sampled geometric checks (random null rays, polyline
-intersection tests) at the looser REL_TOL_SAMPLED.
+Tolerances are stated once here and read everywhere else; no function, check
+or command takes one as a parameter or flag, so no caller can loosen a
+verdict.  REL_TOL_ALGEBRA (closed-form identities) bounds the null band of
+classify_interval, the pullback residual of classify_cone_preserver, the
+FrameMap singularity test, check_global_phase_invariance,
+carrier_minimality_check, mixture-weight sums, the no-go and which-way
+visibilities, and the check suite's numeric checks.  REL_TOL_SAMPLED
+(sampled and geometric tests) bounds polyline_is_simple (so Worldline and
+check_no_branching), preserves_null_lines, the FrameMap boost-matrix match
+and the silent-detector visibility of check_O1_robustness.
 """
 
 # Speed of light in natural units; every formula keeps c explicit so other

@@ -32,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 from .amplitudes import (
     Amplitude,
@@ -45,10 +45,9 @@ from .amplitudes import (
     evaluate,
     phase,
 )
-from .constants import DEFAULT_C, REL_TOL_ALGEBRA
+from .constants import DEFAULT_C, REL_TOL_ALGEBRA, REL_TOL_SAMPLED
 from .kinematics import (
     FrameMap,
-    IntervalKind,
     SpacetimePoint,
     classify_interval,
 )
@@ -200,8 +199,7 @@ class OutcomeDistribution:
 
 
 def simulate(config: ExperimentConfig,
-             rule: Union[str, ProbabilityRule] = SQUARED_NORM
-             ) -> OutcomeDistribution:
+             rule: ProbabilityRule = SQUARED_NORM) -> OutcomeDistribution:
     """Outcome distribution of one configured run."""
     if config.composition is Composition.CLASSICAL_MIXTURE:
         return _simulate_classical(config)
@@ -237,7 +235,7 @@ def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
 
 
 def _simulate_amplitude(config: ExperimentConfig,
-                        rule: Union[str, ProbabilityRule]) -> OutcomeDistribution:
+                        rule: ProbabilityRule) -> OutcomeDistribution:
     T1 = float(config.splitter1)
     T2 = float(config.splitter2)
     R1 = 1.0 - T1
@@ -271,7 +269,7 @@ def _simulate_amplitude(config: ExperimentConfig,
 
 
 def phase_sweep(config: ExperimentConfig, phis: Sequence[float],
-                rule: Union[str, ProbabilityRule] = SQUARED_NORM
+                rule: ProbabilityRule = SQUARED_NORM
                 ) -> list[tuple[float, OutcomeDistribution]]:
     """simulate at each phase in turn, keeping everything else fixed."""
     phis = [float(p) for p in phis]
@@ -391,7 +389,7 @@ def no_go_search(phis: Sequence[float],
         max_classical_variation=overall,
         amplitude_visibility=vis,
         classical_phase_independent=independent,
-        passed=independent and vis >= 1.0 - 1e-12,
+        passed=independent and vis >= 1.0 - REL_TOL_ALGEBRA,
     )
 
 
@@ -413,17 +411,6 @@ class DetectorRobustnessReport:
     entries: tuple[DetectorVisibilityEntry, ...]
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "entries": [
-                {"model": e.model,
-                 "records_which_way": e.records_which_way,
-                 "visibility": e.visibility,
-                 "ok": e.ok}
-                for e in self.entries],
-            "passed": self.passed,
-        }
-
 
 def check_O1_robustness(phis: Sequence[float]) -> DetectorRobustnessReport:
     """Fringe visibility under each detector model, amplitude composition.
@@ -440,9 +427,9 @@ def check_O1_robustness(phis: Sequence[float]) -> DetectorRobustnessReport:
         config = ExperimentConfig(detector_model=model)
         vis = visibility(phase_sweep(config, phis))
         if model.records_which_way:
-            ok = vis <= 1e-12
+            ok = vis <= REL_TOL_ALGEBRA
         else:
-            ok = vis >= 1.0 - 1e-9
+            ok = vis >= 1.0 - REL_TOL_SAMPLED
         entries.append(DetectorVisibilityEntry(
             model.value, model.records_which_way, vis, ok))
     return DetectorRobustnessReport(tuple(entries),
@@ -479,17 +466,6 @@ class FrameInvarianceReport:
     baseline: OutcomeDistribution
     entries: tuple[FrameInvarianceEntry, ...]
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "baseline": list(self.baseline.as_tuple()),
-            "entries": [
-                {"velocity": e.velocity,
-                 "interval_kinds_preserved": e.interval_kinds_preserved,
-                 "statistics_identical": e.statistics_identical}
-                for e in self.entries],
-            "passed": self.passed,
-        }
 
 
 def check_O3_frame_invariance(config: ExperimentConfig,

@@ -183,15 +183,14 @@ class IntervalClass:
 
 
 def classify_interval(a: SpacetimePoint, b: SpacetimePoint,
-                      c: float = DEFAULT_C,
-                      rel_tol: float = REL_TOL_ALGEBRA) -> IntervalClass:
+                      c: float = DEFAULT_C) -> IntervalClass:
     """Classify the separation of two events.
 
-    The null band is relative: |value| <= rel_tol * (|dx|^2 + c^2 dt^2), so
-    classification is invariant under rescaling all coordinates.
+    The null band is relative: |value| <= REL_TOL_ALGEBRA * (|dx|^2 +
+    c^2 dt^2), so classification is invariant under rescaling all coordinates.
     """
     value = interval_value(a, b, c)
-    tol = rel_tol * _interval_scale(a, b, c)
+    tol = REL_TOL_ALGEBRA * _interval_scale(a, b, c)
     if abs(value) <= tol:
         kind = IntervalKind.NULL
     elif value < 0.0:
@@ -510,9 +509,10 @@ def compose(f: FrameMap, g: FrameMap) -> FrameMap:
 
     The branch of the result is re-classified rather than asserted as a
     group product: two subluminal boosts compose to the velocity-addition
-    boost; everything else is returned as general-linear, with its interval
-    behaviour left to classify_cone_preserver (two interval-flipping maps
-    compose to an interval-preserving one, a mixed pair flips).
+    boost when FrameMap accepts that tag; everything else is returned as
+    general-linear, with its interval behaviour left to
+    classify_cone_preserver (two interval-flipping maps compose to an
+    interval-preserving one, a mixed pair flips).
     """
     if f.spatial_dim != g.spatial_dim:
         raise KinematicsError("cannot compose maps of different dimensions")
@@ -526,10 +526,12 @@ def compose(f: FrameMap, g: FrameMap) -> FrameMap:
     tr = f.linear_part @ g.translation + f.translation
     if f.branch is BranchKind.SUBLUMINAL and g.branch is BranchKind.SUBLUMINAL:
         V = velocity_addition(f.V, g.V, f.c)
-        # Rounding can park |V| on the guard band for near-light inputs;
-        # fall back to the untagged classification in that case.
-        if abs(V) < f.c * (1.0 - SPEED_GUARD_BAND):
+        try:
             return FrameMap(BranchKind.SUBLUMINAL, V, None, lin, tr, f.c)
+        except KinematicsError:
+            # Near light speed the rounded sum can land on the guard band, or
+            # the matrix rebuilt from it can miss the product; stay untagged.
+            pass
     return FrameMap(BranchKind.GENERAL_LINEAR, None, None, lin, tr, f.c)
 
 
@@ -550,21 +552,28 @@ class ConeClassification:
     scale: float | None  # |multiplier| of the quadratic form, if cone-preserving
 
 
-def classify_cone_preserver(m: FrameMap,
-                            rel_tol: float = REL_TOL_ALGEBRA) -> ConeClassification:
+def classify_cone_preserver(m: FrameMap) -> ConeClassification:
     """Classify a map by the pullback of the interval form.
 
     Let G be the metric and L the linear part.  If L^T G L = lam * G with
     lam > 0 the map is a conformal Lorentz transformation; if lam < 0 it is
     an interval sign-flip (possible only in 1+1, where the form and its
     negative have equal signature); anything else does not preserve the
-    null cone.  Decided by exact matrix algebra, not sampling.
+    null cone.  Decided by exact matrix algebra, not sampling, in units
+    where c = 1 (time measured as c*t): the residual ||L^T G L - lam G||
+    must be at most REL_TOL_ALGEBRA * ||L||^2 ||G|| (Frobenius norms), a
+    bound that follows the rounding of the product (it grows with the
+    cancelling terms, about gamma^2 for a boost) and scales as s^2 with L.
     """
-    g = minkowski_metric(m.spatial_dim, m.c)
-    pulled = m.linear_part.T @ g @ m.linear_part
+    lin = m.linear_part.copy()
+    lin[0, 1:] *= m.c
+    lin[1:, 0] /= m.c
+    g = minkowski_metric(m.spatial_dim, 1.0)
+    pulled = lin.T @ g @ lin
     lam = float(np.sum(pulled * g) / np.sum(g * g))
     residual = float(np.linalg.norm(pulled - lam * g))
-    if residual <= rel_tol * float(np.linalg.norm(pulled)):
+    bound = float(np.linalg.norm(lin)) ** 2 * float(np.linalg.norm(g))
+    if residual <= REL_TOL_ALGEBRA * bound:
         if lam > 0.0:
             return ConeClassification(ConeClass.CONFORMAL_LORENTZ, lam)
         return ConeClassification(ConeClass.SIGN_FLIP, -lam)
@@ -709,11 +718,10 @@ def _segment_pair_distance(p0, p1, q0, q1) -> float:
     return math.sqrt(sum(v * v for v in gap))
 
 
-def polyline_is_simple(points: np.ndarray,
-                       rel_tol: float = REL_TOL_SAMPLED) -> bool:
+def polyline_is_simple(points: np.ndarray) -> bool:
     """True iff the open polyline through ``points`` is injective.
 
-    Checks, at a tolerance relative to the bounding-box diagonal: no
+    Checks, at REL_TOL_SAMPLED relative to the bounding-box diagonal: no
     repeated vertices, no collinear backtracking between consecutive
     segments, and no contact between non-adjacent segments.
     """
@@ -724,7 +732,7 @@ def polyline_is_simple(points: np.ndarray,
     diag = math.sqrt(sum(
         (max(p[k] for p in pts) - min(p[k] for p in pts)) ** 2
         for k in range(len(pts[0]))))
-    tol = rel_tol * diag
+    tol = REL_TOL_SAMPLED * diag
     for i in range(n):
         for j in range(i + 1, n):
             if math.dist(pts[i], pts[j]) <= tol:
@@ -737,7 +745,7 @@ def polyline_is_simple(points: np.ndarray,
         uv = sum(a * b for a, b in zip(u, v))
         area_sq = max(0.0, uu * vv - uv * uv)
         # Collinear turn that reverses direction retraces the previous segment.
-        if area_sq <= (rel_tol * rel_tol) * uu * vv and uv < 0.0:
+        if area_sq <= (REL_TOL_SAMPLED * REL_TOL_SAMPLED) * uu * vv and uv < 0.0:
             return False
     for i in range(n - 1):
         for j in range(i + 2, n - 1):

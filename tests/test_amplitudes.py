@@ -18,7 +18,6 @@ from fringelab.amplitudes import (
     GraphStructureError,
     Leaf,
     ProbabilityRule,
-    RULES,
     SQUARED_NORM,
     Sequence,
     carrier_minimality_check,
@@ -27,10 +26,8 @@ from fringelab.amplitudes import (
     concat,
     evaluate,
     evaluate_outcomes,
-    get_rule,
     norm_squared,
     phase,
-    register_rule,
     sum_alternatives,
 )
 
@@ -207,22 +204,6 @@ def test_classical_mixture_is_blind_to_single_leaf_phase():
         shifted = Branch((Sequence((Leaf(phase(phi)), Leaf(a))), Leaf(b)),
                          distinguishable=True)
         assert abs(evaluate(plain) - evaluate(shifted)) <= 1e-12
-
-
-def test_rule_registry_and_lookup():
-    assert get_rule("squared-norm") is SQUARED_NORM
-    assert get_rule(SQUARED_NORM) is SQUARED_NORM
-    with pytest.raises(AmplitudeError):
-        get_rule("no-such-rule")
-    fixture = ProbabilityRule("test-plain-norm",
-                              lambda a: math.sqrt(norm_squared(a)))
-    register_rule(fixture)
-    try:
-        assert get_rule("test-plain-norm") is fixture
-        with pytest.raises(AmplitudeError):
-            register_rule(fixture)
-    finally:
-        del RULES["test-plain-norm"]
 
 
 def test_rule_rejects_negative_or_nonfinite_weights():

@@ -309,9 +309,21 @@ def test_phis_flag_validation():
     assert exc.value.code == 2
 
 
-def test_check_has_no_sampled_tolerance_flag():
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["interfere", "nogo"])
+def test_overflowing_phase_grid_is_a_usage_error(command, capsys):
+    # The span overflows a float inside np.linspace; that must be a usage
+    # error naming the grid, not a numpy warning followed by a config error.
     with pytest.raises(SystemExit) as exc:
-        main(["check", "--tol-sampled", "1e-9"])
+        main([command, "--phis=-1e308:1e308:3"])
+    assert exc.value.code == 2
+    assert "'-1e308:1e308:3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol-sampled", "--tol-algebra"])
+def test_check_has_no_sampled_tolerance_flag(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", flag, "1e-9"])
     assert exc.value.code == 2
 
 

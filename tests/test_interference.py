@@ -23,6 +23,7 @@ from fringelab.interference import (
     uniform_phase_grid,
     visibility,
 )
+from fringelab.amplitudes import AmplitudeError, ProbabilityRule, norm_squared
 from fringelab.kinematics import SpeedDomainError
 
 
@@ -167,6 +168,17 @@ def test_outcome_distribution_normalizes_and_guards():
     from fringelab.amplitudes import DegenerateOutcomesError
     with pytest.raises(DegenerateOutcomesError):
         OutcomeDistribution.from_weights(0.0, 0.0, 0.0)
+
+
+def test_custom_probability_rule_is_used_by_simulate():
+    config = ExperimentConfig(splitter1=0.3, phase=0.7)
+    doubled = ProbabilityRule("test-doubled", lambda a: 2.0 * norm_squared(a))
+    assert simulate(config, doubled) == simulate(config)
+    negative = ProbabilityRule("test-negative", lambda a: -norm_squared(a))
+    with pytest.raises(AmplitudeError):
+        simulate(config, negative)
+    with pytest.raises(AmplitudeError):
+        phase_sweep(config, [0.0, 1.0], negative)
 
 
 def test_phase_sweep_shape_and_empty_guard():

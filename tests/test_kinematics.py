@@ -325,6 +325,25 @@ def test_compose_matches_sequential_application():
             assert math.isclose(via.x[0], direct.x[0], rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_compose_near_light_boosts_falls_back_to_general_linear():
+    # The velocity sum rounds to 1 - 5e-11, and the boost rebuilt from it
+    # misses the product by about 1e-6; the product is kept, untagged.
+    f = FrameMap.boost(0.99999)
+    h = compose(f, f)
+    assert h.branch is BranchKind.GENERAL_LINEAR
+    for p in (SpacetimePoint(1.0, 0.0), SpacetimePoint(0.3, -0.7),
+              SpacetimePoint(-2.0, 5.0)):
+        direct = f.apply(f.apply(p)).to_vector()
+        via = h.apply(p).to_vector()
+        assert np.max(np.abs(via - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert classify_cone_preserver(h).kind is ConeClass.CONFORMAL_LORENTZ
+    half = compose(FrameMap.boost(0.5), FrameMap.boost(0.5))
+    assert half.branch is BranchKind.SUBLUMINAL
+    assert half.V == 0.8
+    with pytest.raises(SingularMapError):  # condition number about 1e12
+        compose(FrameMap.boost(0.999999), FrameMap.boost(0.999999))
+
+
 def test_compose_two_superluminal_maps_is_a_subluminal_boost_matrix():
     # V=2c twice: velocities add to 0.8c and the product matrix is exactly
     # a boost matrix, but the result is reported as general-linear because
@@ -413,6 +432,33 @@ def test_classify_cone_preserver_superluminal_is_sign_flip():
         cls = classify_cone_preserver(FrameMap.superluminal(1.5, eta))
         assert cls.kind is ConeClass.SIGN_FLIP
         assert math.isclose(cls.scale, 1.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("V", [0.99999, 0.9999999])
+def test_classify_cone_preserver_near_light_speed(V):
+    # The pullback residual rounds at about gamma^2 ulp, so a bound relative
+    # to ||L^T G L|| (about ||G||) rejected fast boosts; a 1e-9 stretch must
+    # still be caught at the same speeds.
+    cls = classify_cone_preserver(FrameMap.boost(V))
+    assert cls.kind is ConeClass.CONFORMAL_LORENTZ
+    assert math.isclose(cls.scale, 1.0, rel_tol=1e-8)
+    for eta in (+1, -1):
+        for W in (1.0 / V, -1.0 / V):
+            flip = classify_cone_preserver(FrameMap.superluminal(W, eta))
+            assert flip.kind is ConeClass.SIGN_FLIP
+    stretched = FrameMap.general_linear(np.diag([1.0, 1.0 + 1e-9]) @ boost_matrix(V))
+    assert classify_cone_preserver(stretched).kind is ConeClass.NOT_CONE_PRESERVING
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 299792458.0])
+def test_classify_cone_preserver_verdict_does_not_depend_on_c(c):
+    assert (classify_cone_preserver(FrameMap.boost(0.6 * c, c)).kind
+            is ConeClass.CONFORMAL_LORENTZ)
+    assert (classify_cone_preserver(FrameMap.superluminal(2.0 * c, -1, c)).kind
+            is ConeClass.SIGN_FLIP)
+    for stretch in ([1.0, 1.0 + 1e-6], [1.0 + 1e-6, 1.0]):
+        m = FrameMap.general_linear(np.diag(stretch) @ boost_matrix(0.6 * c, c), c=c)
+        assert classify_cone_preserver(m).kind is ConeClass.NOT_CONE_PRESERVING
 
 
 def test_classify_cone_preserver_rejects_anisotropic_stretch():
