@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence as SequenceType, Union
+from typing import Callable, Mapping, Sequence as SequenceType, Union
 
 import numpy as np
 
@@ -193,13 +193,14 @@ def components(g: AlternativeGraph) -> tuple[Amplitude, ...]:
     whose child still carries several distinguishable components would erase
     recorded which-way information, so that shape is rejected.
     """
-    _require_graph(g)
     if isinstance(g, Leaf):
         return (g.amplitude,)
     if isinstance(g, Sequence):
         parts = [components(ch) for ch in g.children]
         return tuple(_product_reduce(combo)
                      for combo in itertools.product(*parts))
+    # Sequence and Branch checked their children; only a root can be a non-node.
+    _require_graph(g)
     child_components = [components(ch) for ch in g.children]
     if g.distinguishable:
         return tuple(itertools.chain.from_iterable(child_components))
@@ -286,11 +287,10 @@ class CarrierMinimalityReport:
     passed: bool
 
 
-_DEFAULT_EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+_EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
-def carrier_minimality_check(phis: SequenceType[float],
-                             exponents: Iterable[float] = _DEFAULT_EXPONENTS
+def carrier_minimality_check(phis: SequenceType[float]
                              ) -> CarrierMinimalityReport:
     """Probe whether a 1D real carrier can host a workable phase action.
 
@@ -301,7 +301,8 @@ def carrier_minimality_check(phis: SequenceType[float],
     weight is invariant under the action and whether the recombined weight
     of two unit paths with relative phase phi depends on phi.  The planar
     rotation action is measured the same way for contrast; it is the one
-    that achieves both.
+    that achieves both.  A grid with |phi| beyond about 177.4 overflows a
+    float in (1 + exp(s*phi))**2 for s = ±2 and raises AmplitudeError.
     """
     phis = [float(p) for p in phis]
     if not phis:
@@ -310,21 +311,24 @@ def carrier_minimality_check(phis: SequenceType[float],
         raise AmplitudeError("phase grid must be finite")
     probes = (1.0, 0.7, -1.3)
     records = []
-    for s in exponents:
-        s = float(s)
-        invariant = True
-        for a in probes:
-            base = a * a
-            for p in phis:
-                acted = math.exp(s * p) * a
-                if abs(acted * acted - base) > REL_TOL_ALGEBRA:
-                    invariant = False
+    try:
+        for s in _EXPONENTS:
+            invariant = True
+            for a in probes:
+                base = a * a
+                for p in phis:
+                    acted = math.exp(s * p) * a
+                    if abs(acted * acted - base) > REL_TOL_ALGEBRA:
+                        invariant = False
+                        break
+                if not invariant:
                     break
-            if not invariant:
-                break
-        recombined = [(1.0 + math.exp(s * p)) ** 2 for p in phis]
-        alters = (max(recombined) - min(recombined)) > REL_TOL_ALGEBRA
-        records.append(CarrierActionRecord(s, invariant, alters))
+            recombined = [(1.0 + math.exp(s * p)) ** 2 for p in phis]
+            alters = (max(recombined) - min(recombined)) > REL_TOL_ALGEBRA
+            records.append(CarrierActionRecord(s, invariant, alters))
+    except OverflowError:
+        raise AmplitudeError(f"phase grid spanning [{min(phis)!r}, "
+                             f"{max(phis)!r}] overflows a float") from None
     two_invariant = all(
         abs(norm_squared(concat(phase(p), Amplitude(a, 0.3))) -
             norm_squared(Amplitude(a, 0.3))) <= REL_TOL_ALGEBRA

@@ -18,6 +18,7 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -163,11 +164,19 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _read_text(path: str) -> str:
+    """The contents of an input file, which must be UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 text ({err.reason} "
+                          f"at byte {err.start})") from None
+
+
 def cmd_transform(args: argparse.Namespace) -> int:
-    with open(args.events, "r", encoding="utf-8") as fh:
-        events = parse_events_csv(fh.read())
-    with open(args.config, "r", encoding="utf-8") as fh:
-        m = frame_map_from_dict(load_json(fh.read()))
+    events = parse_events_csv(_read_text(args.events))
+    m = frame_map_from_dict(load_json(_read_text(args.config)))
     if m.spatial_dim != 1:
         raise SchemaError("transform expects a 1+1 map for t,x events")
     lines = ["# map: " + m.branch.value
@@ -187,12 +196,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def _load_experiment(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return experiment_config_from_dict(load_json(fh.read()))
-
-
-def _format_conditional(value: float | None) -> str:
-    return "nan" if value is None else format_float(value)
+    return experiment_config_from_dict(load_json(_read_text(path)))
 
 
 def cmd_interfere(args: argparse.Namespace) -> int:
@@ -203,11 +207,8 @@ def cmd_interfere(args: argparse.Namespace) -> int:
              f"# visibility = {format_float(vis)}",
              "phi,p_d0,p_d1,p_absorbed,p_d0_given_detected,p_d1_given_detected"]
     for phi, d in sweep:
-        lines.append(",".join([
-            format_float(phi), format_float(d.p_d0), format_float(d.p_d1),
-            format_float(d.p_absorbed),
-            _format_conditional(d.p_d0_given_detected),
-            _format_conditional(d.p_d1_given_detected)]))
+        lines.append(",".join(["nan" if v is None else format_float(v)
+                               for v in (phi, *d.as_tuple())]))
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.out is not None:
         print(f"visibility = {format_float(vis)}")
@@ -223,7 +224,7 @@ def cmd_nogo(args: argparse.Namespace) -> int:
     print(f"amplitude visibility: {format_float(report.amplitude_visibility)}")
     print(f"no-go contrast: {'PASS' if report.passed else 'FAIL'}")
     if args.out is not None:
-        _write_text(args.out, dump_json(report.as_dict()))
+        _write_text(args.out, dump_json(dataclasses.asdict(report)))
     return 0 if report.passed else 1
 
 

@@ -102,9 +102,6 @@ class ExperimentConfig:
     mixture_weights: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if isinstance(self.mixture_weights, list):
-            object.__setattr__(self, "mixture_weights",
-                               tuple(self.mixture_weights))
         # Plain strings are accepted wherever an enum value is expected.
         for name, kind in _ENUM_FIELDS:
             value = getattr(self, name)
@@ -219,12 +216,12 @@ def _per_path_splits(T2: float) -> tuple[tuple[float, float, float],
 def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
     # Convex mixture of per-path distributions.  The phase never enters:
     # this function does not read config.phase at all.
-    T1 = float(config.splitter1)
+    T1 = config.splitter1
     if config.mixture_weights is not None:
-        w_upper, w_lower = (float(v) for v in config.mixture_weights)
+        w_upper, w_lower = config.mixture_weights
     else:
         w_upper, w_lower = T1, 1.0 - T1
-    p_upper, p_lower = _per_path_splits(float(config.splitter2))
+    p_upper, p_lower = _per_path_splits(config.splitter2)
     if config.blocked_arm is BlockedArm.UPPER:
         p_upper = (0.0, 0.0, 1.0)
     elif config.blocked_arm is BlockedArm.LOWER:
@@ -236,8 +233,8 @@ def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
 
 def _simulate_amplitude(config: ExperimentConfig,
                         rule: ProbabilityRule) -> OutcomeDistribution:
-    T1 = float(config.splitter1)
-    T2 = float(config.splitter2)
+    T1 = config.splitter1
+    T2 = config.splitter2
     R1 = 1.0 - T1
     R2 = 1.0 - T2
     if config.blocked_arm is not BlockedArm.NONE:
@@ -322,20 +319,6 @@ class NoGoReport:
     amplitude_visibility: float
     classical_phase_independent: bool
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "phase_count": self.phase_count,
-            "classical_config_count": self.classical_config_count,
-            "max_variation_d0": self.max_variation_d0,
-            "max_variation_d1": self.max_variation_d1,
-            "max_variation_absorbed": self.max_variation_absorbed,
-            "max_classical_variation": self.max_classical_variation,
-            "amplitude_visibility": self.amplitude_visibility,
-            "classical_phase_independent": self.classical_phase_independent,
-            "passed": self.passed,
-        }
 
 
 def no_go_search(phis: Sequence[float],

@@ -121,7 +121,7 @@ class SpacetimePoint:
     @classmethod
     def from_vector(cls, vec: Sequence[float]) -> "SpacetimePoint":
         vec = np.asarray(vec, dtype=float)
-        return cls(float(vec[0]), tuple(float(v) for v in vec[1:]))
+        return cls(vec[0], vec[1:])
 
 
 def minkowski_metric(spatial_dim: int, c: float = DEFAULT_C) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Every document carries ``schema: 1``.  Unknown fields are rejected rather
 than ignored: a typo in a physics-critical field like ``eta`` must fail
-loudly, not silently fall back to a default.  This module checks only the
-envelope; ExperimentConfig and FrameMap check field values.  Every problem
+loudly, not silently fall back to a default.  One helper checks the
+envelope of both document types; ExperimentConfig and FrameMap check field
+values, and SpacetimePoint checks each event's coordinates.  Every problem
 is gathered before raising so a bad file is fixed in one round trip.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from typing import Sequence
 
 from .interference import ConfigError, ExperimentConfig
@@ -24,18 +24,25 @@ class SchemaError(ValueError):
     """Document fails schema validation; message lists every offense."""
 
 
-def _check_schema_field(doc: dict, problems: list[str]) -> None:
+def _envelope(doc, cls, what: str) -> tuple[dict, list[str]]:
+    """The fields of ``doc`` that ``cls`` declares, and the envelope problems."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    problems = []
     if "schema" not in doc:
         problems.append("schema: missing (expected 1)")
     elif doc["schema"] != SCHEMA_VERSION:
         problems.append(f"schema: unsupported version {doc['schema']!r} (expected 1)")
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - known - {"schema"})
+    if unknown:
+        problems.append(f"unknown fields rejected: {', '.join(unknown)}")
+    return {name: doc[name] for name in known & set(doc)}, problems
 
 
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
-
-_EXPERIMENT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:
@@ -53,18 +60,11 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def experiment_config_from_dict(doc) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise SchemaError("experiment config must be a JSON object")
-    problems: list[str] = []
-    _check_schema_field(doc, problems)
-    unknown = sorted(set(doc) - _EXPERIMENT_FIELDS - {"schema"})
-    if unknown:
-        problems.append(f"unknown fields rejected: {', '.join(unknown)}")
+    fields, problems = _envelope(doc, ExperimentConfig, "experiment config")
     # Field values are validated in one place, ExperimentConfig.problems();
     # its messages join the schema's so one round trip surfaces every offense.
     try:
-        config = ExperimentConfig(**{name: doc[name]
-                                     for name in _EXPERIMENT_FIELDS & set(doc)})
+        config = ExperimentConfig(**fields)
     except ConfigError as err:
         problems.append(str(err))
         config = None
@@ -76,8 +76,6 @@ def experiment_config_from_dict(doc) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # frame maps
 # ---------------------------------------------------------------------------
-
-_FRAME_MAP_FIELDS = frozenset(f.name for f in dataclasses.fields(FrameMap))
 
 
 def frame_map_to_dict(m: FrameMap) -> dict:
@@ -97,14 +95,7 @@ def frame_map_to_dict(m: FrameMap) -> dict:
 
 
 def frame_map_from_dict(doc) -> FrameMap:
-    if not isinstance(doc, dict):
-        raise SchemaError("map spec must be a JSON object")
-    problems: list[str] = []
-    _check_schema_field(doc, problems)
-    unknown = sorted(set(doc) - _FRAME_MAP_FIELDS - {"schema"})
-    if unknown:
-        problems.append(f"unknown fields rejected: {', '.join(unknown)}")
-    fields = {name: doc[name] for name in _FRAME_MAP_FIELDS & set(doc)}
+    fields, problems = _envelope(doc, FrameMap, "map spec")
     # A boost document gives its velocity, never its matrix.
     if (fields.get("branch") in (BranchKind.SUBLUMINAL, BranchKind.SUPERLUMINAL)
             and "linear_part" in fields):
@@ -130,7 +121,7 @@ def parse_events_csv(text: str) -> list[SpacetimePoint]:
     """Parse an events table: header ``t,x`` then one event per line.
 
     Blank lines and ``#`` comments are skipped.  Errors carry 1-based line
-    numbers.
+    numbers; SpacetimePoint is the one check that a value is finite.
     """
     events = []
     header_seen = False
@@ -151,13 +142,9 @@ def parse_events_csv(text: str) -> list[SpacetimePoint]:
                 f"line {lineno}: expected 2 comma-separated values, "
                 f"got {len(fields)}")
         try:
-            t, x = (float(f) for f in fields)
-        except ValueError:
-            raise SchemaError(
-                f"line {lineno}: non-numeric value in {line!r}") from None
-        if not (math.isfinite(t) and math.isfinite(x)):
-            raise SchemaError(f"line {lineno}: values must be finite")
-        events.append(SpacetimePoint(t, x))
+            events.append(SpacetimePoint(float(fields[0]), float(fields[1])))
+        except ValueError as err:
+            raise SchemaError(f"line {lineno}: {err}") from None
     if not header_seen:
         raise SchemaError("line 1: missing header 't,x'")
     return events

@@ -256,3 +256,11 @@ def test_carrier_check_scaling_example():
 def test_carrier_check_rejects_empty_grid():
     with pytest.raises(AmplitudeError):
         carrier_minimality_check([])
+
+
+@pytest.mark.parametrize("edge", [178.0, -178.0, 1e6])
+def test_carrier_check_overflow_names_the_phase_grid(edge):
+    # (1 + exp(2*phi))**2 overflows a float once |phi| passes about 177.4.
+    with pytest.raises(AmplitudeError, match=r"phase grid spanning .* overflows"):
+        carrier_minimality_check([0.0, edge])
+    assert carrier_minimality_check([0.0, math.copysign(177.0, edge)]).actions

@@ -398,3 +398,107 @@ def test_check_determinism_bytes(tmp_path, capsys):
                  "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+SUBLUMINAL_MAP = dump_json({"schema": 1, "branch": "subluminal", "V": 0.5})
+
+
+@pytest.mark.parametrize("bad", ["events", "map", "experiment"])
+def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, bad):
+    paths = {"events": write(tmp_path / "events.csv", EVENTS),
+             "map": write(tmp_path / "map.json", SUBLUMINAL_MAP),
+             "experiment": write(tmp_path / "experiment.json", "{}")}
+    # A stray 0xff in the CSV, and a latin-1 "é" inside a JSON string.
+    with open(paths[bad], "wb") as fh:
+        fh.write(b"t,x\n\xff,1\n" if bad == "events"
+                 else b'{"schema": 1, "branch": "\xe9"}')
+    if bad == "experiment":
+        argv = ["interfere", "--config", paths[bad], "--phis", "0:1:2"]
+    else:
+        argv = ["transform", "--events", paths["events"],
+                "--config", paths["map"]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert paths[bad] in err and "not UTF-8" in err
+
+
+def _exit_status(argv):
+    """Exit code of ``main``, counting argparse's SystemExit by its code."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def _int_at_most(limit):
+    # Keep a fuzzed count small; text that is no integer passes through.
+    def ok(text):
+        try:
+            return int(text) <= limit
+        except ValueError:
+            return True
+    return ok
+
+
+_number_texts = st.one_of(
+    st.floats().map(repr), st.integers(-(10 ** 400), 10 ** 400).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "0x10", " 1 ", "1_0", ""]),
+    st.text(max_size=4))
+_csv_lines = st.one_of(
+    st.sampled_from([b"t,x", b" t , x ", b"# comment", b"", b"0,0", b"1.5,-2",
+                     b"nan,0", b"0,-inf", b"1e999,0", b"1e200,0", b"0,1e200",
+                     b"1,2,3", b"1", b",", b"oops,1", b"\xff,1", b"\xc3\x28",
+                     b"t,x,y", b"\xed\xa0\x80,0", b"\r\n"]),
+    st.tuples(_number_texts, _number_texts).map(",".join).map(str.encode),
+    st.binary(max_size=10))
+_events_files = st.tuples(
+    st.sampled_from([b"t,x\n", b"\xef\xbb\xbft,x\n", b""]),
+    st.lists(_csv_lines, max_size=6),
+).map(lambda parts: parts[0] + b"\n".join(parts[1]))
+
+
+@given(data=_events_files)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_events_files_never_crash(fuzz_dir, data):
+    events = fuzz_dir / "fuzzed.csv"
+    events.write_bytes(data)
+    config = fuzz_dir / "subluminal.json"
+    config.write_text(SUBLUMINAL_MAP, encoding="utf-8")
+    code = _exit_status(["transform", "--events", str(events),
+                         "--config", str(config)])
+    assert code in (0, 1, 2)
+
+
+_phis_texts = st.one_of(
+    st.tuples(_number_texts, _number_texts,
+              st.one_of(st.integers(-2, 1000).map(str), st.text(max_size=4))
+              ).map(":".join),
+    st.text(max_size=12),
+).filter(lambda text: text.count(":") != 2
+         or _int_at_most(1000)(text.rsplit(":", 1)[1]))
+
+
+@given(phis=_phis_texts)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_phase_grids_never_crash(phis):
+    assert _exit_status(["interfere", f"--phis={phis}"]) in (0, 1, 2)
+
+
+def _small_or_fuzzed(limit):
+    return st.one_of(st.integers(-1, limit).map(str),
+                     st.text(max_size=6).filter(_int_at_most(limit)))
+
+
+@given(seed=st.one_of(st.integers(-1, 2 ** 64).map(str), st.text(max_size=8)),
+       trials=_small_or_fuzzed(5), resolution=_small_or_fuzzed(11),
+       suite=st.one_of(st.sampled_from(["all", "O1", "A4", "carrier",
+                                        "no-go", "seed"]),
+                       st.text(max_size=6)))
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_check_flags_never_crash(seed, trials, resolution, suite):
+    code = _exit_status(["check", f"--seed={seed}", f"--trials={trials}",
+                         f"--resolution={resolution}", f"--suite={suite}"])
+    assert code in (0, 1, 2)

@@ -170,6 +170,17 @@ def test_events_csv_error_line_numbers():
     assert "finite" in str(err.value)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1e999,0", "line 2: event coordinates must be finite"),
+    ("0,nan", "line 2: event coordinates must be finite"),
+    ("oops,1", "line 2: could not convert string to float: 'oops'"),
+], ids=["inf", "nan", "text"])
+def test_events_csv_value_errors_come_from_the_event(row, message):
+    with pytest.raises(SchemaError) as err:
+        parse_events_csv(f"t,x\n{row}\n")
+    assert str(err.value) == message
+
+
 def test_format_float_round_trips_bits():
     rng = np.random.default_rng(13)
     values = list(rng.normal(size=200) * 10.0 ** rng.integers(-8, 9, size=200))
