@@ -250,13 +250,10 @@ def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],
 
 
 def check_global_phase_invariance(rule: ProbabilityRule, trials: int,
-                                  rng: np.random.Generator | int | None = None
-                                  ) -> bool:
+                                  rng: np.random.Generator) -> bool:
     """True iff P(u(phi) A) == P(A) within REL_TOL_ALGEBRA over random trials."""
     if trials < 1:
         raise AmplitudeError("trials must be at least 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     for _ in range(trials):
         a = Amplitude(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         phi = rng.uniform(0.0, 2.0 * math.pi)

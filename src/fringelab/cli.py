@@ -165,10 +165,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    """The contents of an input file, which must be UTF-8 text."""
+    """The contents of a UTF-8 input file, less a leading byte order mark."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            # Not the utf-8-sig codec: reading a file, it takes a lone
+            # truncated mark (EF BB) for empty text instead of raising.
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         raise SchemaError(f"{path}: not UTF-8 text ({err.reason} "
                           f"at byte {err.start})") from None

@@ -20,9 +20,11 @@ fringes die.  ``classical_mixture`` combines fixed per-path outcome
 distributions with convex weights; that map has no phase input at all, which
 is the structural point the no-go search documents.
 
-Exactness notes: blocked-arm and classical probabilities are computed as
-products of transmissivities, never as squared amplitude norms, so 50/50
-values like 1/4 and 1/2 come out as exact binary floats.
+Exactness notes: with one arm blocked nothing recombines, so under either
+composition the outcome is the classical mixture of the live arm.  Those
+probabilities, like every classical one, are products of transmissivities,
+never squared amplitude norms, so 50/50 values like 1/4 and 1/2 come out as
+exact binary floats.
 """
 
 from __future__ import annotations
@@ -150,8 +152,12 @@ class ExperimentConfig:
             else:
                 if any(not 0.0 <= v <= sys.float_info.max for v in w):
                     out.append("mixture_weights: weights must be finite and nonnegative")
-                elif abs(math.fsum(w) - 1.0) > REL_TOL_ALGEBRA:
-                    out.append(f"mixture_weights: must sum to 1, got {math.fsum(w)!r}")
+                else:
+                    # Two floats' sum is rounded once, as math.fsum rounds it,
+                    # but past the largest float it is inf instead of raising.
+                    total = float(w[0]) + float(w[1])
+                    if abs(total - 1.0) > REL_TOL_ALGEBRA:
+                        out.append(f"mixture_weights: must sum to 1, got {total!r}")
                 if (isinstance(self.composition, Composition)
                         and self.composition is Composition.AMPLITUDE):
                     out.append("mixture_weights: only meaningful for "
@@ -198,7 +204,8 @@ class OutcomeDistribution:
 def simulate(config: ExperimentConfig,
              rule: ProbabilityRule = SQUARED_NORM) -> OutcomeDistribution:
     """Outcome distribution of one configured run."""
-    if config.composition is Composition.CLASSICAL_MIXTURE:
+    if (config.composition is Composition.CLASSICAL_MIXTURE
+            or config.blocked_arm is not BlockedArm.NONE):
         return _simulate_classical(config)
     return _simulate_amplitude(config, rule)
 
@@ -215,7 +222,8 @@ def _per_path_splits(T2: float) -> tuple[tuple[float, float, float],
 
 def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
     # Convex mixture of per-path distributions.  The phase never enters:
-    # this function does not read config.phase at all.
+    # this function does not read config.phase at all.  A blocked arm sends
+    # its whole weight to the absorber, whatever the composition.
     T1 = config.splitter1
     if config.mixture_weights is not None:
         w_upper, w_lower = config.mixture_weights
@@ -235,22 +243,8 @@ def _simulate_amplitude(config: ExperimentConfig,
                         rule: ProbabilityRule) -> OutcomeDistribution:
     T1 = config.splitter1
     T2 = config.splitter2
-    R1 = 1.0 - T1
-    R2 = 1.0 - T2
-    if config.blocked_arm is not BlockedArm.NONE:
-        # One arm survives, so there is nothing to interfere; the outcome
-        # weights are plain products of splitter probabilities (kept as
-        # products so 50/50 values stay exact binary fractions).
-        p_upper, p_lower = _per_path_splits(T2)
-        if config.blocked_arm is BlockedArm.UPPER:
-            live_weight, absorbed, splits = R1, T1, p_lower
-        else:
-            live_weight, absorbed, splits = T1, R1, p_upper
-        return OutcomeDistribution.from_weights(
-            live_weight * splits[0], live_weight * splits[1], absorbed)
-
-    t1, r1 = math.sqrt(T1), math.sqrt(R1)
-    t2, r2 = math.sqrt(T2), math.sqrt(R2)
+    t1, r1 = math.sqrt(T1), math.sqrt(1.0 - T1)
+    t2, r2 = math.sqrt(T2), math.sqrt(1.0 - T2)
     recorded = config.detector_model.records_which_way
     upper_in = SequenceNode((Leaf(Amplitude(t1, 0.0)),
                              Leaf(phase(config.phase))))
@@ -466,7 +460,7 @@ def check_O3_frame_invariance(config: ExperimentConfig,
     names = list(events)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     baseline_kinds = {
-        (a, b): classify_interval(events[a], events[b], c).kind
+        (a, b): classify_interval(events[a], events[b], c)
         for a, b in pairs}
     baseline = simulate(config)
     entries = []
@@ -474,7 +468,7 @@ def check_O3_frame_invariance(config: ExperimentConfig,
         m = FrameMap.boost(float(V), c)  # rejects |V| >= c
         moved = {name: m.apply(p) for name, p in events.items()}
         kinds_ok = all(
-            classify_interval(moved[a], moved[b], c).kind is baseline_kinds[a, b]
+            classify_interval(moved[a], moved[b], c) is baseline_kinds[a, b]
             for a, b in pairs)
         again = simulate(config)
         stats_ok = again.as_tuple() == baseline.as_tuple()
@@ -485,18 +479,6 @@ def check_O3_frame_invariance(config: ExperimentConfig,
         passed=all(e.interval_kinds_preserved and e.statistics_identical
                    for e in entries),
     )
-
-
-# A reading aid for reports: which interval class each adjacent leg has.
-def event_pair_classification(c: float = DEFAULT_C) -> dict[str, str]:
-    events = interferometer_events(c)
-    names = list(events)
-    out = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            kind = classify_interval(events[a], events[b], c).kind
-            out[f"{a}->{b}"] = kind.value
-    return out
 
 
 __all__ = [
@@ -513,7 +495,6 @@ __all__ = [
     "OutcomeDistribution",
     "check_O1_robustness",
     "check_O3_frame_invariance",
-    "event_pair_classification",
     "interferometer_events",
     "no_go_search",
     "phase_sweep",

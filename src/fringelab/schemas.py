@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Sequence
 
 from .interference import ConfigError, ExperimentConfig
 from .kinematics import BranchKind, FrameMap, KinematicsError, SpacetimePoint
@@ -45,20 +44,6 @@ def _envelope(doc, cls, what: str) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def experiment_config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "splitter1": config.splitter1,
-        "splitter2": config.splitter2,
-        "phase": config.phase,
-        "blocked_arm": config.blocked_arm.value,
-        "detector_model": config.detector_model.value,
-        "composition": config.composition.value,
-        "mixture_weights": (None if config.mixture_weights is None
-                            else list(config.mixture_weights)),
-    }
-
-
 def experiment_config_from_dict(doc) -> ExperimentConfig:
     fields, problems = _envelope(doc, ExperimentConfig, "experiment config")
     # Field values are validated in one place, ExperimentConfig.problems();
@@ -76,22 +61,6 @@ def experiment_config_from_dict(doc) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # frame maps
 # ---------------------------------------------------------------------------
-
-
-def frame_map_to_dict(m: FrameMap) -> dict:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "branch": m.branch.value,
-        "c": m.c,
-        "translation": [float(v) for v in m.translation],
-    }
-    if m.branch is BranchKind.GENERAL_LINEAR:
-        doc["linear_part"] = [[float(v) for v in row] for row in m.linear_part]
-    else:
-        doc["V"] = m.V
-        if m.eta is not None:
-            doc["eta"] = m.eta
-    return doc
 
 
 def frame_map_from_dict(doc) -> FrameMap:
@@ -153,13 +122,6 @@ def parse_events_csv(text: str) -> list[SpacetimePoint]:
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; parses back to the same bits."""
     return format(float(x), ".17g")
-
-
-def events_csv(events: Sequence[SpacetimePoint]) -> str:
-    lines = ["t,x"]
-    for p in events:
-        lines.append(f"{format_float(p.t)},{format_float(p.x[0])}")
-    return "\n".join(lines) + "\n"
 
 
 def dump_json(doc) -> str:

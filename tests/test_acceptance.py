@@ -4,14 +4,17 @@ Each test prints a single PASS line (visible with ``pytest -s``) after its
 assertions, so a green run doubles as a checklist of the package-level
 claims: exact blocked-arm probabilities, the interval flip, the classical
 no-go contrast, cone-preserver classification, no-branching, the amplitude
-axioms, byte-level determinism, and mutation sensitivity of the flip suite.
+axioms, byte-level determinism, and mutation sensitivity of the flip suite,
+the blocked-arm check and the classical no-go check.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
+import fringelab.interference as interference
 import fringelab.kinematics as kinematics
 from fringelab.amplitudes import (
     Amplitude,
@@ -34,6 +37,7 @@ from fringelab.cli import main
 from fringelab.interference import (
     BlockedArm,
     ExperimentConfig,
+    OutcomeDistribution,
     no_go_search,
     simulate,
     uniform_phase_grid,
@@ -138,7 +142,7 @@ def test_criterion_4_cone_preserver_classification():
 def test_criterion_5_no_branching_under_invertible_maps():
     rng = np.random.default_rng(51)
     for _ in range(1000):
-        line = random_simple_worldline(rng, max_vertices=20)
+        line = random_simple_worldline(rng)
         fm = random_invertible_frame_map(rng)
         assert check_no_branching(line, fm)
     crossing = Worldline(
@@ -210,3 +214,40 @@ def test_criterion_8_flip_suite_catches_sign_mutation(monkeypatch):
     assert "superluminal-interval-flip" in failed
     print(f"PASS  criterion 8: sign mutation drives flip residual to "
           f"{violation:.3f} and fails {failed}")
+
+
+# Mutation table, keyed by check id: the function of ``interference`` that
+# the check guards, and a mutant of it under which the check must FAIL.
+
+def _squared_root_splits(T2):
+    # Each split as the square of its square root: 0.5 -> 0.5000000000000001.
+    T, R = math.sqrt(T2) ** 2, math.sqrt(1.0 - T2) ** 2
+    return (R, T, 0.0), (T, R, 0.0)
+
+
+_classical = interference._simulate_classical
+
+
+def _phase_reading_classical(config):
+    d = _classical(config)
+    return OutcomeDistribution.from_weights(
+        d.p_d0 + 1e-3 * (1.0 + math.sin(config.phase)), d.p_d1, d.p_absorbed)
+
+
+MUTATIONS = {
+    "blocked-arm-exact": ("_per_path_splits", _squared_root_splits),
+    "classical-no-go": ("_simulate_classical", _phase_reading_classical),
+}
+
+
+@pytest.mark.parametrize("check_id", list(MUTATIONS))
+def test_criterion_8_checks_fail_under_their_mutations(monkeypatch, check_id):
+    target, mutant = MUTATIONS[check_id]
+    ctx = CheckContext(seed=8, trials=20, resolution=11)
+    [baseline] = run_checks(ctx, check_id)
+    assert baseline.id == check_id and baseline.passed
+    monkeypatch.setattr(interference, target, mutant)
+    [mutated] = run_checks(ctx, check_id)
+    assert not mutated.passed
+    print(f"PASS  criterion 8: mutating {target} fails {check_id}: "
+          f"{mutated.detail}")

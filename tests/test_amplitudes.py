@@ -213,17 +213,19 @@ def test_rule_rejects_negative_or_nonfinite_weights():
 
 
 def test_global_phase_invariance_of_default_rule():
-    assert check_global_phase_invariance(SQUARED_NORM, 1000, rng=0)
+    assert check_global_phase_invariance(SQUARED_NORM, 1000,
+                                         np.random.default_rng(0))
 
 
 def test_global_phase_invariance_of_plain_norm():
     rule = ProbabilityRule("test-norm", lambda a: math.sqrt(norm_squared(a)))
-    assert check_global_phase_invariance(rule, 500, rng=1)
+    assert check_global_phase_invariance(rule, 500, np.random.default_rng(1))
 
 
 def test_real_part_squared_rule_is_not_phase_invariant():
     rule = ProbabilityRule("test-re2", lambda a: a.re * a.re)
-    assert not check_global_phase_invariance(rule, 500, rng=2)
+    assert not check_global_phase_invariance(rule, 500,
+                                             np.random.default_rng(2))
 
 
 def test_carrier_minimality_report():

@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fringelab.cli import main
@@ -70,6 +70,20 @@ def test_transform_superluminal_negates_interval(tmp_path, capsys):
         after = float(row["interval_out"])
         scale = max(1e-30, abs(before))
         assert abs(after + before) <= 1e-12 * scale
+    # Inputs that start with a UTF-8 byte order mark give the same bytes.
+    for name, path in (("events", events), ("config", config)):
+        marked = tmp_path / f"marked_{name}"
+        with open(path, "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        argv = {"events": events, "config": config, name: str(marked)}
+        assert run(capsys, "transform", "--events", argv["events"],
+                   "--config", argv["config"]) == (0, out, "")
+    # A truncated mark is not UTF-8 text.
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_bytes(b"\xef\xbb")
+    code, _, err = run(capsys, "transform", "--events", str(truncated),
+                       "--config", config)
+    assert code == 2 and "not UTF-8" in err
 
 
 def test_transform_output_round_trips(tmp_path, capsys):
@@ -283,6 +297,8 @@ def _exit_code(workdir, doc, *argv):
 
 
 @given(doc=st.one_of(_experiment_docs, _json_values))
+@example(doc={"schema": 1, "composition": "classical_mixture",
+              "mixture_weights": [8.98846567431158e307, 8.98846567431158e307]})
 @settings(max_examples=100, deadline=None)
 def test_fuzzed_experiment_documents_never_crash(fuzz_dir, doc):
     code = _exit_code(fuzz_dir, doc, "interfere", "--phis", "0:1:2")

@@ -15,7 +15,6 @@ from fringelab.interference import (
     OutcomeDistribution,
     check_O1_robustness,
     check_O3_frame_invariance,
-    event_pair_classification,
     interferometer_events,
     no_go_search,
     phase_sweep,
@@ -24,7 +23,7 @@ from fringelab.interference import (
     visibility,
 )
 from fringelab.amplitudes import AmplitudeError, ProbabilityRule, norm_squared
-from fringelab.kinematics import SpeedDomainError
+from fringelab.kinematics import IntervalKind, SpeedDomainError, classify_interval
 
 
 def test_config_defaults_are_valid():
@@ -65,6 +64,11 @@ def test_config_rejects_weights_not_summing_to_one():
     with pytest.raises(ConfigError):
         ExperimentConfig(composition=Composition.CLASSICAL_MIXTURE,
                          mixture_weights=(-0.1, 1.1))
+    # Two weights whose sum passes the largest float: inf, not OverflowError.
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(composition=Composition.CLASSICAL_MIXTURE,
+                         mixture_weights=(8.98846567431158e307,) * 2)
+    assert str(err.value) == "mixture_weights: must sum to 1, got inf"
 
 
 def test_bright_port_at_zero_phase_is_exact():
@@ -258,14 +262,18 @@ def test_O1_report_pattern():
 
 
 def test_event_table_geometry():
-    kinds = event_pair_classification()
-    assert kinds["source->splitter1"] == "null"
-    assert kinds["splitter1->mirror_upper"] == "null"
-    assert kinds["mirror_upper->splitter2"] == "null"
-    assert kinds["splitter2->detector_d0"] == "null"
-    assert kinds["mirror_upper->mirror_lower"] == "spacelike"
-    assert kinds["source->splitter2"] == "timelike"
-    assert len(interferometer_events()) == 7
+    events = interferometer_events()
+    assert len(events) == 7
+
+    def kind(a, b):
+        return classify_interval(events[a], events[b])
+
+    assert kind("source", "splitter1") is IntervalKind.NULL
+    assert kind("splitter1", "mirror_upper") is IntervalKind.NULL
+    assert kind("mirror_upper", "splitter2") is IntervalKind.NULL
+    assert kind("splitter2", "detector_d0") is IntervalKind.NULL
+    assert kind("mirror_upper", "mirror_lower") is IntervalKind.SPACELIKE
+    assert kind("source", "splitter2") is IntervalKind.TIMELIKE
 
 
 def test_O3_invariance_under_boosts():

@@ -23,7 +23,6 @@ from fringelab.kinematics import (
     event_interval,
     general_boost_matrix,
     in_causal_past,
-    interval_value,
     lorentz_boost,
     lorentz_gamma,
     preserves_null_lines,
@@ -39,7 +38,7 @@ def test_point_accepts_scalar_and_tuple_spatial_part():
     p = SpacetimePoint(1.0, 2.0)
     q = SpacetimePoint(1.0, (2.0,))
     assert p.x == q.x == (2.0,)
-    assert p.dim == 2
+    assert p.spatial_dim == 1
     r = SpacetimePoint(0.0, (1.0, 2.0, 3.0))
     assert r.spatial_dim == 3
 
@@ -284,7 +283,7 @@ def test_interval_overflow_is_a_named_error():
         with pytest.raises(KinematicsError):
             event_interval(p)
         with pytest.raises(KinematicsError):
-            interval_value(o, p)
+            classify_interval(o, p)
     with pytest.raises(KinematicsError):
         event_interval(SpacetimePoint(1.0, 0.0), c=1e200)
 
@@ -378,31 +377,36 @@ def test_compose_rejects_mismatched_dimension_or_c():
 
 def test_classify_interval_three_kinds():
     o = SpacetimePoint(0.0, 0.0)
-    assert classify_interval(o, SpacetimePoint(1.0, 0.0)).kind is IntervalKind.TIMELIKE
-    assert classify_interval(o, SpacetimePoint(0.0, 1.0)).kind is IntervalKind.SPACELIKE
-    assert classify_interval(o, SpacetimePoint(1.0, 1.0)).kind is IntervalKind.NULL
-    assert classify_interval(o, SpacetimePoint(1.0, -1.0)).kind is IntervalKind.NULL
+    assert classify_interval(o, SpacetimePoint(1.0, 0.0)) is IntervalKind.TIMELIKE
+    assert classify_interval(o, SpacetimePoint(0.0, 1.0)) is IntervalKind.SPACELIKE
+    assert classify_interval(o, SpacetimePoint(1.0, 1.0)) is IntervalKind.NULL
+    assert classify_interval(o, SpacetimePoint(1.0, -1.0)) is IntervalKind.NULL
 
 
 def test_classify_interval_is_scale_invariant():
     o = SpacetimePoint(0.0, 0.0)
     big = SpacetimePoint(1e8, 1e8)
-    assert classify_interval(o, big).kind is IntervalKind.NULL
+    assert classify_interval(o, big) is IntervalKind.NULL
     tiny = SpacetimePoint(1e-8, 1e-8)
-    assert classify_interval(o, tiny).kind is IntervalKind.NULL
+    assert classify_interval(o, tiny) is IntervalKind.NULL
 
 
 def test_classify_interval_honours_c():
     o = SpacetimePoint(0.0, 0.0)
     p = SpacetimePoint(1.0, 1.0)
-    assert classify_interval(o, p, c=2.0).kind is IntervalKind.TIMELIKE
-    assert classify_interval(o, p, c=0.5).kind is IntervalKind.SPACELIKE
+    assert classify_interval(o, p, c=2.0) is IntervalKind.TIMELIKE
+    assert classify_interval(o, p, c=0.5) is IntervalKind.SPACELIKE
 
 
 def test_interval_value_in_three_spatial_dimensions():
     a = SpacetimePoint(0.0, (0.0, 0.0, 0.0))
     b = SpacetimePoint(1.0, (1.0, 1.0, 1.0))
-    assert math.isclose(interval_value(a, b), 3.0 - 1.0, rel_tol=1e-15)
+    assert event_interval(b) == 3.0 - 1.0
+    later = SpacetimePoint(2.0, (1.0, 1.0, 1.0))
+    assert classify_interval(a, b) is IntervalKind.SPACELIKE
+    assert classify_interval(a, later) is IntervalKind.TIMELIKE
+    with pytest.raises(KinematicsError):
+        classify_interval(a, SpacetimePoint(1.0, 1.0))
 
 
 def test_in_causal_past():

@@ -6,40 +6,40 @@ import numpy as np
 import pytest
 
 from fringelab.interference import BlockedArm, Composition, ExperimentConfig
-from fringelab.kinematics import BranchKind, FrameMap
+from fringelab.kinematics import FrameMap
 from fringelab.schemas import (
     SchemaError,
     dump_json,
-    events_csv,
     experiment_config_from_dict,
-    experiment_config_to_dict,
     format_float,
     frame_map_from_dict,
-    frame_map_to_dict,
     load_json,
     parse_events_csv,
 )
 
 
 def test_experiment_config_round_trip():
-    config = ExperimentConfig(splitter1=0.3, splitter2=0.7, phase=1.25,
-                              blocked_arm=BlockedArm.LOWER,
-                              composition=Composition.CLASSICAL_MIXTURE,
-                              mixture_weights=(0.25, 0.75))
-    doc = experiment_config_to_dict(config)
-    assert doc["schema"] == 1
-    again = experiment_config_from_dict(doc)
-    assert again == config
+    doc = load_json("""{"schema": 1, "splitter1": 0.3, "splitter2": 0.7,
+        "phase": 1.25, "blocked_arm": "lower", "detector_model": "none",
+        "composition": "classical_mixture", "mixture_weights": [0.25, 0.75]}""")
+    config = experiment_config_from_dict(doc)
+    assert config == ExperimentConfig(splitter1=0.3, splitter2=0.7, phase=1.25,
+                                      blocked_arm=BlockedArm.LOWER,
+                                      composition=Composition.CLASSICAL_MIXTURE,
+                                      mixture_weights=(0.25, 0.75))
+    assert config.mixture_weights == (0.25, 0.75)
 
 
 def test_experiment_config_defaults_round_trip():
-    doc = experiment_config_to_dict(ExperimentConfig())
+    assert experiment_config_from_dict({"schema": 1}) == ExperimentConfig()
+    doc = {"schema": 1, "splitter1": 0.5, "splitter2": 0.5, "phase": 0,
+           "blocked_arm": "none", "detector_model": "none",
+           "composition": "amplitude", "mixture_weights": None}
     assert experiment_config_from_dict(doc) == ExperimentConfig()
 
 
 def test_unknown_fields_are_rejected():
-    doc = experiment_config_to_dict(ExperimentConfig())
-    doc["splittter1"] = 0.4
+    doc = {"schema": 1, "splittter1": 0.4}
     with pytest.raises(SchemaError) as err:
         experiment_config_from_dict(doc)
     assert "splittter1" in str(err.value)
@@ -77,11 +77,17 @@ def test_config_value_errors_become_schema_errors():
 
 
 def test_frame_map_round_trip_all_branches():
-    maps = [FrameMap.boost(0.5, translation=(1.0, -2.0)),
-            FrameMap.superluminal(2.0, -1),
-            FrameMap.general_linear([[2.0, 1.0], [0.0, 2.0]], c=2.0)]
-    for m in maps:
-        doc = frame_map_to_dict(m)
+    cases = [
+        ({"schema": 1, "branch": "subluminal", "V": 0.5,
+          "translation": [1.0, -2.0]},
+         FrameMap.boost(0.5, translation=(1.0, -2.0))),
+        ({"schema": 1, "branch": "superluminal", "V": 2.0, "eta": -1},
+         FrameMap.superluminal(2.0, -1)),
+        ({"schema": 1, "branch": "general-linear", "c": 2.0,
+          "linear_part": [[2.0, 1.0], [0.0, 2.0]]},
+         FrameMap.general_linear([[2.0, 1.0], [0.0, 2.0]], c=2.0)),
+    ]
+    for doc, m in cases:
         again = frame_map_from_dict(doc)
         assert again.branch is m.branch
         assert np.array_equal(again.linear_part, m.linear_part)
@@ -126,8 +132,8 @@ def test_frame_map_envelope_rules():
         frame_map_from_dict({"schema": 1, "V": "fast"})
     assert "branch:" in str(err.value) and "V:" in str(err.value)
     # A boost document may not carry a matrix, even the right one.
-    doc = frame_map_to_dict(FrameMap.boost(0.5))
-    doc["linear_part"] = FrameMap.boost(0.5).linear_part.tolist()
+    doc = {"schema": 1, "branch": "subluminal", "V": 0.5,
+           "linear_part": FrameMap.boost(0.5).linear_part.tolist()}
     with pytest.raises(SchemaError) as err:
         frame_map_from_dict(doc)
     assert str(err.value) == "linear_part: not allowed for the subluminal branch"
@@ -149,8 +155,8 @@ def test_events_csv_parse_and_emit():
     events = parse_events_csv(text)
     assert len(events) == 3
     assert events[1].t == 1.5 and events[1].x == (-2.0,)
-    out = events_csv(events)
-    assert parse_events_csv(out) == events
+    rows = [f"{format_float(p.t)},{format_float(p.x[0])}" for p in events]
+    assert rows == ["0,0", "1.5,-2", "2,3"]
 
 
 def test_events_csv_error_line_numbers():
