@@ -58,8 +58,10 @@ class Amplitude:
     im: float = 0.0
 
     def __post_init__(self):
-        re = float(self.re)
-        im = float(self.im)
+        try:
+            re, im = float(self.re), float(self.im)
+        except OverflowError:  # an int too large for a float
+            re = im = math.inf
         if not (math.isfinite(re) and math.isfinite(im)):
             raise AmplitudeError("amplitude components must be finite")
         object.__setattr__(self, "re", re)
@@ -72,7 +74,10 @@ UNIT = Amplitude(1.0, 0.0)
 
 def phase(phi: float) -> Amplitude:
     """Unit-norm carrier element u(phi) = (cos phi, sin phi)."""
-    phi = float(phi)
+    try:
+        phi = float(phi)
+    except OverflowError:  # an int too large for a float
+        phi = math.inf
     if not math.isfinite(phi):
         raise AmplitudeError("phase must be finite")
     return Amplitude(math.cos(phi), math.sin(phi))

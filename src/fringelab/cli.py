@@ -29,7 +29,7 @@ from .checks import (
     NoMatchingChecksError,
     run_checks,
 )
-from .constants import DEFAULT_SEED, DEFAULT_TRIALS
+from .constants import DEFAULT_RESOLUTION, DEFAULT_SEED, DEFAULT_TRIALS
 from .interference import (
     ConfigError,
     ExperimentConfig,
@@ -128,8 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nogo = sub.add_parser(
         "nogo", help="grid-search classical mixtures for any phase sensitivity")
-    p_nogo.add_argument("--resolution", type=_parse_positive, default=101,
-                        help="path-weight grid resolution (default 101)")
+    p_nogo.add_argument("--resolution", type=_parse_positive,
+                        default=DEFAULT_RESOLUTION,
+                        help=f"path-weight grid resolution "
+                             f"(default {DEFAULT_RESOLUTION})")
     p_nogo.add_argument("--phis", type=_parse_phis,
                         default=uniform_phase_grid(32),
                         help="phase grid start:stop:steps "
@@ -148,9 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default=DEFAULT_TRIALS,
                          help=f"randomized trials per check "
                               f"(default {DEFAULT_TRIALS})")
-    p_check.add_argument("--resolution", type=_parse_positive, default=101,
-                         help="weight grid resolution for the no-go check "
-                              "(default 101)")
+    p_check.add_argument("--resolution", type=_parse_positive,
+                         default=DEFAULT_RESOLUTION,
+                         help=f"weight grid resolution for the no-go check "
+                              f"(default {DEFAULT_RESOLUTION})")
     p_check.add_argument("--out", help="write the JSON report here "
                                        "(default: print it after the text)")
     return parser

@@ -8,8 +8,9 @@ FrameMap singularity test, check_global_phase_invariance,
 carrier_minimality_check, mixture-weight sums, the no-go and which-way
 visibilities, and the check suite's numeric checks.  REL_TOL_SAMPLED
 (sampled and geometric tests) bounds polyline_is_simple (so Worldline and
-check_no_branching), preserves_null_lines, the FrameMap boost-matrix match
-and the silent-detector visibility of check_O1_robustness.
+check_no_branching), preserves_null_lines, the composed-boost comparison of
+the velocity-addition check and the silent-detector visibility of
+check_O1_robustness.
 """
 
 # Speed of light in natural units; every formula keeps c explicit so other
@@ -31,3 +32,6 @@ DEFAULT_SEED = 1234
 
 # Default iteration count for randomized property trials.
 DEFAULT_TRIALS = 1000
+
+# Default path-weight grid resolution of the classical no-go search.
+DEFAULT_RESOLUTION = 101

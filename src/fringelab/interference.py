@@ -47,7 +47,12 @@ from .amplitudes import (
     evaluate,
     phase,
 )
-from .constants import DEFAULT_C, REL_TOL_ALGEBRA, REL_TOL_SAMPLED
+from .constants import (
+    DEFAULT_C,
+    DEFAULT_RESOLUTION,
+    REL_TOL_ALGEBRA,
+    REL_TOL_SAMPLED,
+)
 from .kinematics import (
     FrameMap,
     SpacetimePoint,
@@ -316,7 +321,7 @@ class NoGoReport:
 
 
 def no_go_search(phis: Sequence[float],
-                 weight_grid_resolution: int = 101) -> NoGoReport:
+                 weight_grid_resolution: int = DEFAULT_RESOLUTION) -> NoGoReport:
     """Exhaustive phase-sensitivity scan of classical-mixture configurations.
 
     Enumerates path weights (w, 1-w) over a uniform grid at the requested

@@ -14,7 +14,7 @@ import dataclasses
 import json
 
 from .interference import ConfigError, ExperimentConfig
-from .kinematics import BranchKind, FrameMap, KinematicsError, SpacetimePoint
+from .kinematics import FrameMap, KinematicsError, SpacetimePoint
 
 SCHEMA_VERSION = 1
 
@@ -65,11 +65,6 @@ def experiment_config_from_dict(doc) -> ExperimentConfig:
 
 def frame_map_from_dict(doc) -> FrameMap:
     fields, problems = _envelope(doc, FrameMap, "map spec")
-    # A boost document gives its velocity, never its matrix.
-    if (fields.get("branch") in (BranchKind.SUBLUMINAL, BranchKind.SUPERLUMINAL)
-            and "linear_part" in fields):
-        problems.append(f"linear_part: not allowed for the {doc['branch']} branch")
-        del fields["linear_part"]
     # FrameMap alone validates field values (a missing branch is passed as
     # None); its messages join the schema's, so one round trip names them all.
     try:

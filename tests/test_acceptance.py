@@ -4,8 +4,8 @@ Each test prints a single PASS line (visible with ``pytest -s``) after its
 assertions, so a green run doubles as a checklist of the package-level
 claims: exact blocked-arm probabilities, the interval flip, the classical
 no-go contrast, cone-preserver classification, no-branching, the amplitude
-axioms, byte-level determinism, and mutation sensitivity of the flip suite,
-the blocked-arm check and the classical no-go check.
+axioms, byte-level determinism, and mutation sensitivity of the flip suite
+and of every check in the mutation table.
 """
 
 import math
@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import fringelab.checks as checks
 import fringelab.interference as interference
 import fringelab.kinematics as kinematics
 from fringelab.amplitudes import (
@@ -149,7 +150,7 @@ def test_criterion_5_no_branching_under_invertible_maps():
         [SpacetimePoint(0.0, 0.0), SpacetimePoint(1.0, 1.0),
          SpacetimePoint(1.0, 0.0), SpacetimePoint(0.0, 1.0)],
         check_simple=False)
-    assert not check_no_branching(crossing, FrameMap.identity(1))
+    assert not check_no_branching(crossing, FrameMap.identity())
     print("PASS  criterion 5: 1000 simple worldlines stay simple under "
           "random invertible maps; the crossing fixture is rejected")
 
@@ -216,7 +217,7 @@ def test_criterion_8_flip_suite_catches_sign_mutation(monkeypatch):
           f"{violation:.3f} and fails {failed}")
 
 
-# Mutation table, keyed by check id: the function of ``interference`` that
+# Mutation table, keyed by check id: the module and the name of the function
 # the check guards, and a mutant of it under which the check must FAIL.
 
 def _squared_root_splits(T2):
@@ -234,20 +235,33 @@ def _phase_reading_classical(config):
         d.p_d0 + 1e-3 * (1.0 + math.sin(config.phase)), d.p_d1, d.p_absorbed)
 
 
+def _x_dropping_no_branching(w, m):
+    # The image with its x column zeroed: the worldline folds onto the t axis.
+    pts = w.points_array() @ m.linear_part.T + m.translation
+    pts[:, 1] = 0.0
+    return kinematics.polyline_is_simple(pts)
+
+
 MUTATIONS = {
-    "blocked-arm-exact": ("_per_path_splits", _squared_root_splits),
-    "classical-no-go": ("_simulate_classical", _phase_reading_classical),
+    "blocked-arm-exact": (interference, "_per_path_splits", _squared_root_splits),
+    "classical-no-go": (interference, "_simulate_classical",
+                        _phase_reading_classical),
+    "velocity-addition-consistency": (checks, "velocity_addition",
+                                      lambda V1, V2, c=1.0: V1 + V2),
+    "superluminal-composition-closure": (checks, "compose", lambda f, g: f),
+    "worldline-no-branching": (checks, "check_no_branching",
+                               _x_dropping_no_branching),
 }
 
 
 @pytest.mark.parametrize("check_id", list(MUTATIONS))
 def test_criterion_8_checks_fail_under_their_mutations(monkeypatch, check_id):
-    target, mutant = MUTATIONS[check_id]
+    module, target, mutant = MUTATIONS[check_id]
     ctx = CheckContext(seed=8, trials=20, resolution=11)
     [baseline] = run_checks(ctx, check_id)
     assert baseline.id == check_id and baseline.passed
-    monkeypatch.setattr(interference, target, mutant)
+    monkeypatch.setattr(module, target, mutant)
     [mutated] = run_checks(ctx, check_id)
     assert not mutated.passed
-    print(f"PASS  criterion 8: mutating {target} fails {check_id}: "
-          f"{mutated.detail}")
+    print(f"PASS  criterion 8: mutating {module.__name__}.{target} fails "
+          f"{check_id}: {mutated.detail}")

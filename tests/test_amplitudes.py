@@ -46,6 +46,18 @@ def test_amplitude_rejects_nonfinite_components():
         Amplitude(0.0, math.inf)
 
 
+def test_amplitude_rejects_an_int_too_large_for_a_float():
+    with pytest.raises(AmplitudeError, match="must be finite"):
+        Amplitude(10 ** 400)
+    with pytest.raises(AmplitudeError, match="must be finite"):
+        Amplitude(0.0, -10 ** 400)
+
+
+def test_phase_rejects_an_int_too_large_for_a_float():
+    with pytest.raises(AmplitudeError, match="must be finite"):
+        phase(10 ** 400)
+
+
 def test_phase_endpoints():
     assert phase(0.0) == Amplitude(1.0, 0.0)
     p = phase(math.pi)

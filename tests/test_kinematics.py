@@ -52,6 +52,12 @@ def test_point_rejects_bad_spatial_dimension_and_nonfinite():
         SpacetimePoint(0.0, math.inf)
 
 
+def test_point_rejects_an_int_too_large_for_a_float():
+    for t, x in ((10 ** 400, 0.0), (0.0, 10 ** 400), (0.0, (1.0, 2.0, -10 ** 400))):
+        with pytest.raises(KinematicsError, match="must be finite"):
+            SpacetimePoint(t, x)
+
+
 def test_gamma_known_values():
     assert math.isclose(lorentz_gamma(0.6), 1.25, rel_tol=1e-15)
     assert math.isclose(lorentz_gamma(0.8), 5.0 / 3.0, rel_tol=1e-15)
@@ -204,12 +210,18 @@ def test_frame_map_with_translation_is_affine():
 
 
 def test_frame_map_rejects_matrix_that_contradicts_its_branch_tag():
-    with pytest.raises(KinematicsError):
-        FrameMap(BranchKind.SUBLUMINAL, 0.5, None,
-                 np.eye(2) * 3.0, np.zeros(2), 1.0)
-    with pytest.raises(KinematicsError):
-        FrameMap(BranchKind.SUPERLUMINAL, 2.0, +1,
-                 boost_matrix(0.5), np.zeros(2), 1.0)
+    # A boost branch is built from V (and eta): any matrix is refused, even
+    # the one it would build, and a 1+3 matrix too.
+    for branch, V, eta, lin in (
+            (BranchKind.SUBLUMINAL, 0.5, None, np.eye(2) * 3.0),
+            (BranchKind.SUBLUMINAL, 0.5, None, boost_matrix(0.5)),
+            (BranchKind.SUBLUMINAL, 0.5, None, boost_matrix(0.5, 1.0, 3)),
+            (BranchKind.SUPERLUMINAL, 2.0, +1, boost_matrix(0.5)),
+            (BranchKind.SUPERLUMINAL, 2.0, +1, superluminal_matrix(2.0, +1))):
+        with pytest.raises(KinematicsError) as err:
+            FrameMap(branch, V, eta, lin, np.zeros(2), 1.0)
+        assert str(err.value) == (f"linear_part: not allowed for the "
+                                  f"{branch.value} branch")
     with pytest.raises(KinematicsError):
         FrameMap(BranchKind.GENERAL_LINEAR, 0.5, None,
                  np.eye(2), np.zeros(2), 1.0)
@@ -295,11 +307,14 @@ def test_frame_map_arrays_are_read_only():
 
 
 def test_compose_two_subluminal_boosts_adds_velocities():
+    # The product is the velocity-addition boost, but it is not built from
+    # a velocity, so it is tagged general-linear.
     f = FrameMap.boost(0.5)
     g = FrameMap.boost(0.5)
     h = compose(f, g)
-    assert h.branch is BranchKind.SUBLUMINAL
-    assert h.V == 0.8
+    assert h.branch is BranchKind.GENERAL_LINEAR and h.V is None
+    assert np.allclose(h.linear_part, boost_matrix(velocity_addition(0.5, 0.5)),
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_compose_with_identity_returns_other_operand():
@@ -326,7 +341,7 @@ def test_compose_matches_sequential_application():
 
 def test_compose_near_light_boosts_falls_back_to_general_linear():
     # The velocity sum rounds to 1 - 5e-11, and the boost rebuilt from it
-    # misses the product by about 1e-6; the product is kept, untagged.
+    # would miss the product by about 1e-6; the product is kept as it is.
     f = FrameMap.boost(0.99999)
     h = compose(f, f)
     assert h.branch is BranchKind.GENERAL_LINEAR
@@ -337,8 +352,9 @@ def test_compose_near_light_boosts_falls_back_to_general_linear():
         assert np.max(np.abs(via - direct)) <= 1e-12 * np.max(np.abs(direct))
     assert classify_cone_preserver(h).kind is ConeClass.CONFORMAL_LORENTZ
     half = compose(FrameMap.boost(0.5), FrameMap.boost(0.5))
-    assert half.branch is BranchKind.SUBLUMINAL
-    assert half.V == 0.8
+    assert half.branch is BranchKind.GENERAL_LINEAR
+    assert np.allclose(half.linear_part, boost_matrix(0.8),
+                       rtol=1e-12, atol=1e-12)
     with pytest.raises(SingularMapError):  # condition number about 1e12
         compose(FrameMap.boost(0.999999), FrameMap.boost(0.999999))
 
@@ -366,8 +382,8 @@ def test_compose_mixed_branches_flips_the_interval():
 
 
 def test_compose_rejects_mismatched_dimension_or_c():
-    f = FrameMap.boost(0.5, spatial_dim=1)
-    g = FrameMap.boost(0.5, spatial_dim=3)
+    f = FrameMap.boost(0.5)
+    g = FrameMap.general_linear(boost_matrix(0.5, 1.0, 3))
     with pytest.raises(KinematicsError):
         compose(f, g)
     h = FrameMap.boost(0.5, c=2.0)
@@ -407,6 +423,19 @@ def test_interval_value_in_three_spatial_dimensions():
     assert classify_interval(a, later) is IntervalKind.TIMELIKE
     with pytest.raises(KinematicsError):
         classify_interval(a, SpacetimePoint(1.0, 1.0))
+
+
+def test_null_band_holds_where_its_unhalved_sum_would_overflow():
+    # |dx|^2 + c^2 dt^2 is about 2.7e308 here, past the largest float, while
+    # the interval itself (about 6.9e307) fits.
+    o = SpacetimePoint(0.0, 0.0)
+    for scale in (1e154, 1e151):  # the smaller pairs fit either way
+        for (t, x), kind in (((1.0, 1.3), IntervalKind.SPACELIKE),
+                             ((1.3, 1.0), IntervalKind.TIMELIKE),
+                             ((1.2, 1.2), IntervalKind.NULL)):
+            assert classify_interval(
+                o, SpacetimePoint(scale * t, scale * x)) is kind
+    assert not in_causal_past(o, SpacetimePoint(-1e154, 1.3e154))
 
 
 def test_in_causal_past():

@@ -8,6 +8,7 @@ from fringelab.kinematics import (
     KinematicsError,
     SpacetimePoint,
     Worldline,
+    boost_matrix,
     check_no_branching,
     past_worldline_segment,
     polyline_is_simple,
@@ -25,6 +26,11 @@ def test_worldline_requires_strictly_increasing_taus():
         Worldline(verts, (1.0, 1.0))
     with pytest.raises(KinematicsError):
         Worldline(verts, (2.0, 1.0))
+
+
+def test_worldline_rejects_a_tau_too_large_for_a_float():
+    with pytest.raises(KinematicsError, match="tau labels must be finite"):
+        Worldline(_pts((0.0, 0.0)), taus=[10 ** 400])
 
 
 def test_worldline_default_taus_are_vertex_indices():
@@ -129,6 +135,6 @@ def test_no_branching_on_random_simple_walks():
 
 def test_no_branching_dimension_mismatch_raises():
     w = Worldline(_pts((0.0, 0.0), (1.0, 0.5)))
-    m = FrameMap.boost(0.5, spatial_dim=3)
+    m = FrameMap.general_linear(boost_matrix(0.5, 1.0, 3))
     with pytest.raises(KinematicsError):
         check_no_branching(w, m)
