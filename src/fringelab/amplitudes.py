@@ -306,7 +306,10 @@ def carrier_minimality_check(phis: SequenceType[float]
     that achieves both.  A grid with |phi| beyond about 177.4 overflows a
     float in (1 + exp(s*phi))**2 for s = ±2 and raises AmplitudeError.
     """
-    phis = [float(p) for p in phis]
+    try:
+        phis = [float(p) for p in phis]
+    except OverflowError:  # an int too large for a float
+        phis = [math.inf]
     if not phis:
         raise AmplitudeError("phase grid must be nonempty")
     if any(not math.isfinite(p) for p in phis):

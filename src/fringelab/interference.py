@@ -29,7 +29,6 @@ exact binary floats.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -90,6 +89,14 @@ _ENUM_FIELDS = (("blocked_arm", BlockedArm),
                 ("detector_model", DetectorModel),
                 ("composition", Composition))
 
+_PHASE_NOT_FINITE = "phase: must be finite"
+
+
+def _is_finite(value) -> bool:
+    # Tested by comparison, not math.isfinite: comparisons reject nan and,
+    # unlike isfinite, do not overflow on a JSON int too large for a float.
+    return abs(value) <= sys.float_info.max
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -130,9 +137,7 @@ class ExperimentConfig:
     def problems(self) -> list[str]:
         """Every invariant violation, named by field."""
         out = []
-        # Ranges are tested by comparison, not math.isfinite: comparisons
-        # reject nan and, unlike isfinite, do not overflow on a JSON int too
-        # large for a float.
+        # Ranges are tested by comparison, for the reason _is_finite gives.
         for name in ("splitter1", "splitter2"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -141,8 +146,8 @@ class ExperimentConfig:
                 out.append(f"{name}: transmissivity must lie in [0, 1], got {value!r}")
         if not isinstance(self.phase, (int, float)) or isinstance(self.phase, bool):
             out.append("phase: must be a number")
-        elif not abs(self.phase) <= sys.float_info.max:
-            out.append("phase: must be finite")
+        elif not _is_finite(self.phase):
+            out.append(_PHASE_NOT_FINITE)
         for name, kind in _ENUM_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, kind):
@@ -264,15 +269,42 @@ def _simulate_amplitude(config: ExperimentConfig,
         evaluate(to_d0, rule), evaluate(to_d1, rule), 0.0)
 
 
+def _at_phase(config: ExperimentConfig, p: float) -> ExperimentConfig:
+    """``config`` with phase ``p``, checking only the phase.
+
+    For a float ``p`` the result equals ``dataclasses.replace(config,
+    phase=p)`` field for field.  The other fields passed problems() when
+    ``config`` was built, so they are copied without re-running
+    __post_init__.
+    """
+    if not _is_finite(p):
+        raise ConfigError(_PHASE_NOT_FINITE)
+    out = object.__new__(ExperimentConfig)
+    out.__dict__.update(config.__dict__, phase=p)
+    return out
+
+
+def _phase_floats(phis: Sequence[float]) -> list[float]:
+    try:
+        return [float(p) for p in phis]
+    except OverflowError:  # an int too large for a float
+        raise ConfigError(_PHASE_NOT_FINITE) from None
+
+
 def phase_sweep(config: ExperimentConfig, phis: Sequence[float],
                 rule: ProbabilityRule = SQUARED_NORM
                 ) -> list[tuple[float, OutcomeDistribution]]:
-    """simulate at each phase in turn, keeping everything else fixed."""
-    phis = [float(p) for p in phis]
+    """simulate at each phase in turn, keeping everything else fixed.
+
+    ``config`` is validated once, when it is built; each phase is checked
+    for finiteness where it is swapped in.  Every (config, phase) pair
+    still goes through simulate, so a kernel that leaked the phase, or
+    ignored it, would show in the sweep.
+    """
+    phis = _phase_floats(phis)
     if not phis:
         raise ConfigError("phase sweep needs at least one phase")
-    return [(p, simulate(dataclasses.replace(config, phase=p), rule))
-            for p in phis]
+    return [(p, simulate(_at_phase(config, p), rule)) for p in phis]
 
 
 def visibility(sweep: Sequence[tuple[float, OutcomeDistribution]]) -> float:
@@ -327,11 +359,14 @@ def no_go_search(phis: Sequence[float],
     Enumerates path weights (w, 1-w) over a uniform grid at the requested
     resolution, crossed with every blocking and detector-model variant, all
     in classical composition; records the worst phase variation of each
-    outcome probability.  The companion number is the amplitude-mode fringe
-    visibility on the same phases, which should be maximal when the grid
-    spans a full period.
+    outcome probability.  Each enumerated config is validated once, when it
+    is built, and each phase is checked for finiteness where it is swapped
+    in.  Every (config, phase) pair still goes through simulate, so a
+    classical kernel that read the phase would show here.  The companion
+    number is the amplitude-mode fringe visibility on the same phases,
+    which should be maximal when the grid spans a full period.
     """
-    phis = [float(p) for p in phis]
+    phis = _phase_floats(phis)
     if len(phis) < 2:
         raise ConfigError("no-go search needs at least two phases")
     if weight_grid_resolution < 2:
@@ -350,8 +385,7 @@ def no_go_search(phis: Sequence[float],
                     blocked_arm=blocked,
                     detector_model=model)
                 count += 1
-                rows = [simulate(dataclasses.replace(config, phase=p))
-                        for p in phis]
+                rows = [simulate(_at_phase(config, p)) for p in phis]
                 d0 = [r.p_d0 for r in rows]
                 d1 = [r.p_d1 for r in rows]
                 ab = [r.p_absorbed for r in rows]
@@ -401,7 +435,7 @@ def check_O1_robustness(phis: Sequence[float]) -> DetectorRobustnessReport:
     fringes (visibility at the rounding floor); any silent model must leave
     them at full contrast.
     """
-    phis = [float(p) for p in phis]
+    phis = _phase_floats(phis)
     if len(phis) < 2:
         raise ConfigError("robustness check needs at least two phases")
     entries = []

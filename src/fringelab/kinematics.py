@@ -64,6 +64,15 @@ def _is_number(v) -> bool:
     return True
 
 
+def _is_finite(v) -> bool:
+    # math.isfinite, but False where it raises OverflowError: an int too
+    # large for a float.
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _finite_array(value) -> np.ndarray | None:
     """``value`` as a float array, or None unless every entry is a finite number."""
     try:
@@ -192,7 +201,7 @@ def _require_light_speed(c: float):
 
 def _require_subluminal(V: float, c: float):
     _require_light_speed(c)
-    if not math.isfinite(V):
+    if not _is_finite(V):
         raise SpeedDomainError("V: must be finite")
     if abs(V) >= c * (1.0 - SPEED_GUARD_BAND):
         raise SpeedDomainError(
@@ -201,6 +210,8 @@ def _require_subluminal(V: float, c: float):
 
 def _require_superluminal(V: float, c: float):
     _require_light_speed(c)
+    if not _is_finite(V):
+        raise SpeedDomainError("V: must be finite")
     if not math.isfinite((V / c) * (V / c)):  # superluminal_gamma squares V/c
         raise SpeedDomainError(
             f"V: (V/c)^2 must be a finite float, got V={V!r} with c={c!r}")
@@ -248,7 +259,10 @@ def superluminal_matrix(V: float, eta: int, c: float = DEFAULT_C) -> np.ndarray:
 
 def general_boost_matrix(v: Sequence[float], c: float = DEFAULT_C) -> np.ndarray:
     """1+3 boost along an arbitrary 3-velocity, acting on (t, x, y, z)."""
-    v = np.asarray(v, dtype=float)
+    try:
+        v = np.asarray(v, dtype=float)
+    except OverflowError:  # an int too large for a float
+        raise SpeedDomainError("V: must be finite") from None
     if v.shape != (3,):
         raise KinematicsError("velocity must be a 3-vector")
     speed = float(np.linalg.norm(v))
@@ -265,6 +279,8 @@ def general_boost_matrix(v: Sequence[float], c: float = DEFAULT_C) -> np.ndarray
 
 def rotation_matrix(axis: Sequence[float], angle: float) -> np.ndarray:
     """1+3 spatial rotation about ``axis`` (Rodrigues form), time untouched."""
+    if not _is_finite(angle):
+        raise KinematicsError("angle: must be finite")
     a = np.asarray(axis, dtype=float)
     n = np.linalg.norm(a)
     if n == 0.0:

@@ -265,3 +265,18 @@ def test_criterion_8_checks_fail_under_their_mutations(monkeypatch, check_id):
     assert not mutated.passed
     print(f"PASS  criterion 8: mutating {module.__name__}.{target} fails "
           f"{check_id}: {mutated.detail}")
+
+
+def test_criterion_8_nogo_command_fails_under_the_phase_reading_mutant(
+        monkeypatch, capsys):
+    # The nogo command must send every (config, phase) pair through the
+    # classical kernel: a kernel that reads the phase turns its verdict.
+    assert main(["nogo", "--resolution", "11"]) == 0
+    assert "no-go contrast: PASS" in capsys.readouterr().out
+    monkeypatch.setattr(interference, "_simulate_classical",
+                        _phase_reading_classical)
+    assert main(["nogo", "--resolution", "11"]) == 1
+    out = capsys.readouterr().out
+    assert "no-go contrast: FAIL" in out
+    print("PASS  criterion 8: mutating interference._simulate_classical "
+          "makes 'nogo --resolution 11' exit 1")

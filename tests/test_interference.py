@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fringelab.interference import (
     BlockedArm,
@@ -13,6 +15,7 @@ from fringelab.interference import (
     DetectorModel,
     ExperimentConfig,
     OutcomeDistribution,
+    _at_phase,
     check_O1_robustness,
     check_O3_frame_invariance,
     interferometer_events,
@@ -22,8 +25,25 @@ from fringelab.interference import (
     uniform_phase_grid,
     visibility,
 )
-from fringelab.amplitudes import AmplitudeError, ProbabilityRule, norm_squared
-from fringelab.kinematics import IntervalKind, SpeedDomainError, classify_interval
+from fringelab.amplitudes import (
+    AmplitudeError,
+    ProbabilityRule,
+    carrier_minimality_check,
+    norm_squared,
+)
+from fringelab.kinematics import (
+    IntervalKind,
+    KinematicsError,
+    SpacetimePoint,
+    SpeedDomainError,
+    boost_matrix,
+    classify_interval,
+    general_boost_matrix,
+    lorentz_boost,
+    rotation_matrix,
+    superluminal_matrix,
+    velocity_addition,
+)
 
 
 def test_config_defaults_are_valid():
@@ -192,6 +212,92 @@ def test_phase_sweep_shape_and_empty_guard():
     assert sweep[0][1].as_tuple() == simulate(ExperimentConfig()).as_tuple()
     with pytest.raises(ConfigError):
         phase_sweep(ExperimentConfig(), [])
+
+
+def _members(kind):
+    return st.sampled_from(list(kind) + [m.value for m in kind])
+
+
+@st.composite
+def valid_configs(draw):
+    # Every enum value, given as a member or as its plain string, both
+    # compositions, splitters including 0 and 1 (as ints too) and, for
+    # classical composition, explicit mixture weights.
+    splitter = st.one_of(st.sampled_from([0, 1, 0.0, 1.0, 0.5]),
+                         st.floats(0.0, 1.0))
+    composition = draw(_members(Composition))
+    weights = None
+    if Composition(composition) is Composition.CLASSICAL_MIXTURE:
+        weights = draw(st.one_of(
+            st.none(),
+            st.floats(0.0, 1.0).map(lambda w: (w, 1.0 - w)),
+            st.sampled_from([(1, 0), [0.0, 1.0], (0.25, 0.75)])))
+    return ExperimentConfig(
+        splitter1=draw(splitter), splitter2=draw(splitter),
+        phase=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        blocked_arm=draw(_members(BlockedArm)),
+        detector_model=draw(_members(DetectorModel)),
+        composition=composition, mixture_weights=weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_configs(), st.floats(allow_nan=False, allow_infinity=False))
+def test_at_phase_equals_replace_field_for_field(config, p):
+    fast = _at_phase(config, p)
+    slow = dataclasses.replace(config, phase=p)
+    assert fast == slow
+    for field in dataclasses.fields(ExperimentConfig):
+        a, b = getattr(fast, field.name), getattr(slow, field.name)
+        assert type(a) is type(b)
+        if isinstance(a, tuple):
+            assert [type(v) for v in a] == [type(v) for v in b]
+    assert simulate(fast).as_tuple() == simulate(slow).as_tuple()
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1e309, -1e309,
+                               10 ** 309, -10 ** 309],
+                         ids=["nan", "inf", "-inf", "1e309", "-1e309",
+                              "10**309", "-10**309"])
+def test_at_phase_rejects_a_nonfinite_phase_as_replace_does(p):
+    config = ExperimentConfig(composition=Composition.CLASSICAL_MIXTURE)
+    with pytest.raises(ConfigError) as fast:
+        _at_phase(config, p)
+    with pytest.raises(ConfigError) as slow:
+        dataclasses.replace(config, phase=p)
+    assert str(fast.value) == str(slow.value) == "phase: must be finite"
+
+
+_BIG = 10 ** 400
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: phase_sweep(ExperimentConfig(), [_BIG]),
+                 ConfigError, "phase: must be finite", id="phase_sweep"),
+    pytest.param(lambda: no_go_search([_BIG, 0.0], 3),
+                 ConfigError, "phase: must be finite", id="no_go_search"),
+    pytest.param(lambda: check_O1_robustness([0.0, -_BIG]),
+                 ConfigError, "phase: must be finite", id="check_O1_robustness"),
+    pytest.param(lambda: carrier_minimality_check([_BIG]),
+                 AmplitudeError, "phase grid must be finite",
+                 id="carrier_minimality_check"),
+    pytest.param(lambda: lorentz_boost(SpacetimePoint(0.0, 0.0), _BIG),
+                 SpeedDomainError, "V: must be finite", id="lorentz_boost"),
+    pytest.param(lambda: velocity_addition(_BIG, 0.1),
+                 SpeedDomainError, "V: must be finite", id="velocity_addition"),
+    pytest.param(lambda: boost_matrix(-_BIG),
+                 SpeedDomainError, "V: must be finite", id="boost_matrix"),
+    pytest.param(lambda: superluminal_matrix(_BIG, 1),
+                 SpeedDomainError, "V: must be finite", id="superluminal_matrix"),
+    pytest.param(lambda: rotation_matrix([0.0, 0.0, 1.0], _BIG),
+                 KinematicsError, "angle: must be finite", id="rotation_matrix"),
+    pytest.param(lambda: general_boost_matrix([_BIG, 0, 0]),
+                 SpeedDomainError, "V: must be finite",
+                 id="general_boost_matrix"),
+])
+def test_entry_points_name_an_int_too_large_for_a_float(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_visibility_ideal_and_flat_cases():

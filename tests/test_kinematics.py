@@ -501,6 +501,12 @@ def test_classify_cone_preserver_rejects_anisotropic_stretch():
     assert cls.scale is None
 
 
+def test_rotation_rejects_a_nonfinite_angle():
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(KinematicsError, match="angle: must be finite"):
+            rotation_matrix([0.0, 0.0, 1.0], angle)
+
+
 def test_four_dimensional_boost_and_rotation_are_lorentz():
     b = FrameMap.general_linear(general_boost_matrix([0.3, 0.4, 0.0]))
     r = FrameMap.general_linear(rotation_matrix([0.0, 0.0, 1.0], 0.7))
