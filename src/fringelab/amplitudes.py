@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence as SequenceType, Union
 
 import numpy as np
 
-from .constants import REL_TOL_ALGEBRA
+from .constants import REL_TOL_ALGEBRA, finite_float
 
 
 class AmplitudeError(ValueError):
@@ -58,11 +58,8 @@ class Amplitude:
     im: float = 0.0
 
     def __post_init__(self):
-        try:
-            re, im = float(self.re), float(self.im)
-        except OverflowError:  # an int too large for a float
-            re = im = math.inf
-        if not (math.isfinite(re) and math.isfinite(im)):
+        re, im = finite_float(self.re), finite_float(self.im)
+        if re is None or im is None:
             raise AmplitudeError("amplitude components must be finite")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
@@ -74,11 +71,8 @@ UNIT = Amplitude(1.0, 0.0)
 
 def phase(phi: float) -> Amplitude:
     """Unit-norm carrier element u(phi) = (cos phi, sin phi)."""
-    try:
-        phi = float(phi)
-    except OverflowError:  # an int too large for a float
-        phi = math.inf
-    if not math.isfinite(phi):
+    phi = finite_float(phi)
+    if phi is None:
         raise AmplitudeError("phase must be finite")
     return Amplitude(math.cos(phi), math.sin(phi))
 
@@ -306,13 +300,10 @@ def carrier_minimality_check(phis: SequenceType[float]
     that achieves both.  A grid with |phi| beyond about 177.4 overflows a
     float in (1 + exp(s*phi))**2 for s = ±2 and raises AmplitudeError.
     """
-    try:
-        phis = [float(p) for p in phis]
-    except OverflowError:  # an int too large for a float
-        phis = [math.inf]
+    phis = [finite_float(p) for p in phis]
     if not phis:
         raise AmplitudeError("phase grid must be nonempty")
-    if any(not math.isfinite(p) for p in phis):
+    if None in phis:
         raise AmplitudeError("phase grid must be finite")
     probes = (1.0, 0.7, -1.3)
     records = []

@@ -11,7 +11,12 @@ visibilities, and the check suite's numeric checks.  REL_TOL_SAMPLED
 check_no_branching), preserves_null_lines, the composed-boost comparison of
 the velocity-addition check and the silent-detector visibility of
 check_O1_robustness.
+
+finite_float is the one finiteness test; each entry point raises its own
+named error for nan, ±inf or an int too large for a float.
 """
+
+import math
 
 # Speed of light in natural units; every formula keeps c explicit so other
 # unit systems work by passing c.
@@ -35,3 +40,12 @@ DEFAULT_TRIALS = 1000
 
 # Default path-weight grid resolution of the classical no-go search.
 DEFAULT_RESOLUTION = 101
+
+
+def finite_float(value) -> float | None:
+    """float(value) if finite, else None; other errors of float() propagate."""
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        return None
+    return value if math.isfinite(value) else None

@@ -30,7 +30,6 @@ exact binary floats.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -51,10 +50,12 @@ from .constants import (
     DEFAULT_RESOLUTION,
     REL_TOL_ALGEBRA,
     REL_TOL_SAMPLED,
+    finite_float,
 )
 from .kinematics import (
     FrameMap,
     SpacetimePoint,
+    _require_light_speed,
     classify_interval,
 )
 
@@ -90,12 +91,6 @@ _ENUM_FIELDS = (("blocked_arm", BlockedArm),
                 ("composition", Composition))
 
 _PHASE_NOT_FINITE = "phase: must be finite"
-
-
-def _is_finite(value) -> bool:
-    # Tested by comparison, not math.isfinite: comparisons reject nan and,
-    # unlike isfinite, do not overflow on a JSON int too large for a float.
-    return abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,6 @@ class ExperimentConfig:
     def problems(self) -> list[str]:
         """Every invariant violation, named by field."""
         out = []
-        # Ranges are tested by comparison, for the reason _is_finite gives.
         for name in ("splitter1", "splitter2"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -146,7 +140,7 @@ class ExperimentConfig:
                 out.append(f"{name}: transmissivity must lie in [0, 1], got {value!r}")
         if not isinstance(self.phase, (int, float)) or isinstance(self.phase, bool):
             out.append("phase: must be a number")
-        elif not _is_finite(self.phase):
+        elif finite_float(self.phase) is None:
             out.append(_PHASE_NOT_FINITE)
         for name, kind in _ENUM_FIELDS:
             value = getattr(self, name)
@@ -160,7 +154,7 @@ class ExperimentConfig:
                            for v in w)):
                 out.append("mixture_weights: must be two numbers (upper, lower)")
             else:
-                if any(not 0.0 <= v <= sys.float_info.max for v in w):
+                if any(finite_float(v) is None or v < 0.0 for v in w):
                     out.append("mixture_weights: weights must be finite and nonnegative")
                 else:
                     # Two floats' sum is rounded once, as math.fsum rounds it,
@@ -277,7 +271,7 @@ def _at_phase(config: ExperimentConfig, p: float) -> ExperimentConfig:
     ``config`` was built, so they are copied without re-running
     __post_init__.
     """
-    if not _is_finite(p):
+    if finite_float(p) is None:
         raise ConfigError(_PHASE_NOT_FINITE)
     out = object.__new__(ExperimentConfig)
     out.__dict__.update(config.__dict__, phase=p)
@@ -285,10 +279,10 @@ def _at_phase(config: ExperimentConfig, p: float) -> ExperimentConfig:
 
 
 def _phase_floats(phis: Sequence[float]) -> list[float]:
-    try:
-        return [float(p) for p in phis]
-    except OverflowError:  # an int too large for a float
-        raise ConfigError(_PHASE_NOT_FINITE) from None
+    phis = [finite_float(p) for p in phis]
+    if None in phis:
+        raise ConfigError(_PHASE_NOT_FINITE)
+    return phis
 
 
 def phase_sweep(config: ExperimentConfig, phis: Sequence[float],
@@ -467,6 +461,7 @@ _EVENT_TABLE: tuple[tuple[str, float, float], ...] = (
 
 def interferometer_events(c: float = DEFAULT_C) -> dict[str, SpacetimePoint]:
     """Canonical-frame marker events of the bench layout, scaled by c."""
+    _require_light_speed(c)  # FrameMap's rule for c, and its message
     return {name: SpacetimePoint(t, c * x) for name, t, x in _EVENT_TABLE}
 
 
@@ -493,8 +488,11 @@ def check_O3_frame_invariance(config: ExperimentConfig,
     detector model) contains no frame-dependent quantity, so simulate must
     return bit-identical numbers in every frame; the geometric content is
     that boosting the bench's marker events never changes any pair's
-    interval classification.
+    interval classification.  An empty ``boosts`` raises ConfigError.
     """
+    boosts = list(boosts)
+    if not boosts:
+        raise ConfigError("frame invariance check needs at least one boost")
     events = interferometer_events(c)
     names = list(events)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
@@ -504,14 +502,14 @@ def check_O3_frame_invariance(config: ExperimentConfig,
     baseline = simulate(config)
     entries = []
     for V in boosts:
-        m = FrameMap.boost(float(V), c)  # rejects |V| >= c
+        m = FrameMap.boost(V, c)  # rejects |V| >= c and a V that is not finite
         moved = {name: m.apply(p) for name, p in events.items()}
         kinds_ok = all(
             classify_interval(moved[a], moved[b], c) is baseline_kinds[a, b]
             for a, b in pairs)
         again = simulate(config)
         stats_ok = again.as_tuple() == baseline.as_tuple()
-        entries.append(FrameInvarianceEntry(float(V), kinds_ok, stats_ok))
+        entries.append(FrameInvarianceEntry(m.V, kinds_ok, stats_ok))
     return FrameInvarianceReport(
         baseline=baseline,
         entries=tuple(entries),

@@ -38,6 +38,7 @@ from .constants import (
     REL_TOL_ALGEBRA,
     REL_TOL_SAMPLED,
     SPEED_GUARD_BAND,
+    finite_float,
 )
 
 
@@ -54,23 +55,8 @@ class SingularMapError(KinematicsError):
 
 
 def _is_number(v) -> bool:
-    # A bool is not a number, and neither is an int too large for a float.
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
-
-
-def _is_finite(v) -> bool:
-    # math.isfinite, but False where it raises OverflowError: an int too
-    # large for a float.
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
+    # A bool is not a number.
+    return not isinstance(v, bool) and isinstance(v, numbers.Real)
 
 
 def _finite_array(value) -> np.ndarray | None:
@@ -79,7 +65,7 @@ def _finite_array(value) -> np.ndarray | None:
         entries = np.array(value, dtype=object)
     except ValueError:  # nesting that numpy cannot shape
         return None
-    if all(_is_number(v) and math.isfinite(v) for v in entries.flat):
+    if all(_is_number(v) and finite_float(v) is not None for v in entries.flat):
         return entries.astype(float)
     return None
 
@@ -101,16 +87,13 @@ class SpacetimePoint:
     x: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            t = float(self.t)
-            x = ((float(self.x),) if isinstance(self.x, (int, float))
-                 else tuple(map(float, self.x)))
-        except OverflowError:  # an int too large for a float
-            raise KinematicsError("event coordinates must be finite") from None
+        t = finite_float(self.t)
+        x = ((finite_float(self.x),) if isinstance(self.x, (int, float))
+             else tuple(map(finite_float, self.x)))
         if len(x) not in (1, 3):
             raise KinematicsError(
                 f"spatial part must have 1 or 3 components, got {len(x)}")
-        if not math.isfinite(t) or not all(math.isfinite(v) for v in x):
+        if t is None or None in x:
             raise KinematicsError("event coordinates must be finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
@@ -194,14 +177,15 @@ def in_causal_past(e: SpacetimePoint, candidate: SpacetimePoint,
 def _require_light_speed(c: float):
     # The boost formulas divide by c*c, so the square must be a positive
     # finite float too (a tiny c underflows it to zero, a huge one to inf).
-    if not (_is_number(c) and c > 0.0 and 0.0 < float(c) * float(c) < math.inf):
+    f = finite_float(c) if _is_number(c) else None
+    if f is None or not (f > 0.0 and 0.0 < f * f < math.inf):
         raise KinematicsError(
             f"c: must be positive with a finite nonzero square, got {c!r}")
 
 
 def _require_subluminal(V: float, c: float):
     _require_light_speed(c)
-    if not _is_finite(V):
+    if finite_float(V) is None:
         raise SpeedDomainError("V: must be finite")
     if abs(V) >= c * (1.0 - SPEED_GUARD_BAND):
         raise SpeedDomainError(
@@ -210,7 +194,7 @@ def _require_subluminal(V: float, c: float):
 
 def _require_superluminal(V: float, c: float):
     _require_light_speed(c)
-    if not _is_finite(V):
+    if finite_float(V) is None:
         raise SpeedDomainError("V: must be finite")
     if not math.isfinite((V / c) * (V / c)):  # superluminal_gamma squares V/c
         raise SpeedDomainError(
@@ -259,12 +243,12 @@ def superluminal_matrix(V: float, eta: int, c: float = DEFAULT_C) -> np.ndarray:
 
 def general_boost_matrix(v: Sequence[float], c: float = DEFAULT_C) -> np.ndarray:
     """1+3 boost along an arbitrary 3-velocity, acting on (t, x, y, z)."""
-    try:
-        v = np.asarray(v, dtype=float)
-    except OverflowError:  # an int too large for a float
-        raise SpeedDomainError("V: must be finite") from None
-    if v.shape != (3,):
+    if np.shape(v) != (3,):
         raise KinematicsError("velocity must be a 3-vector")
+    v = [finite_float(u) for u in v]
+    if None in v:
+        raise SpeedDomainError("V: must be finite")
+    v = np.array(v)
     speed = float(np.linalg.norm(v))
     if speed == 0.0:
         return np.eye(4)
@@ -279,13 +263,17 @@ def general_boost_matrix(v: Sequence[float], c: float = DEFAULT_C) -> np.ndarray
 
 def rotation_matrix(axis: Sequence[float], angle: float) -> np.ndarray:
     """1+3 spatial rotation about ``axis`` (Rodrigues form), time untouched."""
-    if not _is_finite(angle):
+    if finite_float(angle) is None:
         raise KinematicsError("angle: must be finite")
-    a = np.asarray(axis, dtype=float)
+    if np.shape(axis) != (3,):
+        raise KinematicsError("axis: must have 3 components")
+    a = [finite_float(u) for u in axis]
+    if None in a:
+        raise KinematicsError("axis: must be finite")
     n = np.linalg.norm(a)
     if n == 0.0:
         raise KinematicsError("rotation axis must be nonzero")
-    a = a / n
+    a = np.array(a) / n
     k = np.array([[0.0, -a[2], a[1]],
                   [a[2], 0.0, -a[0]],
                   [-a[1], a[0], 0.0]])
@@ -390,7 +378,9 @@ class FrameMap:
                 raise SingularMapError("linear_part: singular within tolerance, "
                                        "relative to its row lengths")
         else:
-            V = float(V)
+            V = finite_float(V)
+            if V is None:
+                raise SpeedDomainError("V: must be finite")
             if branch is BranchKind.SUBLUMINAL:
                 lin = boost_matrix(V, c)
             else:
@@ -588,13 +578,10 @@ class Worldline:
                 raise KinematicsError("vertices must be SpacetimePoint values")
         if len({v.spatial_dim for v in verts}) > 1:
             raise KinematicsError("vertices must share one dimension")
-        try:
-            taus = tuple(map(float, range(len(verts)) if taus is None else taus))
-        except OverflowError:  # an int too large for a float
-            raise KinematicsError("tau labels must be finite") from None
+        taus = tuple(map(finite_float, range(len(verts)) if taus is None else taus))
         if len(taus) != len(verts):
             raise KinematicsError("need exactly one tau label per vertex")
-        if any(not math.isfinite(t) for t in taus):
+        if None in taus:
             raise KinematicsError("tau labels must be finite")
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise KinematicsError("tau labels must strictly increase")

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import fringelab.amplitudes as amplitudes
 import fringelab.checks as checks
 import fringelab.interference as interference
 import fringelab.kinematics as kinematics
@@ -251,6 +252,11 @@ MUTATIONS = {
     "superluminal-composition-closure": (checks, "compose", lambda f, g: f),
     "worldline-no-branching": (checks, "check_no_branching",
                                _x_dropping_no_branching),
+    "phase-group-law": (checks, "phase", lambda phi: Amplitude(
+        math.cos(phi), math.sin(phi) * (1.0 + 1e-9))),
+    "carrier-minimality": (amplitudes, "sum_alternatives", lambda a, b: a),
+    "causal-past-boost-invariance": (checks, "in_causal_past",
+                                     lambda e, cand, c=1.0: cand.t <= e.t),
 }
 
 

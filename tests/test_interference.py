@@ -26,16 +26,20 @@ from fringelab.interference import (
     visibility,
 )
 from fringelab.amplitudes import (
+    Amplitude,
     AmplitudeError,
     ProbabilityRule,
     carrier_minimality_check,
     norm_squared,
+    phase,
 )
 from fringelab.kinematics import (
+    FrameMap,
     IntervalKind,
     KinematicsError,
     SpacetimePoint,
     SpeedDomainError,
+    Worldline,
     boost_matrix,
     classify_interval,
     general_boost_matrix,
@@ -269,35 +273,69 @@ def test_at_phase_rejects_a_nonfinite_phase_as_replace_does(p):
 
 _BIG = 10 ** 400
 
+# One row per entry point: the call of one bad value, the exact error class
+# and the exact message, formatted with the value.  Every row runs on each
+# value of _NONFINITE; the 10**400 case keeps the row's bare id.
+_ENTRY_POINTS = [
+    ("phase_sweep", lambda v: phase_sweep(ExperimentConfig(), [v]),
+     ConfigError, "phase: must be finite"),
+    ("no_go_search", lambda v: no_go_search([v, 0.0], 3),
+     ConfigError, "phase: must be finite"),
+    ("check_O1_robustness", lambda v: check_O1_robustness([0.0, v]),
+     ConfigError, "phase: must be finite"),
+    ("carrier_minimality_check", lambda v: carrier_minimality_check([v]),
+     AmplitudeError, "phase grid must be finite"),
+    ("lorentz_boost", lambda v: lorentz_boost(SpacetimePoint(0.0, 0.0), v),
+     SpeedDomainError, "V: must be finite"),
+    ("velocity_addition", lambda v: velocity_addition(v, 0.1),
+     SpeedDomainError, "V: must be finite"),
+    ("boost_matrix", lambda v: boost_matrix(v),
+     SpeedDomainError, "V: must be finite"),
+    ("superluminal_matrix", lambda v: superluminal_matrix(v, 1),
+     SpeedDomainError, "V: must be finite"),
+    ("rotation_matrix", lambda v: rotation_matrix([0.0, 0.0, 1.0], v),
+     KinematicsError, "angle: must be finite"),
+    ("general_boost_matrix", lambda v: general_boost_matrix([v, 0, 0]),
+     SpeedDomainError, "V: must be finite"),
+    ("SpacetimePoint.t", lambda v: SpacetimePoint(v, 0.0),
+     KinematicsError, "event coordinates must be finite"),
+    ("SpacetimePoint.x", lambda v: SpacetimePoint(0.0, v),
+     KinematicsError, "event coordinates must be finite"),
+    ("SpacetimePoint.x-1+3", lambda v: SpacetimePoint(0.0, (0.0, v, 0.0)),
+     KinematicsError, "event coordinates must be finite"),
+    ("Worldline.taus", lambda v: Worldline(
+        [SpacetimePoint(0.0, 0.0), SpacetimePoint(1.0, 0.0)], [0.0, v]),
+     KinematicsError, "tau labels must be finite"),
+    ("Amplitude", lambda v: Amplitude(0.3, v),
+     AmplitudeError, "amplitude components must be finite"),
+    ("phase", lambda v: phase(v), AmplitudeError, "phase must be finite"),
+    ("FrameMap.boost", lambda v: FrameMap.boost(v),
+     SpeedDomainError, "V: must be finite"),
+    ("rotation_matrix.axis", lambda v: rotation_matrix([v, 0.0, 1.0], 0.3),
+     KinematicsError, "axis: must be finite"),
+    ("check_O3_frame_invariance",
+     lambda v: check_O3_frame_invariance(ExperimentConfig(), [0.3, v]),
+     SpeedDomainError, "V: must be finite"),
+    ("interferometer_events", lambda v: interferometer_events(v),
+     KinematicsError,
+     "c: must be positive with a finite nonzero square, got {!r}"),
+]
 
-@pytest.mark.parametrize("call, error, message", [
-    pytest.param(lambda: phase_sweep(ExperimentConfig(), [_BIG]),
-                 ConfigError, "phase: must be finite", id="phase_sweep"),
-    pytest.param(lambda: no_go_search([_BIG, 0.0], 3),
-                 ConfigError, "phase: must be finite", id="no_go_search"),
-    pytest.param(lambda: check_O1_robustness([0.0, -_BIG]),
-                 ConfigError, "phase: must be finite", id="check_O1_robustness"),
-    pytest.param(lambda: carrier_minimality_check([_BIG]),
-                 AmplitudeError, "phase grid must be finite",
-                 id="carrier_minimality_check"),
-    pytest.param(lambda: lorentz_boost(SpacetimePoint(0.0, 0.0), _BIG),
-                 SpeedDomainError, "V: must be finite", id="lorentz_boost"),
-    pytest.param(lambda: velocity_addition(_BIG, 0.1),
-                 SpeedDomainError, "V: must be finite", id="velocity_addition"),
-    pytest.param(lambda: boost_matrix(-_BIG),
-                 SpeedDomainError, "V: must be finite", id="boost_matrix"),
-    pytest.param(lambda: superluminal_matrix(_BIG, 1),
-                 SpeedDomainError, "V: must be finite", id="superluminal_matrix"),
-    pytest.param(lambda: rotation_matrix([0.0, 0.0, 1.0], _BIG),
-                 KinematicsError, "angle: must be finite", id="rotation_matrix"),
-    pytest.param(lambda: general_boost_matrix([_BIG, 0, 0]),
-                 SpeedDomainError, "V: must be finite",
-                 id="general_boost_matrix"),
-])
-def test_entry_points_name_an_int_too_large_for_a_float(call, error, message):
+_NONFINITE = [(_BIG, None), (-_BIG, "-10**400"), (math.nan, "nan"),
+              (math.inf, "inf"), (-math.inf, "-inf")]
+
+
+@pytest.mark.parametrize("call, value, error, message", [
+    pytest.param(call, value, error, message,
+                 id=name if suffix is None else f"{name}-{suffix}")
+    for name, call, error, message in _ENTRY_POINTS
+    for value, suffix in _NONFINITE])
+def test_entry_points_name_an_int_too_large_for_a_float(call, value, error,
+                                                        message):
     with pytest.raises(error) as info:
-        call()
-    assert str(info.value) == message
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(value)
 
 
 def test_visibility_ideal_and_flat_cases():
@@ -395,3 +433,20 @@ def test_O3_invariance_under_boosts():
 def test_O3_rejects_light_speed_boost():
     with pytest.raises(SpeedDomainError):
         check_O3_frame_invariance(ExperimentConfig(), [1.0])
+
+
+@pytest.mark.parametrize("c", [1.0, 0.0, -1.0])
+def test_O3_rejects_an_empty_boost_list_for_any_c(c):
+    with pytest.raises(ConfigError,
+                       match="frame invariance check needs at least one boost"):
+        check_O3_frame_invariance(ExperimentConfig(), [], c=c)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, 1e-200])
+def test_event_table_applies_the_frame_map_rule_for_c(c):
+    message = f"c: must be positive with a finite nonzero square, got {c!r}"
+    with pytest.raises(KinematicsError) as bench:
+        interferometer_events(c)
+    with pytest.raises(KinematicsError) as frame:
+        FrameMap.identity(c)
+    assert str(bench.value) == str(frame.value) == message

@@ -507,6 +507,20 @@ def test_rotation_rejects_a_nonfinite_angle():
             rotation_matrix([0.0, 0.0, 1.0], angle)
 
 
+# Non-finite axis entries are rows of the entry-point table in
+# test_interference.py; these are the shapes and the zero axis.
+@pytest.mark.parametrize("axis, message", [
+    ([1.0, 0.0], "axis: must have 3 components"),
+    ([[1.0, 0.0, 0.0]], "axis: must have 3 components"),
+    ([0.0, 0.0, 0.0], "rotation axis must be nonzero"),
+], ids=["short", "nested", "zero"])
+def test_rotation_rejects_a_bad_axis(axis, message):
+    with pytest.raises(KinematicsError) as info:
+        rotation_matrix(axis, 0.3)
+    assert type(info.value) is KinematicsError
+    assert str(info.value) == message
+
+
 def test_four_dimensional_boost_and_rotation_are_lorentz():
     b = FrameMap.general_linear(general_boost_matrix([0.3, 0.4, 0.0]))
     r = FrameMap.general_linear(rotation_matrix([0.0, 0.0, 1.0], 0.7))
