@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence as SequenceType, Union
 
@@ -112,11 +113,19 @@ class ProbabilityRule:
     weight: Callable[[Amplitude], float]
 
     def __call__(self, a: Amplitude) -> float:
-        value = float(self.weight(a))
-        if not math.isfinite(value) or value < 0.0:
-            raise AmplitudeError(
-                f"rule {self.name!r} produced an invalid weight {value!r}")
-        return value
+        weight = self.weight(a)
+        value = finite_float(weight)
+        if value is None:
+            # nan or ±inf, or a rational (an int, say) too large for a float
+            shown = ("too large for a float"
+                     if isinstance(weight, numbers.Rational)
+                     else repr(float(weight)))
+        elif value < 0.0:
+            shown = repr(value)
+        else:
+            return value
+        raise AmplitudeError(
+            f"rule {self.name!r} produced an invalid weight {shown}")
 
 
 SQUARED_NORM = ProbabilityRule("squared-norm", norm_squared)

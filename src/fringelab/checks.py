@@ -442,9 +442,15 @@ def _check_outcome_normalization(ctx: CheckContext, rng) -> tuple[bool, str]:
 def _check_carrier_minimality(ctx: CheckContext, rng) -> tuple[bool, str]:
     report = carrier_minimality_check(uniform_phase_grid(16))
     both = sum(1 for rec in report.actions if rec.satisfies_both)
+    failed = [name for name, ok in (
+        ("weight invariance", report.two_dimensional_invariant),
+        ("phase-sensitive recombination", report.two_dimensional_alters))
+        if not ok]
+    planar = ("satisfied both" if not failed
+              else "failed " + " and ".join(failed))
     return report.passed, (f"{len(report.actions)} one-dimensional exponential "
                            f"actions scanned, {both} satisfied both phase "
-                           f"requirements; planar carrier satisfied both")
+                           f"requirements; planar carrier {planar}")
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,13 @@ class OutcomeDistribution:
             cond0, cond1 = p0 / detected, p1 / detected
         else:
             cond0 = cond1 = None
-        return cls(p0, p1, pa, cond0, cond1)
+        # The fields are checked above; skip the frozen __init__'s
+        # per-field object.__setattr__, as _at_phase does.
+        out = object.__new__(cls)
+        out.__dict__.update(p_d0=p0, p_d1=p1, p_absorbed=pa,
+                            p_d0_given_detected=cond0,
+                            p_d1_given_detected=cond1)
+        return out
 
     def as_tuple(self) -> tuple:
         return (self.p_d0, self.p_d1, self.p_absorbed,
@@ -238,9 +244,11 @@ def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
         p_upper = (0.0, 0.0, 1.0)
     elif config.blocked_arm is BlockedArm.LOWER:
         p_lower = (0.0, 0.0, 1.0)
-    weights = tuple(w_upper * u + w_lower * v
-                    for u, v in zip(p_upper, p_lower))
-    return OutcomeDistribution.from_weights(*weights)
+    u0, u1, u2 = p_upper
+    v0, v1, v2 = p_lower
+    return OutcomeDistribution.from_weights(w_upper * u0 + w_lower * v0,
+                                            w_upper * u1 + w_lower * v1,
+                                            w_upper * u2 + w_lower * v2)
 
 
 def _simulate_amplitude(config: ExperimentConfig,

@@ -25,6 +25,7 @@ module is safe for arbitrary parallel use.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -270,10 +271,16 @@ def rotation_matrix(axis: Sequence[float], angle: float) -> np.ndarray:
     a = [finite_float(u) for u in axis]
     if None in a:
         raise KinematicsError("axis: must be finite")
-    n = np.linalg.norm(a)
+    a = np.array(a)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(a)
     if n == 0.0:
         raise KinematicsError("rotation axis must be nonzero")
-    a = np.array(a) / n
+    if n == math.inf:
+        # The axis is finite but its norm is not: rescale it first.
+        a = a / np.max(np.abs(a))
+        n = np.linalg.norm(a)
+    a = a / n
     k = np.array([[0.0, -a[2], a[1]],
                   [a[2], 0.0, -a[0]],
                   [-a[1], a[0], 0.0]])
@@ -621,44 +628,39 @@ def past_worldline_segment(w: Worldline, e_index: int) -> Worldline:
     """
     if not 0 <= e_index < len(w):
         raise IndexError(f"vertex index {e_index} out of range")
-    return Worldline(w.vertices[:e_index], w.taus[:e_index], check_simple=False)
+    # A prefix of checked vertices and labels passes every test of
+    # __init__, so it is built without re-running them.
+    out = object.__new__(Worldline)
+    out._vertices = w.vertices[:e_index]
+    out._taus = w.taus[:e_index]
+    return out
 
 
 # -- polyline geometry ------------------------------------------------------
 
 
-def _segment_pair_distance(p0, p1, q0, q1) -> float:
-    # Minimum distance between segments [p0,p1] and [q0,q1], any dimension.
-    d1 = [b - a for a, b in zip(p0, p1)]
-    d2 = [b - a for a, b in zip(q0, q1)]
-    r = [a - b for a, b in zip(p0, q0)]
-    a = sum(v * v for v in d1)
-    e = sum(v * v for v in d2)
-    f = sum(v * w for v, w in zip(d2, r))
-    if a == 0.0 and e == 0.0:
-        return math.sqrt(sum(v * v for v in r))
-    if a == 0.0:
-        t = min(1.0, max(0.0, f / e))
-        s = 0.0
-    else:
-        cc = sum(v * w for v, w in zip(d1, r))
-        if e == 0.0:
-            t = 0.0
-            s = min(1.0, max(0.0, -cc / a))
-        else:
-            b = sum(v * w for v, w in zip(d1, d2))
-            denom = a * e - b * b
-            s = min(1.0, max(0.0, (b * f - cc * e) / denom)) if denom > 0.0 else 0.0
-            t = (b * s + f) / e
-            if t < 0.0:
-                t = 0.0
-                s = min(1.0, max(0.0, -cc / a))
-            elif t > 1.0:
-                t = 1.0
-                s = min(1.0, max(0.0, (b - cc) / a))
-    gap = [(pa + s * da) - (qa + t * db)
-           for pa, da, qa, db in zip(p0, d1, q0, d2)]
-    return math.sqrt(sum(v * v for v in gap))
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Row-wise dot products with the coordinates summed left to right, so
+    # each value is the plain scalar sum, whatever numpy's reduction order.
+    out = x[:, 0] * y[:, 0]
+    for k in range(1, x.shape[1]):
+        out = out + x[:, k] * y[:, k]
+    return out
+
+
+def _clamp01(x: np.ndarray) -> np.ndarray:
+    # min(1.0, max(0.0, x)) elementwise; fmax sends nan to 0.0, as max does.
+    return np.fmin(np.fmax(x, 0.0), 1.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _non_adjacent_pairs(segments: int) -> tuple[np.ndarray, np.ndarray]:
+    # Segment index pairs (i, j) with j >= i + 2, in row-major order; the
+    # arrays are shared by every caller, so they are read-only.
+    pairs = np.triu_indices(segments, 2)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def polyline_is_simple(points: np.ndarray) -> bool:
@@ -666,35 +668,54 @@ def polyline_is_simple(points: np.ndarray) -> bool:
 
     Checks, at REL_TOL_SAMPLED relative to the bounding-box diagonal: no
     repeated vertices, no collinear backtracking between consecutive
-    segments, and no contact between non-adjacent segments.
+    segments, and no contact between non-adjacent segments.  The last two
+    tests each take one numpy pass over all their segment pairs.  Contact
+    is the distance between the closest points of two segments, found by
+    the clamped construction of Ericson (Real-Time Collision Detection,
+    5.1.9) with each of its branches selected by np.where.
     """
-    pts = [tuple(row) for row in np.asarray(points, dtype=float)]
+    pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 2:
         return True
+    rows = pts.tolist()
     diag = math.sqrt(sum(
-        (max(p[k] for p in pts) - min(p[k] for p in pts)) ** 2
-        for k in range(len(pts[0]))))
+        (max(p[k] for p in rows) - min(p[k] for p in rows)) ** 2
+        for k in range(len(rows[0]))))
     tol = REL_TOL_SAMPLED * diag
     for i in range(n):
         for j in range(i + 1, n):
-            if math.dist(pts[i], pts[j]) <= tol:
+            if math.dist(rows[i], rows[j]) <= tol:
                 return False
-    for i in range(n - 2):
-        u = [b - a for a, b in zip(pts[i], pts[i + 1])]
-        v = [b - a for a, b in zip(pts[i + 1], pts[i + 2])]
-        uu = sum(a * a for a in u)
-        vv = sum(a * a for a in v)
-        uv = sum(a * b for a, b in zip(u, v))
-        area_sq = max(0.0, uu * vv - uv * uv)
+    with np.errstate(all="ignore"):
+        d = pts[1:] - pts[:-1]
+        sq = _rowdot(d, d)
         # Collinear turn that reverses direction retraces the previous segment.
-        if area_sq <= (REL_TOL_SAMPLED * REL_TOL_SAMPLED) * uu * vv and uv < 0.0:
+        uu, vv = sq[:-1], sq[1:]
+        uv = _rowdot(d[:-1], d[1:])
+        area_sq = np.fmax(uu * vv - uv * uv, 0.0)
+        if ((area_sq <= (REL_TOL_SAMPLED * REL_TOL_SAMPLED) * uu * vv)
+                & (uv < 0.0)).any():
             return False
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            if _segment_pair_distance(pts[i], pts[i + 1], pts[j], pts[j + 1]) <= tol:
-                return False
-    return True
+        # Segment i is P_i + s d_i and segment j is P_j + t d_j, s, t in [0, 1].
+        i, j = _non_adjacent_pairs(n - 1)
+        d1, d2, r = d[i], d[j], pts[i] - pts[j]
+        a, e = sq[i], sq[j]
+        f, cc, b = _rowdot(d2, r), _rowdot(d1, r), _rowdot(d1, d2)
+        denom = a * e - b * b
+        s = np.where(denom > 0.0, _clamp01((b * f - cc * e) / denom), 0.0)
+        t = (b * s + f) / e
+        # A point segment (a or e zero) pins its own parameter at 0.
+        a0, e0 = a == 0.0, e == 0.0
+        s = np.where(a0, 0.0,
+                     np.where(e0 | (t < 0.0), _clamp01(-cc / a),
+                              np.where(t > 1.0, _clamp01((b - cc) / a), s)))
+        # maximum and minimum keep a nan t, which neither clamp test moves.
+        t = np.where(a0, _clamp01(f / e),
+                     np.where(e0, 0.0, np.minimum(np.maximum(t, 0.0), 1.0)))
+        gap = (pts[i] + s[:, None] * d1) - (pts[j] + t[:, None] * d2)
+        dist = np.sqrt(np.where(a0 & e0, _rowdot(r, r), _rowdot(gap, gap)))
+    return not (dist <= tol).any()
 
 
 def check_no_branching(w: Worldline, m: FrameMap) -> bool:

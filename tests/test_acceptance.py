@@ -273,6 +273,20 @@ def test_criterion_8_checks_fail_under_their_mutations(monkeypatch, check_id):
           f"{check_id}: {mutated.detail}")
 
 
+def test_carrier_minimality_detail_names_the_planar_requirement(monkeypatch):
+    ctx = CheckContext(seed=8, trials=20, resolution=11)
+    [baseline] = run_checks(ctx, "carrier-minimality")
+    assert baseline.detail.endswith("; planar carrier satisfied both")
+    module, target, mutant = MUTATIONS["carrier-minimality"]
+    monkeypatch.setattr(module, target, mutant)
+    [mutated] = run_checks(ctx, "carrier-minimality")
+    assert not mutated.passed
+    assert mutated.detail == (
+        "7 one-dimensional exponential actions scanned, 0 satisfied both "
+        "phase requirements; planar carrier failed phase-sensitive "
+        "recombination")
+
+
 def test_criterion_8_nogo_command_fails_under_the_phase_reading_mutant(
         monkeypatch, capsys):
     # The nogo command must send every (config, phase) pair through the

@@ -224,6 +224,26 @@ def test_rule_rejects_negative_or_nonfinite_weights():
         bad(UNIT)
 
 
+@pytest.mark.parametrize("weight, shown", [
+    (-1.0, "-1.0"), (-2, "-2.0"), (math.nan, "nan"), (math.inf, "inf"),
+    (-math.inf, "-inf"), (np.float64("nan"), "nan"),
+    (10 ** 400, "too large for a float"), (-10 ** 400, "too large for a float"),
+], ids=["negative", "negative-int", "nan", "inf", "-inf", "numpy-nan",
+        "10**400", "-10**400"])
+def test_rule_names_every_invalid_weight(weight, shown):
+    rule = ProbabilityRule("big", lambda a: weight)
+    with pytest.raises(AmplitudeError) as info:
+        rule(UNIT)
+    assert type(info.value) is AmplitudeError
+    assert str(info.value) == f"rule 'big' produced an invalid weight {shown}"
+
+
+def test_rule_returns_a_float_for_a_valid_weight():
+    for weight in (0, 1, 0.25, np.float64(0.5), 10 ** 300):
+        value = ProbabilityRule("ok", lambda a: weight)(UNIT)
+        assert type(value) is float and value == float(weight)
+
+
 def test_global_phase_invariance_of_default_rule():
     assert check_global_phase_invariance(SQUARED_NORM, 1000,
                                          np.random.default_rng(0))

@@ -16,6 +16,7 @@ from fringelab.interference import (
     ExperimentConfig,
     OutcomeDistribution,
     _at_phase,
+    _simulate_classical,
     check_O1_robustness,
     check_O3_frame_invariance,
     interferometer_events,
@@ -256,6 +257,50 @@ def test_at_phase_equals_replace_field_for_field(config, p):
         if isinstance(a, tuple):
             assert [type(v) for v in a] == [type(v) for v in b]
     assert simulate(fast).as_tuple() == simulate(slow).as_tuple()
+
+
+def _reference_classical(config):
+    # The classical kernel _simulate_classical replaced: a generator over
+    # the zipped per-path splits, normalized into the frozen dataclass
+    # through its own constructor.
+    T1, T2 = config.splitter1, config.splitter2
+    if config.mixture_weights is not None:
+        w_upper, w_lower = config.mixture_weights
+    else:
+        w_upper, w_lower = T1, 1.0 - T1
+    R2 = 1.0 - T2
+    p_upper, p_lower = (R2, T2, 0.0), (T2, R2, 0.0)
+    if config.blocked_arm is BlockedArm.UPPER:
+        p_upper = (0.0, 0.0, 1.0)
+    elif config.blocked_arm is BlockedArm.LOWER:
+        p_lower = (0.0, 0.0, 1.0)
+    w_d0, w_d1, w_absorbed = tuple(w_upper * u + w_lower * v
+                                   for u, v in zip(p_upper, p_lower))
+    total = w_d0 + w_d1 + w_absorbed
+    p0, p1, pa = w_d0 / total, w_d1 / total, w_absorbed / total
+    detected = p0 + p1
+    if detected > 0.0:
+        cond0, cond1 = p0 / detected, p1 / detected
+    else:
+        cond0 = cond1 = None
+    return OutcomeDistribution(p0, p1, pa, cond0, cond1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(valid_configs(), st.floats(allow_nan=False, allow_infinity=False))
+def test_classical_kernel_matches_the_generator_formula_bit_for_bit(config, p):
+    config = _at_phase(config, p)
+    expected = _reference_classical(config)
+    routes = [_simulate_classical(config)]
+    if (config.composition is Composition.CLASSICAL_MIXTURE
+            or config.blocked_arm is not BlockedArm.NONE):
+        routes.append(simulate(config))
+    for got in routes:
+        assert type(got) is OutcomeDistribution
+        assert got == expected
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(got.as_tuple()) == repr(expected.as_tuple())
+        assert vars(got) == vars(expected)
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1e309, -1e309,

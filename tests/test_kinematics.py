@@ -521,6 +521,28 @@ def test_rotation_rejects_a_bad_axis(axis, message):
     assert str(info.value) == message
 
 
+def test_rotation_about_an_axis_whose_norm_overflows():
+    # The norm of this finite axis is inf; the axis is rescaled first.
+    for big in ([1e308, 1e308, 0.0], [1.5e308, 1.5e308, 0.0]):
+        assert np.array_equal(rotation_matrix(big, 0.3),
+                              rotation_matrix([1.0, 1.0, 0.0], 0.3))
+    r = rotation_matrix([1e308, 1e308, 1e308], 1.1)
+    assert np.allclose(r, rotation_matrix([1.0, 1.0, 1.0], 1.1), atol=1e-15)
+    assert np.allclose(r.T @ r, np.eye(4), atol=1e-15)
+
+
+@pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [3.0, -4.0, 12.0],
+                                  [1e-3, 2e5, 7.0], [1e153, 1e153, 1e153]])
+def test_rotation_bytes_for_an_axis_with_a_finite_norm(axis):
+    # The Rodrigues form divided by the plain norm, as before the rescaling.
+    angle = 0.9
+    a = np.array(axis) / np.linalg.norm(axis)
+    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    r3 = (math.cos(angle) * np.eye(3) + math.sin(angle) * k
+          + (1.0 - math.cos(angle)) * np.outer(a, a))
+    assert np.array_equal(rotation_matrix(axis, angle)[1:, 1:], r3)
+
+
 def test_four_dimensional_boost_and_rotation_are_lorentz():
     b = FrameMap.general_linear(general_boost_matrix([0.3, 0.4, 0.0]))
     r = FrameMap.general_linear(rotation_matrix([0.0, 0.0, 1.0], 0.7))

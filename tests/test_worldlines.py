@@ -1,7 +1,11 @@
 """Tests for worldline simplicity, past segments, and the no-branching check."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fringelab.kinematics import (
     FrameMap,
@@ -13,6 +17,7 @@ from fringelab.kinematics import (
     past_worldline_segment,
     polyline_is_simple,
 )
+from fringelab.constants import REL_TOL_SAMPLED
 
 
 def _pts(*coords):
@@ -89,6 +94,19 @@ def test_past_segment_is_a_strict_prefix():
     assert len(past_worldline_segment(w, 0)) == 0
     with pytest.raises(IndexError):
         past_worldline_segment(w, 4)
+    with pytest.raises(IndexError):
+        past_worldline_segment(w, -1)
+
+
+def test_past_segment_is_a_worldline_of_the_same_dimension():
+    w = Worldline([SpacetimePoint(float(i), (0.5 * i, -i, 0.25))
+                   for i in range(5)])
+    past = past_worldline_segment(w, 3)
+    assert type(past) is Worldline
+    assert past.spatial_dim == 3
+    assert past.vertices == w.vertices[:3] and past.taus == w.taus[:3]
+    assert np.array_equal(past.points_array(), w.points_array()[:3])
+    assert past_worldline_segment(w, 0).spatial_dim is None
 
 
 def test_no_branching_under_boosts_and_superluminal_maps():
@@ -138,3 +156,170 @@ def test_no_branching_dimension_mismatch_raises():
     m = FrameMap.general_linear(boost_matrix(0.5, 1.0, 3))
     with pytest.raises(KinematicsError):
         check_no_branching(w, m)
+
+
+# -- the vectorised simplicity test against the scalar loops ------------------
+#
+# _reference_is_simple is the scalar implementation that polyline_is_simple
+# replaced: one Python loop per test and one _reference_segment_distance
+# call per non-adjacent segment pair.  It is the oracle for the verdict.
+
+
+def _reference_segment_distance(p0, p1, q0, q1) -> float:
+    # Minimum distance between segments [p0,p1] and [q0,q1], any dimension.
+    d1 = [b - a for a, b in zip(p0, p1)]
+    d2 = [b - a for a, b in zip(q0, q1)]
+    r = [a - b for a, b in zip(p0, q0)]
+    a = sum(v * v for v in d1)
+    e = sum(v * v for v in d2)
+    f = sum(v * w for v, w in zip(d2, r))
+    if a == 0.0 and e == 0.0:
+        return math.sqrt(sum(v * v for v in r))
+    if a == 0.0:
+        t = min(1.0, max(0.0, f / e))
+        s = 0.0
+    else:
+        cc = sum(v * w for v, w in zip(d1, r))
+        if e == 0.0:
+            t = 0.0
+            s = min(1.0, max(0.0, -cc / a))
+        else:
+            b = sum(v * w for v, w in zip(d1, d2))
+            denom = a * e - b * b
+            s = min(1.0, max(0.0, (b * f - cc * e) / denom)) if denom > 0.0 else 0.0
+            t = (b * s + f) / e
+            if t < 0.0:
+                t = 0.0
+                s = min(1.0, max(0.0, -cc / a))
+            elif t > 1.0:
+                t = 1.0
+                s = min(1.0, max(0.0, (b - cc) / a))
+    gap = [(pa + s * da) - (qa + t * db)
+           for pa, da, qa, db in zip(p0, d1, q0, d2)]
+    return math.sqrt(sum(v * v for v in gap))
+
+
+def _reference_is_simple(points) -> bool:
+    pts = [tuple(row) for row in np.asarray(points, dtype=float).tolist()]
+    n = len(pts)
+    if n < 2:
+        return True
+    diag = math.sqrt(sum(
+        (max(p[k] for p in pts) - min(p[k] for p in pts)) ** 2
+        for k in range(len(pts[0]))))
+    tol = REL_TOL_SAMPLED * diag
+    for i in range(n):
+        for j in range(i + 1, n):
+            if math.dist(pts[i], pts[j]) <= tol:
+                return False
+    for i in range(n - 2):
+        u = [b - a for a, b in zip(pts[i], pts[i + 1])]
+        v = [b - a for a, b in zip(pts[i + 1], pts[i + 2])]
+        uu = sum(a * a for a in u)
+        vv = sum(a * a for a in v)
+        uv = sum(a * b for a, b in zip(u, v))
+        area_sq = max(0.0, uu * vv - uv * uv)
+        if area_sq <= (REL_TOL_SAMPLED * REL_TOL_SAMPLED) * uu * vv and uv < 0.0:
+            return False
+    for i in range(n - 1):
+        for j in range(i + 2, n - 1):
+            if _reference_segment_distance(pts[i], pts[i + 1],
+                                           pts[j], pts[j + 1]) <= tol:
+                return False
+    return True
+
+
+_DIMS = st.sampled_from([2, 4])
+
+
+@st.composite
+def random_walks(draw):
+    # Steps of any size and direction: some walks stay simple, many cross.
+    dim = draw(_DIMS)
+    n = draw(st.integers(2, 16))
+    # At 1e-160 and 1e-165 squared lengths fall to subnormals or to zero.
+    scale = draw(st.sampled_from([1e-165, 1e-160, 1e-6, 1.0, 1e6]))
+    steps = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                                   max_size=dim), min_size=n, max_size=n))
+    return np.cumsum(np.array(steps) * scale, axis=0)
+
+
+@st.composite
+def time_ordered_walks(draw):
+    # Monotone in the first coordinate, so simple unless a step is tiny.
+    n = draw(st.integers(2, 16))
+    dts = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    dxs = draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n))
+    return np.column_stack([np.cumsum(dts), np.cumsum(dxs)])
+
+
+@st.composite
+def self_crossing_walks(draw):
+    # A walk that comes back to a point of one of its earlier segments
+    # (possibly nudged off it), so it touches or crosses itself.
+    walk = draw(random_walks())
+    i = draw(st.integers(0, len(walk) - 2))
+    s = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    nudge = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    back = walk[i] + s * (walk[i + 1] - walk[i]) + nudge
+    away = back + draw(st.sampled_from([-1.0, 1.0]))
+    return np.vstack([walk, back, away])
+
+
+@st.composite
+def lattice_polylines(draw):
+    # Small integer grids: vertices repeat, segments overlap, touch and fold.
+    dim = draw(_DIMS)
+    n = draw(st.integers(2, 12))
+    coords = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
+                                    max_size=dim), min_size=n, max_size=n))
+    return np.array(coords, dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(random_walks(), time_ordered_walks(), self_crossing_walks(),
+                 lattice_polylines()))
+def test_polyline_is_simple_matches_the_scalar_loops(points):
+    assert polyline_is_simple(points) == _reference_is_simple(points)
+
+
+# Fixtures whose closest approach is exactly the tolerance.  Both have the
+# bounding box [0, 2] x [0, 1], so tol = REL_TOL_SAMPLED * sqrt(5), and the
+# gap h is tol itself or the next float above it.  Every coordinate of the
+# closest points is computed exactly, so the distance is h.
+_TOL = REL_TOL_SAMPLED * math.sqrt(5.0)
+
+
+def _vertex_at(h):
+    # First and last vertices h apart.
+    return np.array([[0.0, h], [0.0, 1.0], [2.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
+
+
+def _segment_interior_at(h):
+    # The first vertex sits h above the middle of the last segment.
+    return np.array([[1.0, h], [1.0, 1.0], [2.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
+
+
+def _segment_end_at(h):
+    # The last segment comes down at a slant and ends h above the middle of
+    # the first; the lines through the two meet beyond that end.
+    return np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.5, 2.0 * h],
+                     [1.0, h]])
+
+
+def _segment_start_at(h):
+    # The last segment starts h above a point of the first, near its end,
+    # and leaves at a slant; the lines through the two meet before that start.
+    near = 2.0 - 2.0 ** -20
+    return np.array([[0.0, 0.0], [2.0, 0.0], [near, h], [1.5, 1.0]])
+
+
+@pytest.mark.parametrize("fixture", [_vertex_at, _segment_interior_at,
+                                     _segment_end_at, _segment_start_at])
+def test_contact_exactly_at_tol_is_not_simple(fixture):
+    at = fixture(_TOL)
+    first, last = at[:2].tolist(), at[-2:].tolist()
+    assert _reference_segment_distance(*first, *last) == _TOL
+    beyond = fixture(float(np.nextafter(_TOL, 1.0)))
+    assert not polyline_is_simple(at) and not _reference_is_simple(at)
+    assert polyline_is_simple(beyond) and _reference_is_simple(beyond)
