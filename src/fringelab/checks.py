@@ -175,7 +175,7 @@ def _check_boost_interval(ctx: CheckContext, rng) -> tuple[bool, str]:
         p = random_event(rng)
         V = float(rng.uniform(-0.999, 0.999))
         q = lorentz_boost(p, V)
-        scale = p.x[0] ** 2 + p.t ** 2
+        scale = p.x ** 2 + p.t ** 2
         worst = max(worst, abs(event_interval(q) - event_interval(p)) / scale)
     ok = worst <= REL_TOL_ALGEBRA
     return ok, (f"|V|<c preserves the interval; worst relative drift "
@@ -189,7 +189,12 @@ def _check_interval_flip(ctx: CheckContext, rng) -> tuple[bool, str]:
         V = float(rng.uniform(1.001, 100.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         eta = 1 if rng.random() < 0.5 else -1
         q = superluminal_map(p, V, eta)
-        scale = p.x[0] ** 2 + p.t ** 2
+        # The two signs of eta differ by the total inversion, exactly.
+        r = superluminal_map(p, V, -eta)
+        if (r.t, r.x) != (-q.t, -q.x):
+            return False, (f"the two signs of eta are not each other's total "
+                           f"inversion at V={format_float(V)}")
+        scale = p.x ** 2 + p.t ** 2
         worst = max(worst, abs(event_interval(q) + event_interval(p)) / scale)
     ok = worst <= REL_TOL_ALGEBRA
     return ok, (f"|V|>c negates the interval for both eta; worst relative "
@@ -209,9 +214,9 @@ def _check_velocity_addition(ctx: CheckContext, rng) -> tuple[bool, str]:
         p = random_event(rng)
         direct = lorentz_boost(lorentz_boost(p, V2), V1)
         via = h.apply(p)
-        scale = abs(p.t) + abs(p.x[0]) + 1.0
+        scale = abs(p.t) + abs(p.x) + 1.0
         worst = max(worst,
-                    max(abs(via.t - direct.t), abs(via.x[0] - direct.x[0])) / scale)
+                    max(abs(via.t - direct.t), abs(via.x - direct.x)) / scale)
     w = velocity_addition(0.5, 0.5)
     if w != 0.8:
         return False, f"0.5c plus 0.5c gave {format_float(w)}, expected 0.8"

@@ -192,7 +192,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     for p in events:
         q = m.apply(p)
         lines.append(",".join(format_float(v) for v in (
-            p.t, p.x[0], q.t, q.x[0],
+            p.t, p.x, q.t, q.x,
             event_interval(p, m.c), event_interval(q, m.c))))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0

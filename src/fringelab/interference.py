@@ -272,15 +272,13 @@ def _simulate_amplitude(config: ExperimentConfig,
 
 
 def _at_phase(config: ExperimentConfig, p: float) -> ExperimentConfig:
-    """``config`` with phase ``p``, checking only the phase.
+    """``config`` with phase ``p``, checking nothing.
 
-    For a float ``p`` the result equals ``dataclasses.replace(config,
-    phase=p)`` field for field.  The other fields passed problems() when
-    ``config`` was built, so they are copied without re-running
-    __post_init__.
+    ``p`` is a float from a phase grid that _phase_floats checked once, on
+    entry, and the other fields passed problems() when ``config`` was
+    built, so the result, equal to ``dataclasses.replace(config, phase=p)``
+    field for field, is made without re-running __post_init__.
     """
-    if finite_float(p) is None:
-        raise ConfigError(_PHASE_NOT_FINITE)
     out = object.__new__(ExperimentConfig)
     out.__dict__.update(config.__dict__, phase=p)
     return out
@@ -298,10 +296,10 @@ def phase_sweep(config: ExperimentConfig, phis: Sequence[float],
                 ) -> list[tuple[float, OutcomeDistribution]]:
     """simulate at each phase in turn, keeping everything else fixed.
 
-    ``config`` is validated once, when it is built; each phase is checked
-    for finiteness where it is swapped in.  Every (config, phase) pair
-    still goes through simulate, so a kernel that leaked the phase, or
-    ignored it, would show in the sweep.
+    ``config`` is validated once, when it is built, and the phase grid
+    once, on entry.  Every (config, phase) pair still goes through
+    simulate, so a kernel that leaked the phase, or ignored it, would show
+    in the sweep.
     """
     phis = _phase_floats(phis)
     if not phis:
@@ -362,11 +360,11 @@ def no_go_search(phis: Sequence[float],
     resolution, crossed with every blocking and detector-model variant, all
     in classical composition; records the worst phase variation of each
     outcome probability.  Each enumerated config is validated once, when it
-    is built, and each phase is checked for finiteness where it is swapped
-    in.  Every (config, phase) pair still goes through simulate, so a
-    classical kernel that read the phase would show here.  The companion
-    number is the amplitude-mode fringe visibility on the same phases,
-    which should be maximal when the grid spans a full period.
+    is built, and the phase grid once, on entry.  Every (config, phase)
+    pair still goes through simulate, so a classical kernel that read the
+    phase would show here.  The companion number is the amplitude-mode
+    fringe visibility on the same phases, which should be maximal when the
+    grid spans a full period.
     """
     phis = _phase_floats(phis)
     if len(phis) < 2:

@@ -1,9 +1,11 @@
 """Extended 1+1 Lorentz kinematics and worldline topology checks.
 
-Events are ordered ``(t, x)`` and represented internally as vectors
-``[t, x1, ...]`` with the metric ``diag(-c^2, 1, ...)``, so the signed
-interval of a displacement is ``|dx|^2 - c^2 dt^2`` (negative: timelike,
-positive: spacelike, zero: null).
+Events are 1+1 pairs ``(t, x)`` with the metric ``diag(-c^2, 1)``, so the
+signed interval of a displacement is ``dx^2 - c^2 dt^2`` (negative:
+timelike, positive: spacelike, zero: null).  1+3 appears only in maps: a
+4x4 general-linear FrameMap (general_boost_matrix, rotation_matrix),
+compose, classify_cone_preserver and preserves_null_lines, which is where
+the claim that no linear map flips the interval in 1+3 is tested.
 
 Two boost branches are provided.  The standard subluminal boost,
 
@@ -78,44 +80,29 @@ def _finite_array(value) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class SpacetimePoint:
-    """An event ``(t, x)`` with 1 or 3 spatial coordinates.
-
-    ``x`` may be given as a bare float (1+1) or a length-1 or length-3
-    sequence; it is stored as a tuple.
-    """
+    """A 1+1 event ``(t, x)``: two finite floats."""
 
     t: float
-    x: tuple[float, ...]
+    x: float
 
     def __post_init__(self):
-        t = finite_float(self.t)
-        x = ((finite_float(self.x),) if isinstance(self.x, (int, float))
-             else tuple(map(finite_float, self.x)))
-        if len(x) not in (1, 3):
-            raise KinematicsError(
-                f"spatial part must have 1 or 3 components, got {len(x)}")
-        if t is None or None in x:
+        try:
+            t, x = finite_float(self.t), finite_float(self.x)
+        except TypeError:  # a sequence, None or another non-number
+            raise KinematicsError("event coordinates must be numbers") from None
+        if t is None or x is None:
             raise KinematicsError("event coordinates must be finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
 
-    @property
-    def spatial_dim(self) -> int:
-        return len(self.x)
-
     def to_vector(self) -> np.ndarray:
-        return np.array((self.t,) + self.x, dtype=float)
-
-    @classmethod
-    def from_vector(cls, vec: Sequence[float]) -> "SpacetimePoint":
-        vec = np.asarray(vec, dtype=float)
-        return cls(vec[0], vec[1:])
+        return np.array((self.t, self.x))
 
 
 def event_interval(p: SpacetimePoint, c: float = DEFAULT_C) -> float:
-    """Signed interval of ``p`` relative to the origin: |x|^2 - c^2 t^2."""
+    """Signed interval of ``p`` relative to the origin: x^2 - c^2 t^2."""
     try:
-        value = math.fsum(v * v for v in p.x) - (c * p.t) ** 2
+        value = p.x * p.x - (c * p.t) ** 2
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -136,17 +123,15 @@ class IntervalKind(str, Enum):
 
 def classify_interval(a: SpacetimePoint, b: SpacetimePoint,
                       c: float = DEFAULT_C) -> IntervalKind:
-    """Classify the separation of two events by the sign of |dx|^2 - c^2 dt^2.
+    """Classify the separation of two events by the sign of dx^2 - c^2 dt^2.
 
-    The null band is relative: |value| <= REL_TOL_ALGEBRA * (|dx|^2 +
+    The null band is relative: |value| <= REL_TOL_ALGEBRA * (dx^2 +
     c^2 dt^2), so classification is invariant under rescaling all coordinates;
     both sides are halved, so the band cannot overflow where the interval fits.
     An interval that does not fit a float raises KinematicsError.
     """
-    if a.spatial_dim != b.spatial_dim:
-        raise KinematicsError("events have different dimensions")
     try:
-        space = math.fsum((xb - xa) ** 2 for xa, xb in zip(a.x, b.x))
+        space = (b.x - a.x) ** 2
         time = (c * (b.t - a.t)) ** 2
         value = space - time
     except OverflowError:
@@ -217,16 +202,11 @@ def superluminal_gamma(V: float, c: float = DEFAULT_C) -> float:
     return 1.0 / math.sqrt((V / c) ** 2 - 1.0)
 
 
-def boost_matrix(V: float, c: float = DEFAULT_C,
-                 spatial_dim: int = 1) -> np.ndarray:
-    """Matrix of an x-axis boost acting on (t, x[, y, z]) vectors."""
+def boost_matrix(V: float, c: float = DEFAULT_C) -> np.ndarray:
+    """Matrix of the 1+1 boost on (t, x) vectors."""
     g = lorentz_gamma(V, c)
-    m = np.eye(spatial_dim + 1)
-    m[0, 0] = g
-    m[0, 1] = -g * V / (c * c)
-    m[1, 0] = -g * V
-    m[1, 1] = g
-    return m
+    return np.array([[g, -g * V / (c * c)],
+                     [-g * V, g]])
 
 
 def superluminal_matrix(V: float, eta: int, c: float = DEFAULT_C) -> np.ndarray:
@@ -274,11 +254,13 @@ def rotation_matrix(axis: Sequence[float], angle: float) -> np.ndarray:
     a = np.array(a)
     with np.errstate(over="ignore"):
         n = np.linalg.norm(a)
-    if n == 0.0:
-        raise KinematicsError("rotation axis must be nonzero")
-    if n == math.inf:
-        # The axis is finite but its norm is not: rescale it first.
-        a = a / np.max(np.abs(a))
+    if n == 0.0 or n == math.inf:
+        # The norm under- or overflows, or the axis is zero: rescale by the
+        # largest component, which leaves only a zero axis with a zero norm.
+        peak = np.max(np.abs(a))
+        if peak == 0.0:
+            raise KinematicsError("rotation axis must be nonzero")
+        a = a / peak
         n = np.linalg.norm(a)
     a = a / n
     k = np.array([[0.0, -a[2], a[1]],
@@ -435,10 +417,9 @@ class FrameMap:
                 and not np.any(self.translation))
 
     def apply(self, p: SpacetimePoint) -> SpacetimePoint:
-        if p.spatial_dim != self.spatial_dim:
+        if self.spatial_dim != 1:
             raise KinematicsError("event dimension does not match the map")
-        return SpacetimePoint.from_vector(
-            self.linear_part @ p.to_vector() + self.translation)
+        return SpacetimePoint(*(self.linear_part @ p.to_vector() + self.translation))
 
     __call__ = apply
 
@@ -450,17 +431,13 @@ class FrameMap:
 
 def lorentz_boost(p: SpacetimePoint, V: float, c: float = DEFAULT_C) -> SpacetimePoint:
     """Boost an event along the x axis; preserves every pair interval."""
-    m = boost_matrix(V, c, p.spatial_dim)
-    return SpacetimePoint.from_vector(m @ p.to_vector())
+    return SpacetimePoint(*(boost_matrix(V, c) @ p.to_vector()))
 
 
 def superluminal_map(p: SpacetimePoint, V: float, eta: int,
                      c: float = DEFAULT_C) -> SpacetimePoint:
-    """Apply the formal |V| > c map; negates every interval (1+1 only)."""
-    if p.spatial_dim != 1:
-        raise KinematicsError("the superluminal branch exists only in 1+1")
-    m = superluminal_matrix(V, eta, c)
-    return SpacetimePoint.from_vector(m @ p.to_vector())
+    """Apply the formal |V| > c map; negates every interval."""
+    return SpacetimePoint(*(superluminal_matrix(V, eta, c) @ p.to_vector()))
 
 
 def velocity_addition(V1: float, V2: float, c: float = DEFAULT_C) -> float:
@@ -583,8 +560,6 @@ class Worldline:
         for v in verts:
             if not isinstance(v, SpacetimePoint):
                 raise KinematicsError("vertices must be SpacetimePoint values")
-        if len({v.spatial_dim for v in verts}) > 1:
-            raise KinematicsError("vertices must share one dimension")
         taus = tuple(map(finite_float, range(len(verts)) if taus is None else taus))
         if len(taus) != len(verts):
             raise KinematicsError("need exactly one tau label per vertex")
@@ -592,12 +567,10 @@ class Worldline:
             raise KinematicsError("tau labels must be finite")
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise KinematicsError("tau labels must strictly increase")
-        if check_simple and len(verts) >= 2:
-            pts = np.array([v.to_vector() for v in verts])
-            if not polyline_is_simple(pts):
-                raise KinematicsError("worldline polyline is not simple")
         self._vertices = verts
         self._taus = taus
+        if check_simple and not polyline_is_simple(self.points_array()):
+            raise KinematicsError("worldline polyline is not simple")
 
     @property
     def vertices(self) -> tuple[SpacetimePoint, ...]:
@@ -607,16 +580,11 @@ class Worldline:
     def taus(self) -> tuple[float, ...]:
         return self._taus
 
-    @property
-    def spatial_dim(self) -> int | None:
-        return self._vertices[0].spatial_dim if self._vertices else None
-
     def __len__(self) -> int:
         return len(self._vertices)
 
     def points_array(self) -> np.ndarray:
-        return np.array([v.to_vector() for v in self._vertices]).reshape(
-            len(self._vertices), -1)
+        return np.array([(v.t, v.x) for v in self._vertices]).reshape(-1, 2)
 
 
 def past_worldline_segment(w: Worldline, e_index: int) -> Worldline:
@@ -672,16 +640,22 @@ def polyline_is_simple(points: np.ndarray) -> bool:
     tests each take one numpy pass over all their segment pairs.  Contact
     is the distance between the closest points of two segments, found by
     the clamped construction of Ericson (Real-Time Collision Detection,
-    5.1.9) with each of its branches selected by np.where.
+    5.1.9) with each of its branches selected by np.where.  A diagonal
+    that is not a finite float raises KinematicsError.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 2:
         return True
     rows = pts.tolist()
-    diag = math.sqrt(sum(
-        (max(p[k] for p in rows) - min(p[k] for p in rows)) ** 2
-        for k in range(len(rows[0]))))
+    try:
+        diag = math.sqrt(sum(
+            (max(p[k] for p in rows) - min(p[k] for p in rows)) ** 2
+            for k in range(len(rows[0]))))
+    except OverflowError:
+        diag = math.inf
+    if not math.isfinite(diag):
+        raise KinematicsError("polyline: bounding-box diagonal is not a finite float")
     tol = REL_TOL_SAMPLED * diag
     for i in range(n):
         for j in range(i + 1, n):
@@ -727,9 +701,7 @@ def check_no_branching(w: Worldline, m: FrameMap) -> bool:
     touch itself (two vertices within tolerance, a collinear fold-back or
     contact between non-adjacent segments), and that test rejects each.
     """
-    if len(w) == 0:
-        return True
-    if w.spatial_dim != m.spatial_dim:
+    if m.spatial_dim != 1:
         raise KinematicsError("worldline dimension does not match the map")
     pts = w.points_array() @ m.linear_part.T + m.translation
     return polyline_is_simple(pts)

@@ -243,6 +243,28 @@ def _x_dropping_no_branching(w, m):
     return kinematics.polyline_is_simple(pts)
 
 
+def _gamma_free_boost(p, V, c=1.0):
+    # The boost without its gamma factor: it scales every interval by 1/g^2.
+    return SpacetimePoint(p.t - V * p.x / (c * c), p.x - V * p.t)
+
+
+_superluminal_matrix = kinematics.superluminal_matrix
+
+
+def _eta_blind_superluminal_matrix(V, eta, c=1.0):
+    # Always the eta = +1 branch, which still negates every interval.
+    return _superluminal_matrix(V, 1, c)
+
+
+def _past_segment_with_the_event(w, e_index):
+    # The prefix through the event's own vertex, not strictly before it.
+    return Worldline(w.vertices[:e_index + 1], w.taus[:e_index + 1])
+
+
+def _always(kind):
+    return lambda m: kinematics.ConeClassification(kind, 1.0)
+
+
 MUTATIONS = {
     "blocked-arm-exact": (interference, "_per_path_splits", _squared_root_splits),
     "classical-no-go": (interference, "_simulate_classical",
@@ -257,6 +279,17 @@ MUTATIONS = {
     "carrier-minimality": (amplitudes, "sum_alternatives", lambda a, b: a),
     "causal-past-boost-invariance": (checks, "in_causal_past",
                                      lambda e, cand, c=1.0: cand.t <= e.t),
+    "boost-interval-invariance": (checks, "lorentz_boost", _gamma_free_boost),
+    "cone-preserver-classification": (checks, "classify_cone_preserver",
+                                      _always(ConeClass.CONFORMAL_LORENTZ)),
+    "no-sign-flip-in-four-dimensions": (checks, "classify_cone_preserver",
+                                        _always(ConeClass.SIGN_FLIP)),
+    "null-line-sampling-agreement": (checks, "preserves_null_lines",
+                                     lambda m, rng: True),
+    "past-segment-prefix": (checks, "past_worldline_segment",
+                            _past_segment_with_the_event),
+    "superluminal-interval-flip": (kinematics, "superluminal_matrix",
+                                   _eta_blind_superluminal_matrix),
 }
 
 

@@ -101,7 +101,7 @@ def test_transform_output_round_trips(tmp_path, capsys):
         if line and not line.startswith("#") and not line.startswith("t,"))
     parsed = parse_events_csv(first_two + "\n")
     assert parsed[0].t == 0.1
-    assert parsed[0].x[0] == 0.30000000000000004
+    assert parsed[0].x == 0.30000000000000004
 
 
 def test_transform_reports_bad_line(tmp_path, capsys):
@@ -232,6 +232,17 @@ def test_out_of_range_values_exit_2_naming_the_field(tmp_path, capsys,
                          "--events", write(tmp_path / "events.csv", events))
     assert code == 2
     assert f"{field}:" in err
+    assert out == ""
+
+
+def test_transform_rejects_a_1_plus_3_map(tmp_path, capsys):
+    eye4 = [[float(i == j) for j in range(4)] for i in range(4)]
+    config = write(tmp_path / "map.json", dump_json(
+        {"schema": 1, "branch": "general-linear", "linear_part": eye4}))
+    code, out, err = run(capsys, "transform", "--config", config,
+                         "--events", write(tmp_path / "events.csv", EVENTS))
+    assert code == 2
+    assert "transform expects a 1+1 map for t,x events" in err
     assert out == ""
 
 

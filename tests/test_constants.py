@@ -13,12 +13,13 @@ from fringelab.constants import finite_float
 SRC = Path(__file__).resolve().parent.parent / "src" / "fringelab"
 
 # The only places an OverflowError may be caught: finite_float itself, and
-# the three sites that catch arithmetic overflow in a result.
+# the four sites that catch arithmetic overflow in a result.
 OVERFLOW_HANDLERS = [
     ("amplitudes.py", "carrier_minimality_check"),
     ("constants.py", "finite_float"),
     ("kinematics.py", "classify_interval"),
     ("kinematics.py", "event_interval"),
+    ("kinematics.py", "polyline_is_simple"),
 ]
 
 

@@ -303,19 +303,6 @@ def test_classical_kernel_matches_the_generator_formula_bit_for_bit(config, p):
         assert vars(got) == vars(expected)
 
 
-@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1e309, -1e309,
-                               10 ** 309, -10 ** 309],
-                         ids=["nan", "inf", "-inf", "1e309", "-1e309",
-                              "10**309", "-10**309"])
-def test_at_phase_rejects_a_nonfinite_phase_as_replace_does(p):
-    config = ExperimentConfig(composition=Composition.CLASSICAL_MIXTURE)
-    with pytest.raises(ConfigError) as fast:
-        _at_phase(config, p)
-    with pytest.raises(ConfigError) as slow:
-        dataclasses.replace(config, phase=p)
-    assert str(fast.value) == str(slow.value) == "phase: must be finite"
-
-
 _BIG = 10 ** 400
 
 # One row per entry point: the call of one bad value, the exact error class
@@ -345,8 +332,6 @@ _ENTRY_POINTS = [
     ("SpacetimePoint.t", lambda v: SpacetimePoint(v, 0.0),
      KinematicsError, "event coordinates must be finite"),
     ("SpacetimePoint.x", lambda v: SpacetimePoint(0.0, v),
-     KinematicsError, "event coordinates must be finite"),
-    ("SpacetimePoint.x-1+3", lambda v: SpacetimePoint(0.0, (0.0, v, 0.0)),
      KinematicsError, "event coordinates must be finite"),
     ("Worldline.taus", lambda v: Worldline(
         [SpacetimePoint(0.0, 0.0), SpacetimePoint(1.0, 0.0)], [0.0, v]),

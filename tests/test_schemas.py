@@ -154,8 +154,8 @@ def test_events_csv_parse_and_emit():
     text = "# comment\nt,x\n0,0\n1.5,-2\n\n# trailing comment\n2,3\n"
     events = parse_events_csv(text)
     assert len(events) == 3
-    assert events[1].t == 1.5 and events[1].x == (-2.0,)
-    rows = [f"{format_float(p.t)},{format_float(p.x[0])}" for p in events]
+    assert events[1].t == 1.5 and events[1].x == -2.0
+    rows = [f"{format_float(p.t)},{format_float(p.x)}" for p in events]
     assert rows == ["0,0", "1.5,-2", "2,3"]
 
 

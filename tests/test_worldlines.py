@@ -12,8 +12,8 @@ from fringelab.kinematics import (
     KinematicsError,
     SpacetimePoint,
     Worldline,
-    boost_matrix,
     check_no_branching,
+    general_boost_matrix,
     past_worldline_segment,
     polyline_is_simple,
 )
@@ -98,15 +98,13 @@ def test_past_segment_is_a_strict_prefix():
         past_worldline_segment(w, -1)
 
 
-def test_past_segment_is_a_worldline_of_the_same_dimension():
-    w = Worldline([SpacetimePoint(float(i), (0.5 * i, -i, 0.25))
-                   for i in range(5)])
+def test_past_segment_is_a_worldline_prefix():
+    w = Worldline([SpacetimePoint(float(i), 0.5 * i) for i in range(5)])
     past = past_worldline_segment(w, 3)
     assert type(past) is Worldline
-    assert past.spatial_dim == 3
     assert past.vertices == w.vertices[:3] and past.taus == w.taus[:3]
     assert np.array_equal(past.points_array(), w.points_array()[:3])
-    assert past_worldline_segment(w, 0).spatial_dim is None
+    assert past_worldline_segment(w, 0).points_array().shape == (0, 2)
 
 
 def test_no_branching_under_boosts_and_superluminal_maps():
@@ -153,9 +151,31 @@ def test_no_branching_on_random_simple_walks():
 
 def test_no_branching_dimension_mismatch_raises():
     w = Worldline(_pts((0.0, 0.0), (1.0, 0.5)))
-    m = FrameMap.general_linear(boost_matrix(0.5, 1.0, 3))
-    with pytest.raises(KinematicsError):
+    m = FrameMap.general_linear(general_boost_matrix([0.5, 0.0, 0.0]))
+    with pytest.raises(KinematicsError) as info:
         check_no_branching(w, m)
+    assert str(info.value) == "worldline dimension does not match the map"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Worldline(_pts((0.0, 0.0), (1e200, 0.0))),
+    lambda: check_no_branching(Worldline(_pts((0.0, 0.0), (1.0, 0.5))),
+                               FrameMap.general_linear([[1e300, 0], [0, 1e300]])),
+    lambda: polyline_is_simple(np.array([[-1e308, 0.0], [1e308, 0.0]])),
+], ids=["square-overflows", "image-square-overflows", "extent-is-inf"])
+def test_a_diagonal_that_is_not_a_finite_float_raises(call):
+    # (max - min) ** 2 overflows past an extent of about 1.3e154, and an
+    # extent past the largest float makes the diagonal, and tol, inf.
+    with pytest.raises(KinematicsError) as info:
+        call()
+    assert type(info.value) is KinematicsError
+    assert str(info.value) == ("polyline: bounding-box diagonal is not a "
+                               "finite float")
+
+
+def test_a_large_finite_diagonal_keeps_its_verdict():
+    assert len(Worldline(_pts((0.0, 0.0), (1e150, 0.0), (2e150, 1e150)))) == 3
+    assert not polyline_is_simple(np.array([[0.0, 0.0], [1e150, 0.0], [0.0, 0.0]]))
 
 
 # -- the vectorised simplicity test against the scalar loops ------------------
