@@ -64,12 +64,10 @@ from .kinematics import (
     classify_cone_preserver,
     compose,
     event_interval,
-    general_boost_matrix,
     in_causal_past,
     lorentz_boost,
     past_worldline_segment,
     preserves_null_lines,
-    rotation_matrix,
     superluminal_map,
     velocity_addition,
 )
@@ -145,16 +143,22 @@ def random_invertible_frame_map(rng: np.random.Generator) -> FrameMap:
             return FrameMap.general_linear(lin, translation=translation)
 
 
-def random_conformal_lorentz_4d(rng: np.random.Generator) -> tuple[FrameMap, float]:
-    """lambda * (boost about a random axis composed with a rotation), 1+3."""
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    v = float(rng.uniform(0.0, 0.95)) * direction
-    axis = rng.normal(size=3)
-    angle = float(rng.uniform(0.0, 2.0 * math.pi))
+def _random_rotation_4d(rng: np.random.Generator) -> np.ndarray:
+    """A 1+3 spatial rotation: two Householder reflections I - 2uu^T of x, y, z."""
+    r = np.eye(4)
+    for _ in range(2):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        r[1:, 1:] = (np.eye(3) - 2.0 * np.outer(u, u)) @ r[1:, 1:]
+    return r
+
+
+def random_conformal_lorentz_4d(rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """(lambda R1 B R2, lambda): rotations on both sides of an x boost, 1+3."""
+    b = np.eye(4)
+    b[:2, :2] = boost_matrix(float(rng.uniform(-0.95, 0.95)))
     lam = float(rng.uniform(0.1, 10.0))
-    lin = lam * (general_boost_matrix(v) @ rotation_matrix(axis, angle))
-    return FrameMap.general_linear(lin), lam
+    return lam * (_random_rotation_4d(rng) @ b @ _random_rotation_4d(rng)), lam
 
 
 def perturbed_noncone_map(rng: np.random.Generator) -> FrameMap:
@@ -233,12 +237,13 @@ def _check_superluminal_composition(ctx: CheckContext, rng) -> tuple[bool, str]:
         eta2 = 1 if rng.random() < 0.5 else -1
         double = compose(FrameMap.superluminal(V1, eta1),
                          FrameMap.superluminal(V2, eta2))
-        if classify_cone_preserver(double).kind is not ConeClass.CONFORMAL_LORENTZ:
+        if (classify_cone_preserver(double.linear_part).kind
+                is not ConeClass.CONFORMAL_LORENTZ):
             return False, ("two interval-flipping maps should compose to an "
                            "interval preserver")
         mixed = compose(FrameMap.superluminal(V1, eta1),
                         FrameMap.boost(float(rng.uniform(-0.9, 0.9))))
-        if classify_cone_preserver(mixed).kind is not ConeClass.SIGN_FLIP:
+        if classify_cone_preserver(mixed.linear_part).kind is not ConeClass.SIGN_FLIP:
             return False, "boost then superluminal map should still flip intervals"
     return True, ("superluminal∘superluminal preserves intervals, mixed "
                   "compositions flip them")
@@ -248,17 +253,17 @@ def _check_cone_classification(ctx: CheckContext, rng) -> tuple[bool, str]:
     flips = max(10, ctx.trials // 10)
     bad = max(10, ctx.trials // 10)
     for _ in range(ctx.trials):
-        m, _lam = random_conformal_lorentz_4d(rng)
-        if classify_cone_preserver(m).kind is not ConeClass.CONFORMAL_LORENTZ:
+        lin, _lam = random_conformal_lorentz_4d(rng)
+        if classify_cone_preserver(lin).kind is not ConeClass.CONFORMAL_LORENTZ:
             return False, "a scaled 1+3 Lorentz map misclassified"
     for _ in range(flips):
         V = float(rng.uniform(1.001, 50.0))
         eta = 1 if rng.random() < 0.5 else -1
-        cls = classify_cone_preserver(FrameMap.superluminal(V, eta))
+        cls = classify_cone_preserver(FrameMap.superluminal(V, eta).linear_part)
         if cls.kind is not ConeClass.SIGN_FLIP:
             return False, f"superluminal V={format_float(V)} failed to classify sign-flip"
     for _ in range(bad):
-        if (classify_cone_preserver(perturbed_noncone_map(rng)).kind
+        if (classify_cone_preserver(perturbed_noncone_map(rng).linear_part).kind
                 is not ConeClass.NOT_CONE_PRESERVING):
             return False, "an anisotropic stretch classified as cone-preserving"
     return True, (f"{ctx.trials} conformal, {flips} sign-flip, {bad} spoiled "
@@ -270,7 +275,8 @@ def _check_null_sampling_agreement(ctx: CheckContext, rng) -> tuple[bool, str]:
     for _ in range(n):
         m = random_invertible_frame_map(rng)
         sampled = preserves_null_lines(m, rng)
-        algebraic = classify_cone_preserver(m).kind is not ConeClass.NOT_CONE_PRESERVING
+        algebraic = (classify_cone_preserver(m.linear_part).kind
+                     is not ConeClass.NOT_CONE_PRESERVING)
         if sampled != algebraic:
             return False, "sampled null-ray test disagreed with the pullback algebra"
         spoiled = perturbed_noncone_map(rng)
@@ -286,8 +292,7 @@ def _check_no_4d_sign_flip(ctx: CheckContext, rng) -> tuple[bool, str]:
         lin = rng.normal(size=(4, 4))
         if abs(np.linalg.det(lin)) <= 1e-6:
             continue
-        if (classify_cone_preserver(FrameMap.general_linear(lin)).kind
-                is ConeClass.SIGN_FLIP):
+        if classify_cone_preserver(lin).kind is ConeClass.SIGN_FLIP:
             return False, "a 1+3 map classified as an interval sign-flip"
     return True, (f"no sign-flip verdict across {n} random 1+3 maps "
                   f"(the form and its negative differ in signature)")

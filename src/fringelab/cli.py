@@ -182,8 +182,6 @@ def _read_text(path: str) -> str:
 def cmd_transform(args: argparse.Namespace) -> int:
     events = parse_events_csv(_read_text(args.events))
     m = frame_map_from_dict(load_json(_read_text(args.config)))
-    if m.spatial_dim != 1:
-        raise SchemaError("transform expects a 1+1 map for t,x events")
     lines = ["# map: " + m.branch.value
              + (f" V={format_float(m.V)}" if m.V is not None else "")
              + (f" eta={m.eta:+d}" if m.eta is not None else "")

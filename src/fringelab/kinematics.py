@@ -2,10 +2,10 @@
 
 Events are 1+1 pairs ``(t, x)`` with the metric ``diag(-c^2, 1)``, so the
 signed interval of a displacement is ``dx^2 - c^2 dt^2`` (negative:
-timelike, positive: spacelike, zero: null).  1+3 appears only in maps: a
-4x4 general-linear FrameMap (general_boost_matrix, rotation_matrix),
-compose, classify_cone_preserver and preserves_null_lines, which is where
-the claim that no linear map flips the interval in 1+3 is tested.
+timelike, positive: spacelike, zero: null), and every FrameMap is 1+1.
+1+3 appears in one function: classify_cone_preserver also takes a 4x4
+matrix, which is where the claim that no linear map flips the interval in
+1+3 is tested.
 
 Two boost branches are provided.  The standard subluminal boost,
 
@@ -71,6 +71,18 @@ def _finite_array(value) -> np.ndarray | None:
     if all(_is_number(v) and finite_float(v) is not None for v in entries.flat):
         return entries.astype(float)
     return None
+
+
+def _require_invertible(lin: np.ndarray):
+    # |det L| over the product of its row lengths (Hadamard's bound) lies in
+    # [0, 1] and is unchanged when L is scaled.  Each row is first divided
+    # by its largest entry, so nothing over- or underflows.
+    peaks = np.max(np.abs(lin), axis=1, keepdims=True)
+    rows = lin / np.where(peaks > 0.0, peaks, 1.0)
+    lengths = np.linalg.norm(rows, axis=1)
+    if abs(np.linalg.det(rows)) <= REL_TOL_ALGEBRA * np.prod(lengths):
+        raise SingularMapError("linear_part: singular within tolerance, "
+                               "relative to its row lengths")
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +205,18 @@ def _require_superluminal(V: float, c: float):
 def lorentz_gamma(V: float, c: float = DEFAULT_C) -> float:
     """Stretch factor 1/sqrt(1 - V^2/c^2) for |V| < c."""
     _require_subluminal(V, c)
-    return 1.0 / math.sqrt(1.0 - (V / c) ** 2)
+    return 1.0 / math.sqrt(1.0 - (float(V) / c) ** 2)
 
 
 def superluminal_gamma(V: float, c: float = DEFAULT_C) -> float:
     """Stretch factor 1/sqrt(V^2/c^2 - 1) for |V| > c."""
     _require_superluminal(V, c)
-    return 1.0 / math.sqrt((V / c) ** 2 - 1.0)
+    return 1.0 / math.sqrt((float(V) / c) ** 2 - 1.0)
 
 
 def boost_matrix(V: float, c: float = DEFAULT_C) -> np.ndarray:
     """Matrix of the 1+1 boost on (t, x) vectors."""
-    g = lorentz_gamma(V, c)
+    g, V = lorentz_gamma(V, c), float(V)  # float64 for a numpy float32 V
     return np.array([[g, -g * V / (c * c)],
                      [-g * V, g]])
 
@@ -217,60 +229,9 @@ def superluminal_matrix(V: float, eta: int, c: float = DEFAULT_C) -> np.ndarray:
     """
     if isinstance(eta, bool) or eta not in (1, -1):
         raise KinematicsError(f"eta: must be +1 or -1, got {eta!r}")
-    g = superluminal_gamma(V, c)
+    g, V = superluminal_gamma(V, c), float(V)
     return eta * g * np.array([[1.0, -V / (c * c)],
                                [-V, 1.0]])
-
-
-def general_boost_matrix(v: Sequence[float], c: float = DEFAULT_C) -> np.ndarray:
-    """1+3 boost along an arbitrary 3-velocity, acting on (t, x, y, z)."""
-    if np.shape(v) != (3,):
-        raise KinematicsError("velocity must be a 3-vector")
-    v = [finite_float(u) for u in v]
-    if None in v:
-        raise SpeedDomainError("V: must be finite")
-    v = np.array(v)
-    speed = float(np.linalg.norm(v))
-    if speed == 0.0:
-        return np.eye(4)
-    g = lorentz_gamma(speed, c)
-    m = np.eye(4)
-    m[0, 0] = g
-    m[0, 1:] = -g * v / (c * c)
-    m[1:, 0] = -g * v
-    m[1:, 1:] = np.eye(3) + (g - 1.0) * np.outer(v, v) / (speed * speed)
-    return m
-
-
-def rotation_matrix(axis: Sequence[float], angle: float) -> np.ndarray:
-    """1+3 spatial rotation about ``axis`` (Rodrigues form), time untouched."""
-    if finite_float(angle) is None:
-        raise KinematicsError("angle: must be finite")
-    if np.shape(axis) != (3,):
-        raise KinematicsError("axis: must have 3 components")
-    a = [finite_float(u) for u in axis]
-    if None in a:
-        raise KinematicsError("axis: must be finite")
-    a = np.array(a)
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(a)
-    if n == 0.0 or n == math.inf:
-        # The norm under- or overflows, or the axis is zero: rescale by the
-        # largest component, which leaves only a zero axis with a zero norm.
-        peak = np.max(np.abs(a))
-        if peak == 0.0:
-            raise KinematicsError("rotation axis must be nonzero")
-        a = a / peak
-        n = np.linalg.norm(a)
-    a = a / n
-    k = np.array([[0.0, -a[2], a[1]],
-                  [a[2], 0.0, -a[0]],
-                  [-a[1], a[0], 0.0]])
-    r3 = (math.cos(angle) * np.eye(3) + math.sin(angle) * k
-          + (1.0 - math.cos(angle)) * np.outer(a, a))
-    m = np.eye(4)
-    m[1:, 1:] = r3
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +247,16 @@ class BranchKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class FrameMap:
-    """An affine map between coordinate descriptions.
+    """An affine map of 1+1 events: a 2x2 linear part and a 2-vector offset.
 
     ``branch`` (a BranchKind or its value) records how the map was built.
-    The two boost branches are 1+1 only and are built from their velocity
-    ``V`` (and, for the faster-than-light branch, the mandatory sign
-    ``eta``); they take no ``linear_part``.  Anything else, a 1+3 boost
-    included, is ``general-linear`` and needs ``linear_part``.  Every branch
-    needs ``c`` positive with a finite nonzero square.  Construction is the
-    one validator of a map's fields: it names every field problem in one
-    KinematicsError, then raises SpeedDomainError or SingularMapError for a
-    value outside its domain.
+    The two boost branches are built from their velocity ``V`` (and, for
+    the faster-than-light branch, the mandatory sign ``eta``); they take no
+    ``linear_part``.  Anything else is ``general-linear`` and needs a 2x2
+    ``linear_part``.  Every branch needs ``c`` positive with a finite
+    nonzero square.  Construction is the one validator of a map's fields:
+    it names every field problem in one KinematicsError, then raises
+    SpeedDomainError or SingularMapError for a value outside its domain.
     """
 
     branch: BranchKind
@@ -332,7 +292,6 @@ class FrameMap:
             problems.append(f"eta: not allowed for the {branch.value} branch")
         elif isinstance(eta, bool) or eta not in (1, -1):
             problems.append("eta: must be 1 or -1")
-        dim = 2 if boost else None
         if lin is None:
             if branch is BranchKind.GENERAL_LINEAR:
                 problems.append("linear_part: required for the general-linear branch")
@@ -340,16 +299,13 @@ class FrameMap:
             problems.append(f"linear_part: not allowed for the {branch.value} branch")
         else:
             lin = _finite_array(lin)
-            if lin is None or lin.shape not in ((2, 2), (4, 4)):
-                problems.append("linear_part: must be a 2x2 (1+1) or 4x4 (1+3) "
-                                "matrix of finite numbers")
-            else:
-                dim = len(lin)
-        tr = np.zeros(dim or 2) if tr is None else _finite_array(tr)
+            if lin is None or lin.shape != (2, 2):
+                problems.append("linear_part: must be a 2x2 matrix of finite numbers")
+        tr = np.zeros(2) if tr is None else _finite_array(tr)
         if tr is None or tr.ndim != 1:
             problems.append("translation: must be a list of finite numbers")
-        elif dim is not None and len(tr) != dim:
-            problems.append(f"translation: must have {dim} components")
+        elif len(tr) != 2:
+            problems.append("translation: must have 2 components")
         try:
             _require_light_speed(c)
         except KinematicsError as err:
@@ -357,24 +313,12 @@ class FrameMap:
         if problems:
             raise KinematicsError("; ".join(problems))
         if branch is BranchKind.GENERAL_LINEAR:
-            # |det L| over the product of its row lengths (Hadamard's bound)
-            # lies in [0, 1] and is unchanged when L is scaled.  Each row is
-            # first divided by its largest entry, so nothing over- or underflows.
-            peaks = np.max(np.abs(lin), axis=1, keepdims=True)
-            rows = lin / np.where(peaks > 0.0, peaks, 1.0)
-            lengths = np.linalg.norm(rows, axis=1)
-            if abs(np.linalg.det(rows)) <= REL_TOL_ALGEBRA * np.prod(lengths):
-                raise SingularMapError("linear_part: singular within tolerance, "
-                                       "relative to its row lengths")
+            _require_invertible(lin)
+        elif branch is BranchKind.SUBLUMINAL:  # the builders reject a V not finite
+            lin, V = boost_matrix(V, c), float(V)
         else:
-            V = finite_float(V)
-            if V is None:
-                raise SpeedDomainError("V: must be finite")
-            if branch is BranchKind.SUBLUMINAL:
-                lin = boost_matrix(V, c)
-            else:
-                eta = int(eta)
-                lin = superluminal_matrix(V, eta, c)
+            eta = int(eta)
+            lin, V = superluminal_matrix(V, eta, c), float(V)
         lin.setflags(write=False)
         tr.setflags(write=False)
         for name, value in (("branch", branch), ("V", V), ("eta", eta),
@@ -407,18 +351,11 @@ class FrameMap:
     # -- behaviour ----------------------------------------------------------
 
     @property
-    def spatial_dim(self) -> int:
-        return self.linear_part.shape[0] - 1
-
-    @property
     def is_identity(self) -> bool:
-        n = self.linear_part.shape[0]
-        return (np.array_equal(self.linear_part, np.eye(n))
+        return (np.array_equal(self.linear_part, np.eye(2))
                 and not np.any(self.translation))
 
     def apply(self, p: SpacetimePoint) -> SpacetimePoint:
-        if self.spatial_dim != 1:
-            raise KinematicsError("event dimension does not match the map")
         return SpacetimePoint(*(self.linear_part @ p.to_vector() + self.translation))
 
     __call__ = apply
@@ -456,8 +393,6 @@ def compose(f: FrameMap, g: FrameMap) -> FrameMap:
     boost, two interval-flipping maps to an interval preserver, and a mixed
     pair flips).
     """
-    if f.spatial_dim != g.spatial_dim:
-        raise KinematicsError("cannot compose maps of different dimensions")
     if f.c != g.c:
         raise KinematicsError("cannot compose maps with different c")
     if g.is_identity:
@@ -486,33 +421,46 @@ class ConeClassification:
     scale: float | None  # |multiplier| of the quadratic form, if cone-preserving
 
 
-def classify_cone_preserver(m: FrameMap) -> ConeClassification:
-    """Classify a map by the pullback of the interval form.
+def classify_cone_preserver(linear_part, c: float = DEFAULT_C) -> ConeClassification:
+    """Classify a 2x2 (1+1) or 4x4 (1+3) matrix by its pullback of the interval.
 
-    Let G be the metric and L the linear part.  If L^T G L = lam * G with
-    lam > 0 the map is a conformal Lorentz transformation; if lam < 0 it is
-    an interval sign-flip (possible only in 1+1, where the form and its
+    Let G be the metric and L the matrix.  If L^T G L = lam * G with lam > 0
+    the map is a conformal Lorentz transformation; if lam < 0 it is an
+    interval sign-flip (possible only in 1+1, where the form and its
     negative have equal signature); anything else does not preserve the
     null cone.  Decided by exact matrix algebra, not sampling, in units
     where c = 1 (time measured as c*t): the residual ||L^T G L - lam G||
     must be at most REL_TOL_ALGEBRA * ||L||^2 ||G|| (Frobenius norms), a
     bound that follows the rounding of the product (it grows with the
     cancelling terms, about gamma^2 for a boost) and scales as s^2 with L.
+    L is first divided by the power of two of its largest entry, which is
+    exact, so the squares neither over- nor underflow; a scale that is not
+    a finite nonzero float raises KinematicsError.
     """
-    lin = m.linear_part.copy()
-    lin[0, 1:] *= m.c
-    lin[1:, 0] /= m.c
-    g = np.eye(m.spatial_dim + 1)
+    lin = _finite_array(linear_part)
+    if lin is None or lin.shape not in ((2, 2), (4, 4)):
+        raise KinematicsError("linear_part: must be a 2x2 (1+1) or 4x4 (1+3) "
+                              "matrix of finite numbers")
+    _require_light_speed(c)
+    _require_invertible(lin)
+    lin[0, 1:] *= c
+    lin[1:, 0] /= c
+    _, e = math.frexp(float(np.max(np.abs(lin))))
+    lin = np.ldexp(lin, -e)
+    g = np.eye(len(lin))
     g[0, 0] = -1.0
     pulled = lin.T @ g @ lin
     lam = float(np.sum(pulled * g) / np.sum(g * g))
     residual = float(np.linalg.norm(pulled - lam * g))
     bound = float(np.linalg.norm(lin)) ** 2 * float(np.linalg.norm(g))
-    if residual <= REL_TOL_ALGEBRA * bound:
-        if lam > 0.0:
-            return ConeClassification(ConeClass.CONFORMAL_LORENTZ, lam)
-        return ConeClassification(ConeClass.SIGN_FLIP, -lam)
-    return ConeClassification(ConeClass.NOT_CONE_PRESERVING, None)
+    if not residual <= REL_TOL_ALGEBRA * bound:  # nan where c*L overflowed
+        return ConeClassification(ConeClass.NOT_CONE_PRESERVING, None)
+    mantissa, k = math.frexp(abs(lam))
+    scale = math.ldexp(mantissa, k + 2 * e) if k + 2 * e <= 1024 else math.inf
+    if not 0.0 < scale < math.inf:
+        raise KinematicsError("scale: not a finite nonzero float")
+    kind = ConeClass.CONFORMAL_LORENTZ if lam > 0.0 else ConeClass.SIGN_FLIP
+    return ConeClassification(kind, scale)
 
 
 def preserves_null_lines(m: FrameMap, rng: np.random.Generator) -> bool:
@@ -520,21 +468,17 @@ def preserves_null_lines(m: FrameMap, rng: np.random.Generator) -> bool:
 
     Independent of classify_cone_preserver: draws 50 random null directions,
     applies the linear part, and tests the image against the null band at
-    the sampled tolerance.
+    the sampled tolerance.  The image is divided by the power of two of its
+    larger entry first, so its squares neither over- nor underflow.
     """
     c = m.c
-    d = m.spatial_dim
     for _ in range(50):
-        if d == 1:
-            u = np.array([1.0 if rng.random() < 0.5 else -1.0])
-        else:
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-        ray = np.concatenate(([1.0], c * u))
-        img = m.linear_part @ ray
-        value = float(np.dot(img[1:], img[1:]) - (c * img[0]) ** 2)
-        scale = float(np.dot(img[1:], img[1:]) + (c * img[0]) ** 2)
-        if abs(value) > REL_TOL_SAMPLED * scale:
+        u = 1.0 if rng.random() < 0.5 else -1.0
+        t, x = (m.linear_part @ np.array((1.0, c * u))).tolist()
+        ct = c * t
+        _, e = math.frexp(max(abs(ct), abs(x)))
+        ct, x = math.ldexp(ct, -e), math.ldexp(x, -e)
+        if abs(x * x - ct * ct) > REL_TOL_SAMPLED * (x * x + ct * ct):
             return False
     return True
 
@@ -549,8 +493,9 @@ class Worldline:
 
     Vertices must be pairwise distinct and the polyline must not touch or
     cross itself (injectivity).  Construction enforces this unless
-    ``check_simple=False``, which exists so tests can build deliberately
-    broken fixtures.
+    ``check_simple=False``, which builds a deliberately broken fixture: the
+    crossing polyline that the worldline-no-branching check and the tests
+    must see flagged.
     """
 
     def __init__(self, vertices: Iterable[SpacetimePoint],
@@ -701,7 +646,5 @@ def check_no_branching(w: Worldline, m: FrameMap) -> bool:
     touch itself (two vertices within tolerance, a collinear fold-back or
     contact between non-adjacent segments), and that test rejects each.
     """
-    if m.spatial_dim != 1:
-        raise KinematicsError("worldline dimension does not match the map")
     pts = w.points_array() @ m.linear_part.T + m.translation
     return polyline_is_simple(pts)

@@ -121,8 +121,8 @@ def test_criterion_4_cone_preserver_classification():
     rng = np.random.default_rng(41)
     misclassified = 0
     for _ in range(1000):
-        fm, _ = random_conformal_lorentz_4d(rng)
-        if classify_cone_preserver(fm).kind is not ConeClass.CONFORMAL_LORENTZ:
+        lin, _ = random_conformal_lorentz_4d(rng)
+        if classify_cone_preserver(lin).kind is not ConeClass.CONFORMAL_LORENTZ:
             misclassified += 1
     for _ in range(100):
         V = float(np.exp(rng.uniform(np.log(1.001), np.log(100.0))))
@@ -130,11 +130,12 @@ def test_criterion_4_cone_preserver_classification():
             V = -V
         for eta in (1, -1):
             fm = FrameMap.superluminal(V, eta)
-            if classify_cone_preserver(fm).kind is not ConeClass.SIGN_FLIP:
+            if classify_cone_preserver(fm.linear_part).kind is not ConeClass.SIGN_FLIP:
                 misclassified += 1
     for _ in range(100):
         fm = perturbed_noncone_map(rng)
-        if classify_cone_preserver(fm).kind is not ConeClass.NOT_CONE_PRESERVING:
+        if (classify_cone_preserver(fm.linear_part).kind
+                is not ConeClass.NOT_CONE_PRESERVING):
             misclassified += 1
     assert misclassified == 0
     print("PASS  criterion 4: 1000 conformal + 200 sign-flip + 100 "
@@ -265,6 +266,11 @@ def _always(kind):
     return lambda m: kinematics.ConeClassification(kind, 1.0)
 
 
+def _magnitude_weight_evaluate(g, rule=SQUARED_NORM):
+    # Each component weighted by |a| instead of the rule's |a|^2.
+    return math.fsum(math.hypot(a.re, a.im) for a in amplitudes.components(g))
+
+
 MUTATIONS = {
     "blocked-arm-exact": (interference, "_per_path_splits", _squared_root_splits),
     "classical-no-go": (interference, "_simulate_classical",
@@ -290,6 +296,9 @@ MUTATIONS = {
                             _past_segment_with_the_event),
     "superluminal-interval-flip": (kinematics, "superluminal_matrix",
                                    _eta_blind_superluminal_matrix),
+    "detector-model-robustness": (interference.DetectorModel, "records_which_way",
+                                  property(lambda self: False)),
+    "fringe-law": (interference, "evaluate", _magnitude_weight_evaluate),
 }
 
 

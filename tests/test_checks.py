@@ -140,8 +140,8 @@ def test_random_invertible_maps_are_well_formed():
 def test_conformal_factory_matches_its_own_scale():
     rng = np.random.default_rng(92)
     for _ in range(50):
-        fm, lam = random_conformal_lorentz_4d(rng)
-        result = classify_cone_preserver(fm)
+        lin, lam = random_conformal_lorentz_4d(rng)
+        result = classify_cone_preserver(lin)
         assert result.kind is ConeClass.CONFORMAL_LORENTZ
         assert abs(result.scale - lam * lam) <= 1e-9 * lam * lam
 
@@ -150,4 +150,5 @@ def test_perturbed_maps_are_never_cone_preservers():
     rng = np.random.default_rng(93)
     for _ in range(50):
         fm = perturbed_noncone_map(rng)
-        assert classify_cone_preserver(fm).kind is ConeClass.NOT_CONE_PRESERVING
+        assert (classify_cone_preserver(fm.linear_part).kind
+                is ConeClass.NOT_CONE_PRESERVING)

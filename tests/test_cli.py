@@ -242,7 +242,7 @@ def test_transform_rejects_a_1_plus_3_map(tmp_path, capsys):
     code, out, err = run(capsys, "transform", "--config", config,
                          "--events", write(tmp_path / "events.csv", EVENTS))
     assert code == 2
-    assert "transform expects a 1+1 map for t,x events" in err
+    assert "linear_part: must be a 2x2 matrix of finite numbers" in err
     assert out == ""
 
 

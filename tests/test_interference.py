@@ -43,9 +43,7 @@ from fringelab.kinematics import (
     Worldline,
     boost_matrix,
     classify_interval,
-    general_boost_matrix,
     lorentz_boost,
-    rotation_matrix,
     superluminal_matrix,
     velocity_addition,
 )
@@ -325,10 +323,6 @@ _ENTRY_POINTS = [
      SpeedDomainError, "V: must be finite"),
     ("superluminal_matrix", lambda v: superluminal_matrix(v, 1),
      SpeedDomainError, "V: must be finite"),
-    ("rotation_matrix", lambda v: rotation_matrix([0.0, 0.0, 1.0], v),
-     KinematicsError, "angle: must be finite"),
-    ("general_boost_matrix", lambda v: general_boost_matrix([v, 0, 0]),
-     SpeedDomainError, "V: must be finite"),
     ("SpacetimePoint.t", lambda v: SpacetimePoint(v, 0.0),
      KinematicsError, "event coordinates must be finite"),
     ("SpacetimePoint.x", lambda v: SpacetimePoint(0.0, v),
@@ -341,8 +335,6 @@ _ENTRY_POINTS = [
     ("phase", lambda v: phase(v), AmplitudeError, "phase must be finite"),
     ("FrameMap.boost", lambda v: FrameMap.boost(v),
      SpeedDomainError, "V: must be finite"),
-    ("rotation_matrix.axis", lambda v: rotation_matrix([v, 0.0, 1.0], 0.3),
-     KinematicsError, "axis: must be finite"),
     ("check_O3_frame_invariance",
      lambda v: check_O3_frame_invariance(ExperimentConfig(), [0.3, v]),
      SpeedDomainError, "V: must be finite"),

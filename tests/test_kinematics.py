@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fringelab.checks import random_conformal_lorentz_4d
 from fringelab.kinematics import (
     BranchKind,
     ConeClass,
@@ -21,12 +22,10 @@ from fringelab.kinematics import (
     classify_interval,
     compose,
     event_interval,
-    general_boost_matrix,
     in_causal_past,
     lorentz_boost,
     lorentz_gamma,
     preserves_null_lines,
-    rotation_matrix,
     superluminal_gamma,
     superluminal_map,
     superluminal_matrix,
@@ -90,7 +89,7 @@ def test_boost_matrix_is_the_1_plus_1_formula():
     assert np.array_equal(boost_matrix(V, c),
                           np.array([[g, -g * V / (c * c)], [-g * V, g]]))
     with pytest.raises(TypeError):
-        boost_matrix(0.5, 1.0, 3)  # no spatial_dim: a 1+3 boost is general
+        boost_matrix(0.5, 1.0, 3)  # no spatial_dim: boosts are 1+1
 
 
 def test_boost_preserves_interval():
@@ -221,11 +220,15 @@ def test_frame_map_with_translation_is_affine():
 
 
 def test_apply_rejects_a_1_plus_3_map():
-    m = FrameMap.general_linear(general_boost_matrix([0.5, 0.0, 0.0]))
-    with pytest.raises(KinematicsError) as info:
-        m.apply(SpacetimePoint(1.0, 0.0))
-    assert type(info.value) is KinematicsError
-    assert str(info.value) == "event dimension does not match the map"
+    # A 1+3 matrix never becomes a map, so there is nothing to apply.
+    b4 = np.eye(4)
+    b4[:2, :2] = boost_matrix(0.5)
+    for lin, translation in ((b4, None), (np.eye(4), np.zeros(4))):
+        with pytest.raises(KinematicsError) as info:
+            FrameMap.general_linear(lin, translation)
+        assert type(info.value) is KinematicsError
+        assert str(info.value).startswith(
+            "linear_part: must be a 2x2 matrix of finite numbers")
 
 
 def test_frame_map_rejects_matrix_that_contradicts_its_branch_tag():
@@ -234,7 +237,7 @@ def test_frame_map_rejects_matrix_that_contradicts_its_branch_tag():
     for branch, V, eta, lin in (
             (BranchKind.SUBLUMINAL, 0.5, None, np.eye(2) * 3.0),
             (BranchKind.SUBLUMINAL, 0.5, None, boost_matrix(0.5)),
-            (BranchKind.SUBLUMINAL, 0.5, None, general_boost_matrix([0.5, 0.0, 0.0])),
+            (BranchKind.SUBLUMINAL, 0.5, None, np.eye(4)),
             (BranchKind.SUPERLUMINAL, 2.0, +1, boost_matrix(0.5)),
             (BranchKind.SUPERLUMINAL, 2.0, +1, superluminal_matrix(2.0, +1))):
         with pytest.raises(KinematicsError) as err:
@@ -369,7 +372,7 @@ def test_compose_near_light_boosts_falls_back_to_general_linear():
         direct = f.apply(f.apply(p)).to_vector()
         via = h.apply(p).to_vector()
         assert np.max(np.abs(via - direct)) <= 1e-12 * np.max(np.abs(direct))
-    assert classify_cone_preserver(h).kind is ConeClass.CONFORMAL_LORENTZ
+    assert classify_cone_preserver(h.linear_part).kind is ConeClass.CONFORMAL_LORENTZ
     half = compose(FrameMap.boost(0.5), FrameMap.boost(0.5))
     assert half.branch is BranchKind.GENERAL_LINEAR
     assert np.allclose(half.linear_part, boost_matrix(0.8),
@@ -387,7 +390,7 @@ def test_compose_two_superluminal_maps_is_a_subluminal_boost_matrix():
     assert h.branch is BranchKind.GENERAL_LINEAR
     expected = boost_matrix(0.8)
     assert np.allclose(h.linear_part, expected, rtol=1e-12, atol=1e-12)
-    cls = classify_cone_preserver(h)
+    cls = classify_cone_preserver(h.linear_part)
     assert cls.kind is ConeClass.CONFORMAL_LORENTZ
 
 
@@ -396,17 +399,12 @@ def test_compose_mixed_branches_flips_the_interval():
     g = FrameMap.boost(0.5)
     h = compose(f, g)
     assert h.branch is BranchKind.GENERAL_LINEAR
-    cls = classify_cone_preserver(h)
+    cls = classify_cone_preserver(h.linear_part)
     assert cls.kind is ConeClass.SIGN_FLIP
 
 
-def test_compose_rejects_mismatched_dimension_or_c():
+def test_compose_rejects_mismatched_c():
     f = FrameMap.boost(0.5)
-    g = FrameMap.general_linear(general_boost_matrix([0.5, 0.0, 0.0]))
-    for pair in ((f, g), (g, f)):
-        with pytest.raises(KinematicsError) as info:
-            compose(*pair)
-        assert str(info.value) == "cannot compose maps of different dimensions"
     h = FrameMap.boost(0.5, c=2.0)
     with pytest.raises(KinematicsError):
         compose(f, h)
@@ -458,21 +456,20 @@ def test_in_causal_past():
 
 
 def test_classify_cone_preserver_boost_is_lorentz():
-    cls = classify_cone_preserver(FrameMap.boost(0.77))
+    cls = classify_cone_preserver(FrameMap.boost(0.77).linear_part)
     assert cls.kind is ConeClass.CONFORMAL_LORENTZ
     assert math.isclose(cls.scale, 1.0, rel_tol=1e-12)
 
 
 def test_classify_cone_preserver_scaled_boost_has_squared_scale():
-    m = FrameMap.general_linear(2.0 * boost_matrix(0.3))
-    cls = classify_cone_preserver(m)
+    cls = classify_cone_preserver(2.0 * boost_matrix(0.3))
     assert cls.kind is ConeClass.CONFORMAL_LORENTZ
     assert math.isclose(cls.scale, 4.0, rel_tol=1e-12)
 
 
 def test_classify_cone_preserver_superluminal_is_sign_flip():
     for eta in (+1, -1):
-        cls = classify_cone_preserver(FrameMap.superluminal(1.5, eta))
+        cls = classify_cone_preserver(superluminal_matrix(1.5, eta))
         assert cls.kind is ConeClass.SIGN_FLIP
         assert math.isclose(cls.scale, 1.0, rel_tol=1e-12)
 
@@ -482,85 +479,42 @@ def test_classify_cone_preserver_near_light_speed(V):
     # The pullback residual rounds at about gamma^2 ulp, so a bound relative
     # to ||L^T G L|| (about ||G||) rejected fast boosts; a 1e-9 stretch must
     # still be caught at the same speeds.
-    cls = classify_cone_preserver(FrameMap.boost(V))
+    cls = classify_cone_preserver(boost_matrix(V))
     assert cls.kind is ConeClass.CONFORMAL_LORENTZ
     assert math.isclose(cls.scale, 1.0, rel_tol=1e-8)
     for eta in (+1, -1):
         for W in (1.0 / V, -1.0 / V):
-            flip = classify_cone_preserver(FrameMap.superluminal(W, eta))
+            flip = classify_cone_preserver(superluminal_matrix(W, eta))
             assert flip.kind is ConeClass.SIGN_FLIP
-    stretched = FrameMap.general_linear(np.diag([1.0, 1.0 + 1e-9]) @ boost_matrix(V))
+    stretched = np.diag([1.0, 1.0 + 1e-9]) @ boost_matrix(V)
     assert classify_cone_preserver(stretched).kind is ConeClass.NOT_CONE_PRESERVING
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 299792458.0])
 def test_classify_cone_preserver_verdict_does_not_depend_on_c(c):
-    assert (classify_cone_preserver(FrameMap.boost(0.6 * c, c)).kind
-            is ConeClass.CONFORMAL_LORENTZ)
-    assert (classify_cone_preserver(FrameMap.superluminal(2.0 * c, -1, c)).kind
-            is ConeClass.SIGN_FLIP)
+    for m, kind in ((FrameMap.boost(0.6 * c, c), ConeClass.CONFORMAL_LORENTZ),
+                    (FrameMap.superluminal(2.0 * c, -1, c), ConeClass.SIGN_FLIP)):
+        assert classify_cone_preserver(m.linear_part, m.c).kind is kind
     for stretch in ([1.0, 1.0 + 1e-6], [1.0 + 1e-6, 1.0]):
-        m = FrameMap.general_linear(np.diag(stretch) @ boost_matrix(0.6 * c, c), c=c)
-        assert classify_cone_preserver(m).kind is ConeClass.NOT_CONE_PRESERVING
+        lin = np.diag(stretch) @ boost_matrix(0.6 * c, c)
+        assert classify_cone_preserver(lin, c).kind is ConeClass.NOT_CONE_PRESERVING
 
 
 def test_classify_cone_preserver_rejects_anisotropic_stretch():
-    m = FrameMap.general_linear([[1.0, 0.0], [0.0, 2.0]])
-    cls = classify_cone_preserver(m)
+    cls = classify_cone_preserver([[1.0, 0.0], [0.0, 2.0]])
     assert cls.kind is ConeClass.NOT_CONE_PRESERVING
     assert cls.scale is None
 
 
-def test_rotation_rejects_a_nonfinite_angle():
-    for angle in (math.nan, math.inf, -math.inf):
-        with pytest.raises(KinematicsError, match="angle: must be finite"):
-            rotation_matrix([0.0, 0.0, 1.0], angle)
-
-
-# Non-finite axis entries are rows of the entry-point table in
-# test_interference.py; these are the shapes and the zero axis.
-@pytest.mark.parametrize("axis, message", [
-    ([1.0, 0.0], "axis: must have 3 components"),
-    ([[1.0, 0.0, 0.0]], "axis: must have 3 components"),
-    ([0.0, 0.0, 0.0], "rotation axis must be nonzero"),
-], ids=["short", "nested", "zero"])
-def test_rotation_rejects_a_bad_axis(axis, message):
-    with pytest.raises(KinematicsError) as info:
-        rotation_matrix(axis, 0.3)
-    assert type(info.value) is KinematicsError
-    assert str(info.value) == message
-
-
-def test_rotation_about_an_axis_whose_norm_under_or_overflows():
-    # The norm of each finite nonzero axis is 0 or inf; it is rescaled first.
-    for axis in ([1e308, 1e308, 0.0], [1.5e308, 1.5e308, 0.0],
-                 [1e-200, 1e-200, 0.0], [5e-324, 5e-324, 0.0]):
-        assert np.array_equal(rotation_matrix(axis, 0.3),
-                              rotation_matrix([1.0, 1.0, 0.0], 0.3))
-    r = rotation_matrix([1e308, 1e308, 1e308], 1.1)
-    assert np.allclose(r, rotation_matrix([1.0, 1.0, 1.0], 1.1), atol=1e-15)
-    assert np.allclose(r.T @ r, np.eye(4), atol=1e-15)
-
-
-@pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [3.0, -4.0, 12.0],
-                                  [1e-3, 2e5, 7.0], [1e153, 1e153, 1e153]])
-def test_rotation_bytes_for_an_axis_with_a_finite_norm(axis):
-    # The Rodrigues form divided by the plain norm, as before the rescaling.
-    angle = 0.9
-    a = np.array(axis) / np.linalg.norm(axis)
-    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-    r3 = (math.cos(angle) * np.eye(3) + math.sin(angle) * k
-          + (1.0 - math.cos(angle)) * np.outer(a, a))
-    assert np.array_equal(rotation_matrix(axis, angle)[1:, 1:], r3)
-
-
 def test_four_dimensional_boost_and_rotation_are_lorentz():
-    b = FrameMap.general_linear(general_boost_matrix([0.3, 0.4, 0.0]))
-    r = FrameMap.general_linear(rotation_matrix([0.0, 0.0, 1.0], 0.7))
-    for m in (b, r, compose(b, r)):
-        cls = classify_cone_preserver(m)
+    # lambda R1 B R2 pulls the form back to lambda^2 times itself.
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        lin, lam = random_conformal_lorentz_4d(rng)
+        assert lin.shape == (4, 4)
+        cls = classify_cone_preserver(lin)
         assert cls.kind is ConeClass.CONFORMAL_LORENTZ
-        assert math.isclose(cls.scale, 1.0, rel_tol=1e-12)
+        assert math.isclose(cls.scale, lam * lam, rel_tol=1e-12)
 
 
 def test_no_sign_flip_exists_in_four_dimensions():
@@ -571,7 +525,7 @@ def test_no_sign_flip_exists_in_four_dimensions():
         lin = rng.normal(size=(4, 4))
         if abs(np.linalg.det(lin)) <= 1e-6:
             continue
-        cls = classify_cone_preserver(FrameMap.general_linear(lin))
+        cls = classify_cone_preserver(lin)
         assert cls.kind is not ConeClass.SIGN_FLIP
 
 
@@ -583,3 +537,82 @@ def test_preserves_null_lines_agrees_with_classification():
         assert preserves_null_lines(m, rng=rng)
     bad = FrameMap.general_linear([[1.0, 0.0], [0.0, 2.0]])
     assert not preserves_null_lines(bad, rng=rng)
+
+
+@pytest.mark.parametrize("lin", [
+    np.eye(3), np.eye(2)[0], [[1.0, 0.0], [0.0]], [[1.0, math.nan], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, True]], FrameMap.boost(0.5),
+], ids=["3x3", "vector", "ragged", "nan", "bool", "frame-map"])
+def test_classify_cone_preserver_rejects_a_bad_matrix(lin):
+    with pytest.raises(KinematicsError) as info:
+        classify_cone_preserver(lin)
+    assert type(info.value) is KinematicsError
+    assert str(info.value) == ("linear_part: must be a 2x2 (1+1) or 4x4 (1+3) "
+                               "matrix of finite numbers")
+
+
+def test_classify_cone_preserver_checks_c_and_singularity_like_a_map():
+    for c in (0.0, -1.0, 1e200, math.nan):
+        with pytest.raises(KinematicsError, match="^c: must be positive"):
+            classify_cone_preserver(np.eye(2), c)
+    with pytest.raises(SingularMapError) as as_map:
+        FrameMap.general_linear(np.ones((2, 2)))
+    for lin in (np.ones((2, 2)), np.ones((4, 4))):
+        with pytest.raises(SingularMapError) as info:
+            classify_cone_preserver(lin)
+        assert str(info.value) == str(as_map.value)
+
+
+def test_frame_map_translation_must_have_two_components():
+    for translation in ([1.0], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(KinematicsError) as info:
+            FrameMap.boost(0.5, translation=translation)
+        assert str(info.value) == "translation: must have 2 components"
+
+
+@pytest.mark.parametrize("k", [-500, -300, -100, 0, 100, 300, 500])
+def test_classify_cone_preserver_is_exact_under_power_of_two_scaling(k):
+    # Scaling L by 2**k scales the pullback by exactly 2**(2k), however far
+    # the squares of the entries fall outside the float range.
+    for lin, kind in ((boost_matrix(0.6), ConeClass.CONFORMAL_LORENTZ),
+                      (superluminal_matrix(3.0, -1), ConeClass.SIGN_FLIP),
+                      (random_conformal_lorentz_4d(np.random.default_rng(5))[0],
+                       ConeClass.CONFORMAL_LORENTZ)):
+        base = classify_cone_preserver(lin)
+        cls = classify_cone_preserver(np.ldexp(lin, k))
+        assert cls.kind is kind
+        assert cls.scale == math.ldexp(base.scale, 2 * k)
+    stretch = np.ldexp(np.diag([1.0, 2.0]), k)
+    assert classify_cone_preserver(stretch).kind is ConeClass.NOT_CONE_PRESERVING
+
+
+def test_classify_cone_preserver_at_the_edges_of_the_float_range():
+    # An anisotropic stretch whose squares underflow is not a sign flip.
+    for s in (1e-200, 1e-170):
+        cls = classify_cone_preserver([[s, 0.0], [0.0, 2.0 * s]])
+        assert cls.kind is ConeClass.NOT_CONE_PRESERVING and cls.scale is None
+    assert classify_cone_preserver(1e150 * np.eye(2)).scale == pytest.approx(1e300)
+    # A conformal map whose scale is not a finite nonzero float is refused.
+    for s in (1e160, 1e-200):
+        with pytest.raises(KinematicsError) as info:
+            classify_cone_preserver(s * np.eye(2))
+        assert str(info.value) == "scale: not a finite nonzero float"
+
+
+def test_preserves_null_lines_at_the_edges_of_the_float_range():
+    rng = np.random.default_rng(29)
+    for s in (1e200, 1e-200):
+        assert not preserves_null_lines(
+            FrameMap.general_linear(np.diag([s, 2.0 * s])), rng)
+        assert preserves_null_lines(
+            FrameMap.general_linear(s * boost_matrix(0.6)), rng)
+
+
+def test_frame_map_builds_a_numpy_float32_velocity_in_float64():
+    V = np.float32(0.6)
+    m = FrameMap.boost(V)
+    assert type(m.V) is float and m.V == float(V)
+    assert np.array_equal(m.linear_part, boost_matrix(float(V)))
+    assert np.array_equal(boost_matrix(V), boost_matrix(float(V)))
+    assert np.array_equal(superluminal_matrix(np.float32(2.5), -1),
+                          superluminal_matrix(2.5, -1))

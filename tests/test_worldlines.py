@@ -13,7 +13,6 @@ from fringelab.kinematics import (
     SpacetimePoint,
     Worldline,
     check_no_branching,
-    general_boost_matrix,
     past_worldline_segment,
     polyline_is_simple,
 )
@@ -147,14 +146,6 @@ def test_no_branching_on_random_simple_walks():
         Vs = float(rng.uniform(1.1, 10.0))
         eta = 1 if rng.random() < 0.5 else -1
         assert check_no_branching(w, FrameMap.superluminal(Vs, eta))
-
-
-def test_no_branching_dimension_mismatch_raises():
-    w = Worldline(_pts((0.0, 0.0), (1.0, 0.5)))
-    m = FrameMap.general_linear(general_boost_matrix([0.5, 0.0, 0.0]))
-    with pytest.raises(KinematicsError) as info:
-        check_no_branching(w, m)
-    assert str(info.value) == "worldline dimension does not match the map"
 
 
 @pytest.mark.parametrize("call", [
