@@ -42,6 +42,7 @@ from fringelab.kinematics import (
     SpeedDomainError,
     Worldline,
     boost_matrix,
+    classify_cone_preserver,
     classify_interval,
     lorentz_boost,
     superluminal_matrix,
@@ -323,6 +324,13 @@ _ENTRY_POINTS = [
      SpeedDomainError, "V: must be finite"),
     ("superluminal_matrix", lambda v: superluminal_matrix(v, 1),
      SpeedDomainError, "V: must be finite"),
+    ("classify_cone_preserver",
+     lambda v: classify_cone_preserver([[1.0, v], [0.0, 1.0]]),
+     KinematicsError, "linear_part: must be a 2x2 (1+1) or 4x4 (1+3) "
+     "matrix of finite numbers"),
+    ("classify_cone_preserver.c",
+     lambda v: classify_cone_preserver(np.eye(2), v), KinematicsError,
+     "c: must be positive with a finite nonzero square, got {!r}"),
     ("SpacetimePoint.t", lambda v: SpacetimePoint(v, 0.0),
      KinematicsError, "event coordinates must be finite"),
     ("SpacetimePoint.x", lambda v: SpacetimePoint(0.0, v),
