@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence as SequenceType, Union
 
 import numpy as np
 
-from .constants import REL_TOL_ALGEBRA, finite_float
+from .constants import REL_TOL_ALGEBRA, finite_float, is_real
 
 
 class AmplitudeError(ValueError):
@@ -116,10 +116,14 @@ class ProbabilityRule:
         weight = self.weight(a)
         value = finite_float(weight)
         if value is None:
-            # nan or ±inf, or a rational (an int, say) too large for a float
-            shown = ("too large for a float"
-                     if isinstance(weight, numbers.Rational)
-                     else repr(float(weight)))
+            # not a number; a rational (an int, say) too large for a float;
+            # or nan or ±inf
+            if not is_real(weight):
+                shown = repr(weight)
+            elif isinstance(weight, numbers.Rational):
+                shown = "too large for a float"
+            else:
+                shown = repr(float(weight))
         elif value < 0.0:
             shown = repr(value)
         else:

@@ -46,6 +46,7 @@ from .constants import (
 )
 from .interference import (
     BlockedArm,
+    ConfigError,
     ExperimentConfig,
     check_O1_robustness,
     check_O3_frame_invariance,
@@ -83,6 +84,10 @@ class CheckContext:
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
     resolution: int = DEFAULT_RESOLUTION
+
+    def __post_init__(self):  # with no trials a randomized check tests nothing
+        if self.trials < 1:
+            raise ConfigError(f"trials: must be at least 1, got {self.trials!r}")
 
 
 @dataclass(frozen=True)
@@ -418,7 +423,8 @@ def _check_interference_witness(ctx: CheckContext, rng) -> tuple[bool, str]:
 
 def _check_global_phase_invariance(ctx: CheckContext, rng) -> tuple[bool, str]:
     ok = check_global_phase_invariance(SQUARED_NORM, ctx.trials, rng)
-    return ok, (f"default rule invariant under global phase on {ctx.trials} "
+    claim = "invariant" if ok else f"{SQUARED_NORM.name!r} not invariant"
+    return ok, (f"default rule {claim} under global phase on {ctx.trials} "
                 f"random amplitudes")
 
 
@@ -516,7 +522,12 @@ def _check_classical_no_go(ctx: CheckContext, rng) -> tuple[bool, str]:
 def _check_frame_invariance(ctx: CheckContext, rng) -> tuple[bool, str]:
     report = check_O3_frame_invariance(ExperimentConfig(phase=0.7),
                                        [0.0, 0.3, -0.6, 0.9, -0.99])
-    return report.passed, (
+    broken = [f"{what} changed under V={format_float(e.velocity)}"
+              for e in report.entries
+              for what, kept in (("interval classes", e.interval_kinds_preserved),
+                                 ("statistics", e.statistics_identical))
+              if not kept]
+    return report.passed, "; ".join(broken) or (
         f"interval classes and statistics unchanged under "
         f"{len(report.entries)} boosts up to |V|=0.99c")
 

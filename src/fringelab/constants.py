@@ -12,11 +12,16 @@ check_no_branching), preserves_null_lines, the composed-boost comparison of
 the velocity-addition check and the silent-detector visibility of
 check_O1_robustness.
 
-finite_float is the one finiteness test; each entry point raises its own
-named error for nan, ±inf or an int too large for a float.
+is_real is the one number test and finite_float the one finiteness test:
+a number is a real (int, float, Fraction or numpy scalar) that is not a
+bool, so a str, a bool, None or a Decimal is not one.  Every entry point
+computes with the float finite_float returns, so a float32 input is
+computed in float64, and raises its own named error for a non-number, nan,
+±inf or an int too large for a float.
 """
 
 import math
+import numbers
 
 # Speed of light in natural units; every formula keeps c explicit so other
 # unit systems work by passing c.
@@ -42,8 +47,16 @@ DEFAULT_TRIALS = 1000
 DEFAULT_RESOLUTION = 101
 
 
+def is_real(value) -> bool:
+    """True for a real number: a numbers.Real that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def finite_float(value) -> float | None:
-    """float(value) if finite, else None; other errors of float() propagate."""
+    """float(value) for a finite real number (see is_real), else None."""
+    # A float (numpy float64 included) or an int skips the slow Real test.
+    if not (isinstance(value, float) or type(value) is int or is_real(value)):
+        return None
     try:
         value = float(value)
     except OverflowError:  # an int too large for a float

@@ -51,6 +51,7 @@ from .constants import (
     REL_TOL_ALGEBRA,
     REL_TOL_SAMPLED,
     finite_float,
+    is_real,
 )
 from .kinematics import (
     FrameMap,
@@ -134,11 +135,11 @@ class ExperimentConfig:
         out = []
         for name in ("splitter1", "splitter2"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not is_real(value):
                 out.append(f"{name}: must be a number")
             elif not 0.0 <= value <= 1.0:
                 out.append(f"{name}: transmissivity must lie in [0, 1], got {value!r}")
-        if not isinstance(self.phase, (int, float)) or isinstance(self.phase, bool):
+        if not is_real(self.phase):
             out.append("phase: must be a number")
         elif finite_float(self.phase) is None:
             out.append(_PHASE_NOT_FINITE)
@@ -150,16 +151,16 @@ class ExperimentConfig:
         if self.mixture_weights is not None:
             w = self.mixture_weights
             if (not isinstance(w, (tuple, list)) or len(w) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           for v in w)):
+                    or not all(is_real(v) for v in w)):
                 out.append("mixture_weights: must be two numbers (upper, lower)")
             else:
-                if any(finite_float(v) is None or v < 0.0 for v in w):
+                upper, lower = map(finite_float, w)
+                if upper is None or lower is None or min(upper, lower) < 0.0:
                     out.append("mixture_weights: weights must be finite and nonnegative")
                 else:
                     # Two floats' sum is rounded once, as math.fsum rounds it,
                     # but past the largest float it is inf instead of raising.
-                    total = float(w[0]) + float(w[1])
+                    total = upper + lower
                     if abs(total - 1.0) > REL_TOL_ALGEBRA:
                         out.append(f"mixture_weights: must sum to 1, got {total!r}")
                 if (isinstance(self.composition, Composition)
@@ -475,7 +476,7 @@ _EVENT_TABLE: tuple[tuple[str, float, float], ...] = (
 
 def interferometer_events(c: float = DEFAULT_C) -> dict[str, SpacetimePoint]:
     """Canonical-frame marker events of the bench layout, scaled by c."""
-    _require_light_speed(c)  # FrameMap's rule for c, and its message
+    c = _require_light_speed(c)  # FrameMap's rule for c, and its message
     return {name: SpacetimePoint(t, c * x) for name, t, x in _EVENT_TABLE}
 
 
@@ -507,6 +508,7 @@ def check_O3_frame_invariance(config: ExperimentConfig,
     boosts = list(boosts)
     if not boosts:
         raise ConfigError("frame invariance check needs at least one boost")
+    c = _require_light_speed(c)
     events = interferometer_events(c)
     names = list(events)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]

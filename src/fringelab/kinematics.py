@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -42,6 +41,7 @@ from .constants import (
     REL_TOL_SAMPLED,
     SPEED_GUARD_BAND,
     finite_float,
+    is_real,
 )
 
 
@@ -57,20 +57,16 @@ class SingularMapError(KinematicsError):
     """Linear part is not invertible within tolerance."""
 
 
-def _is_number(v) -> bool:
-    # A bool is not a number.
-    return not isinstance(v, bool) and isinstance(v, numbers.Real)
-
-
 def _finite_array(value) -> np.ndarray | None:
     """``value`` as a float array, or None unless every entry is a finite number."""
     try:
         entries = np.array(value, dtype=object)
     except ValueError:  # nesting that numpy cannot shape
         return None
-    if all(_is_number(v) and finite_float(v) is not None for v in entries.flat):
-        return entries.astype(float)
-    return None
+    floats = [finite_float(v) for v in entries.flat]
+    if None in floats:
+        return None
+    return np.array(floats).reshape(entries.shape)
 
 
 def _require_invertible(lin: np.ndarray):
@@ -98,12 +94,11 @@ class SpacetimePoint:
     x: float
 
     def __post_init__(self):
-        try:
-            t, x = finite_float(self.t), finite_float(self.x)
-        except TypeError:  # a sequence, None or another non-number
-            raise KinematicsError("event coordinates must be numbers") from None
+        t, x = finite_float(self.t), finite_float(self.x)
         if t is None or x is None:
-            raise KinematicsError("event coordinates must be finite")
+            if is_real(self.t) and is_real(self.x):
+                raise KinematicsError("event coordinates must be finite")
+            raise KinematicsError("event coordinates must be numbers")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
 
@@ -172,51 +167,60 @@ def in_causal_past(e: SpacetimePoint, candidate: SpacetimePoint,
 # ---------------------------------------------------------------------------
 
 
-def _require_light_speed(c: float):
+def _require_light_speed(c: float) -> float:
+    """``c`` as a float, once it is positive with a finite nonzero square."""
     # The boost formulas divide by c*c, so the square must be a positive
     # finite float too (a tiny c underflows it to zero, a huge one to inf).
-    f = finite_float(c) if _is_number(c) else None
+    f = finite_float(c)
     if f is None or not (f > 0.0 and 0.0 < f * f < math.inf):
         raise KinematicsError(
             f"c: must be positive with a finite nonzero square, got {c!r}")
+    return f
 
 
-def _require_subluminal(V: float, c: float):
-    _require_light_speed(c)
-    if finite_float(V) is None:
+def _require_subluminal(V: float, c: float) -> tuple[float, float]:
+    """(V, c) as floats, once c is a light speed and |V| < c."""
+    light = _require_light_speed(c)
+    v = finite_float(V)
+    if v is None:
         raise SpeedDomainError("V: must be finite")
-    if abs(V) >= c * (1.0 - SPEED_GUARD_BAND):
+    if abs(v) >= light * (1.0 - SPEED_GUARD_BAND):
         raise SpeedDomainError(
             f"V: subluminal branch needs |V| < c, got V={V!r} with c={c!r}")
+    return v, light
 
 
-def _require_superluminal(V: float, c: float):
-    _require_light_speed(c)
-    if finite_float(V) is None:
+def _require_superluminal(V: float, c: float) -> tuple[float, float]:
+    """(V, c) as floats, once c is a light speed and |V| > c."""
+    light = _require_light_speed(c)
+    v = finite_float(V)
+    if v is None:
         raise SpeedDomainError("V: must be finite")
-    if not math.isfinite((V / c) * (V / c)):  # superluminal_gamma squares V/c
+    if not math.isfinite((v / light) * (v / light)):  # superluminal_gamma squares V/c
         raise SpeedDomainError(
             f"V: (V/c)^2 must be a finite float, got V={V!r} with c={c!r}")
-    if abs(V) <= c * (1.0 + SPEED_GUARD_BAND):
+    if abs(v) <= light * (1.0 + SPEED_GUARD_BAND):
         raise SpeedDomainError(
             f"V: superluminal branch needs |V| > c, got V={V!r} with c={c!r}")
+    return v, light
 
 
 def lorentz_gamma(V: float, c: float = DEFAULT_C) -> float:
     """Stretch factor 1/sqrt(1 - V^2/c^2) for |V| < c."""
-    _require_subluminal(V, c)
-    return 1.0 / math.sqrt(1.0 - (float(V) / c) ** 2)
+    V, c = _require_subluminal(V, c)
+    return 1.0 / math.sqrt(1.0 - (V / c) ** 2)
 
 
 def superluminal_gamma(V: float, c: float = DEFAULT_C) -> float:
     """Stretch factor 1/sqrt(V^2/c^2 - 1) for |V| > c."""
-    _require_superluminal(V, c)
-    return 1.0 / math.sqrt((float(V) / c) ** 2 - 1.0)
+    V, c = _require_superluminal(V, c)
+    return 1.0 / math.sqrt((V / c) ** 2 - 1.0)
 
 
 def boost_matrix(V: float, c: float = DEFAULT_C) -> np.ndarray:
     """Matrix of the 1+1 boost on (t, x) vectors."""
-    g, V = lorentz_gamma(V, c), float(V)  # float64 for a numpy float32 V
+    V, c = _require_subluminal(V, c)
+    g = lorentz_gamma(V, c)
     return np.array([[g, -g * V / (c * c)],
                      [-g * V, g]])
 
@@ -229,7 +233,8 @@ def superluminal_matrix(V: float, eta: int, c: float = DEFAULT_C) -> np.ndarray:
     """
     if isinstance(eta, bool) or eta not in (1, -1):
         raise KinematicsError(f"eta: must be +1 or -1, got {eta!r}")
-    g, V = superluminal_gamma(V, c), float(V)
+    V, c = _require_superluminal(V, c)
+    g = superluminal_gamma(V, c)
     return eta * g * np.array([[1.0, -V / (c * c)],
                                [-V, 1.0]])
 
@@ -282,7 +287,7 @@ class FrameMap:
                 problems.append(f"V: required for the {branch.value} branch")
         elif branch is BranchKind.GENERAL_LINEAR:
             problems.append("V: not allowed for the general-linear branch")
-        elif not _is_number(V):
+        elif not is_real(V):
             problems.append("V: must be a number")
         if eta is None:
             if branch is BranchKind.SUPERLUMINAL:
@@ -307,7 +312,7 @@ class FrameMap:
         elif len(tr) != 2:
             problems.append("translation: must have 2 components")
         try:
-            _require_light_speed(c)
+            light = _require_light_speed(c)
         except KinematicsError as err:
             problems.append(str(err))
         if problems:
@@ -315,14 +320,14 @@ class FrameMap:
         if branch is BranchKind.GENERAL_LINEAR:
             _require_invertible(lin)
         elif branch is BranchKind.SUBLUMINAL:  # the builders reject a V not finite
-            lin, V = boost_matrix(V, c), float(V)
+            lin, V = boost_matrix(V, c), finite_float(V)
         else:
             eta = int(eta)
-            lin, V = superluminal_matrix(V, eta, c), float(V)
+            lin, V = superluminal_matrix(V, eta, c), finite_float(V)
         lin.setflags(write=False)
         tr.setflags(write=False)
         for name, value in (("branch", branch), ("V", V), ("eta", eta),
-                            ("linear_part", lin), ("translation", tr), ("c", float(c))):
+                            ("linear_part", lin), ("translation", tr), ("c", light)):
             object.__setattr__(self, name, value)
 
     # -- constructors -------------------------------------------------------
@@ -379,8 +384,8 @@ def superluminal_map(p: SpacetimePoint, V: float, eta: int,
 
 def velocity_addition(V1: float, V2: float, c: float = DEFAULT_C) -> float:
     """Relativistic composition of two collinear subluminal velocities."""
-    _require_subluminal(V1, c)
-    _require_subluminal(V2, c)
+    V1, c = _require_subluminal(V1, c)
+    V2, c = _require_subluminal(V2, c)
     return (V1 + V2) / (1.0 + V1 * V2 / (c * c))
 
 
@@ -433,27 +438,31 @@ def classify_cone_preserver(linear_part, c: float = DEFAULT_C) -> ConeClassifica
     must be at most REL_TOL_ALGEBRA * ||L||^2 ||G|| (Frobenius norms), a
     bound that follows the rounding of the product (it grows with the
     cancelling terms, about gamma^2 for a boost) and scales as s^2 with L.
-    L is first divided by the power of two of its largest entry, which is
-    exact, so the squares neither over- nor underflow; a scale that is not
-    a finite nonzero float raises KinematicsError.
+    L is divided by the power of two of its largest entry both before and
+    after the c-scaling; each division is exact, so neither the scaling
+    nor the squares overflow, since c*c is a finite nonzero float.  A
+    scale that is not a finite nonzero float raises KinematicsError.
     """
     lin = _finite_array(linear_part)
     if lin is None or lin.shape not in ((2, 2), (4, 4)):
         raise KinematicsError("linear_part: must be a 2x2 (1+1) or 4x4 (1+3) "
                               "matrix of finite numbers")
-    _require_light_speed(c)
+    c = _require_light_speed(c)
     _require_invertible(lin)
+    _, e0 = math.frexp(float(np.max(np.abs(lin))))
+    lin = np.ldexp(lin, -e0)
     lin[0, 1:] *= c
     lin[1:, 0] /= c
-    _, e = math.frexp(float(np.max(np.abs(lin))))
-    lin = np.ldexp(lin, -e)
+    _, e1 = math.frexp(float(np.max(np.abs(lin))))
+    lin = np.ldexp(lin, -e1)
+    e = e0 + e1
     g = np.eye(len(lin))
     g[0, 0] = -1.0
     pulled = lin.T @ g @ lin
     lam = float(np.sum(pulled * g) / np.sum(g * g))
     residual = float(np.linalg.norm(pulled - lam * g))
     bound = float(np.linalg.norm(lin)) ** 2 * float(np.linalg.norm(g))
-    if not residual <= REL_TOL_ALGEBRA * bound:  # nan where c*L overflowed
+    if not residual <= REL_TOL_ALGEBRA * bound:
         return ConeClassification(ConeClass.NOT_CONE_PRESERVING, None)
     mantissa, k = math.frexp(abs(lam))
     scale = math.ldexp(mantissa, k + 2 * e) if k + 2 * e <= 1024 else math.inf

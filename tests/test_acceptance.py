@@ -20,6 +20,7 @@ import fringelab.interference as interference
 import fringelab.kinematics as kinematics
 from fringelab.amplitudes import (
     Amplitude,
+    ProbabilityRule,
     SQUARED_NORM,
     carrier_minimality_check,
     check_global_phase_invariance,
@@ -271,6 +272,32 @@ def _magnitude_weight_evaluate(g, rule=SQUARED_NORM):
     return math.fsum(math.hypot(a.re, a.im) for a in amplitudes.components(g))
 
 
+_concat = amplitudes.concat
+
+
+def _im_skewed_concat(a, b):
+    # The carrier product plus 1e-3*a.re on its imaginary part.
+    p = _concat(a, b)
+    return Amplitude(p.re, p.im + 1e-3 * a.re)
+
+
+def _re_shifted_concat(a, b):
+    # The carrier product plus 1e-3 on its real part.
+    p = _concat(a, b)
+    return Amplitude(p.re + 1e-3, p.im)
+
+
+def _raw_evaluate_outcomes(outcomes, rule=SQUARED_NORM):
+    # Each outcome's raw weight, never divided by the total.
+    return {name: amplitudes.evaluate(g, rule) for name, g in outcomes.items()}
+
+
+def _time_order_classify_interval(a, b, c=1.0):
+    # Classes read off coordinate-time order, which a boost can change.
+    return (kinematics.IntervalKind.TIMELIKE if b.t != a.t
+            else kinematics.IntervalKind.SPACELIKE)
+
+
 MUTATIONS = {
     "blocked-arm-exact": (interference, "_per_path_splits", _squared_root_splits),
     "classical-no-go": (interference, "_simulate_classical",
@@ -299,6 +326,18 @@ MUTATIONS = {
     "detector-model-robustness": (interference.DetectorModel, "records_which_way",
                                   property(lambda self: False)),
     "fringe-law": (interference, "evaluate", _magnitude_weight_evaluate),
+    "alternative-sum-cancellation": (checks, "sum_alternatives", lambda a, b:
+                                     Amplitude(a.re + b.re, a.im)),
+    "concatenation-associativity": (checks, "concat", _im_skewed_concat),
+    "concatenation-distributivity": (checks, "concat", _re_shifted_concat),
+    "interference-witness": (checks, "Branch", lambda children, distinguishable:
+                             amplitudes.Branch(children, True)),
+    "global-phase-invariance": (checks, "SQUARED_NORM", ProbabilityRule(
+        "re-squared", lambda a: a.re * a.re)),
+    "outcome-normalization": (checks, "evaluate_outcomes",
+                              _raw_evaluate_outcomes),
+    "frame-invariant-statistics": (interference, "classify_interval",
+                                   _time_order_classify_interval),
 }
 
 
@@ -327,6 +366,34 @@ def test_carrier_minimality_detail_names_the_planar_requirement(monkeypatch):
         "7 one-dimensional exponential actions scanned, 0 satisfied both "
         "phase requirements; planar carrier failed phase-sensitive "
         "recombination")
+
+
+def test_mutation_table_covers_every_check_but_seed_repeatability():
+    assert set(MUTATIONS) == {spec.id for spec in checks.REGISTRY} - {
+        "seed-repeatability"}
+
+
+@pytest.mark.parametrize("check_id, passed, failed", [
+    ("global-phase-invariance",
+     "default rule invariant under global phase on 20 random amplitudes",
+     "default rule 're-squared' not invariant under global phase on 20 "
+     "random amplitudes"),
+    ("frame-invariant-statistics",
+     "interval classes and statistics unchanged under 5 boosts up to "
+     "|V|=0.99c",
+     "interval classes changed under V=0.29999999999999999; interval "
+     "classes changed under V=-0.59999999999999998; interval classes "
+     "changed under V=0.90000000000000002; interval classes changed under "
+     "V=-0.98999999999999999"),
+])
+def test_fail_details_name_what_broke(monkeypatch, check_id, passed, failed):
+    ctx = CheckContext(seed=8, trials=20, resolution=11)
+    [baseline] = run_checks(ctx, check_id)
+    assert baseline.passed and baseline.detail == passed
+    module, target, mutant = MUTATIONS[check_id]
+    monkeypatch.setattr(module, target, mutant)
+    [mutated] = run_checks(ctx, check_id)
+    assert not mutated.passed and mutated.detail == failed
 
 
 def test_criterion_8_nogo_command_fails_under_the_phase_reading_mutant(

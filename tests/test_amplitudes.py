@@ -238,6 +238,16 @@ def test_rule_names_every_invalid_weight(weight, shown):
     assert str(info.value) == f"rule 'big' produced an invalid weight {shown}"
 
 
+@pytest.mark.parametrize("weight", ["0.5", True, None, [0.5]])
+def test_rule_names_a_weight_that_is_not_a_number(weight):
+    rule = ProbabilityRule("odd", lambda a: weight)
+    with pytest.raises(AmplitudeError) as info:
+        rule(UNIT)
+    assert type(info.value) is AmplitudeError
+    assert str(info.value) == (
+        f"rule 'odd' produced an invalid weight {weight!r}")
+
+
 def test_rule_returns_a_float_for_a_valid_weight():
     for weight in (0, 1, 0.25, np.float64(0.5), 10 ** 300):
         value = ProbabilityRule("ok", lambda a: weight)(UNIT)

@@ -17,6 +17,7 @@ from fringelab.checks import (
     run_checks,
     select_checks,
 )
+from fringelab.interference import ConfigError
 from fringelab.kinematics import (
     ConeClass,
     classify_cone_preserver,
@@ -47,6 +48,13 @@ def test_full_run_passes_with_reduced_trials():
         assert isinstance(r.passed, bool)
         assert isinstance(r.detail, str)
         assert r.detail
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_check_context_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(ConfigError) as info:
+        CheckContext(trials=trials)
+    assert str(info.value) == f"trials: must be at least 1, got {trials}"
 
 
 def test_result_dict_shape():

@@ -1,14 +1,15 @@
-"""Tests for the shared numerical policy: the one finiteness rule."""
+"""Tests for the shared numerical policy: the one number and finiteness rule."""
 
 import ast
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fringelab.constants import finite_float
+from fringelab.constants import finite_float, is_real
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fringelab"
 
@@ -54,9 +55,43 @@ def test_overflow_is_caught_only_by_finite_float_and_result_checks():
     assert found == OVERFLOW_HANDLERS
 
 
+def _is_number_test(node) -> bool:
+    # isinstance(..., numbers.Real) or isinstance(..., (int, float)).
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1]
+    if isinstance(kinds, ast.Tuple):
+        return any(isinstance(e, ast.Name) and e.id in ("int", "float")
+                   for e in kinds.elts)
+    return ((isinstance(kinds, ast.Attribute) and kinds.attr == "Real")
+            or (isinstance(kinds, ast.Name) and kinds.id == "Real"))
+
+
+def _number_tests(path: Path) -> list[tuple[str, str]]:
+    # (file, function) of each number test; a name _is_number counts as one.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if func.name == "_is_number":
+                found.append((path.name, func.name))
+            found.extend((path.name, func.name) for node in ast.walk(func)
+                         if _is_number_test(node))
+    found.extend((path.name, "<module>") for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id == "_is_number")
+    return found
+
+
+def test_only_is_real_decides_what_a_number_is():
+    found = sorted(site for path in sorted(SRC.glob("*.py"))
+                   for site in _number_tests(path))
+    assert found == [("constants.py", "is_real")]
+
+
 @pytest.mark.parametrize("value, expected", [
-    (0, 0.0), (-2, -2.0), (1.5, 1.5), (True, 1.0), (Fraction(1, 4), 0.25),
-    (np.float32(0.5), 0.5), ("2.5", 2.5), (10 ** 300, 1e300),
+    (0, 0.0), (-2, -2.0), (1.5, 1.5), (Fraction(1, 4), 0.25),
+    (np.float32(0.5), 0.5), (10 ** 300, 1e300),
     (1.7976931348623157e308, 1.7976931348623157e308),
 ])
 def test_finite_float_returns_the_float_of_a_finite_value(value, expected):
@@ -70,13 +105,15 @@ def test_finite_float_returns_none_for_a_nonfinite_value(value):
     assert finite_float(value) is None
 
 
-@pytest.mark.parametrize("value, error", [
-    ("x", ValueError), (None, TypeError), ([1.0], TypeError),
-    (1j, TypeError),
-])
-def test_finite_float_lets_other_errors_of_float_propagate(value, error):
-    with pytest.raises(error) as info:
-        finite_float(value)
-    with pytest.raises(error) as direct:
-        float(value)
-    assert str(info.value) == str(direct.value)
+@pytest.mark.parametrize("value", ["x", None, [1.0], 1j, True, "2.5",
+                                   Decimal("0.5")])
+def test_finite_float_returns_none_for_a_non_number(value):
+    assert not is_real(value)
+    assert finite_float(value) is None
+
+
+@pytest.mark.parametrize("value", [0, 1.5, np.float64(0.5), np.float32(0.5),
+                                   np.int64(3), Fraction(1, 2), 10 ** 400,
+                                   math.nan])
+def test_is_real_accepts_ints_floats_fractions_and_numpy_scalars(value):
+    assert is_real(value)

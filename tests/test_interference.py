@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +56,35 @@ def test_config_defaults_are_valid():
     config = ExperimentConfig()
     assert config.splitter1 == 0.5
     assert config.composition is Composition.AMPLITUDE
+
+
+@pytest.mark.parametrize("half, quarter", [
+    (np.float32(0.5), np.float32(0.25)), (Fraction(1, 2), Fraction(1, 4))])
+def test_config_accepts_numpy_scalars_and_fractions(half, quarter):
+    config = ExperimentConfig(splitter1=half, splitter2=half, phase=half)
+    assert config == ExperimentConfig(splitter1=0.5, splitter2=0.5, phase=0.5)
+    assert type(config.splitter1) is float and type(config.phase) is float
+    mixed = ExperimentConfig(composition="classical_mixture",
+                             mixture_weights=(quarter, 1 - quarter))
+    assert mixed.mixture_weights == (0.25, 0.75)
+    one, zero = np.int64(1), np.int64(0)
+    assert ExperimentConfig(splitter1=one, phase=zero,
+                            composition="classical_mixture",
+                            mixture_weights=(one, zero)) == ExperimentConfig(
+        splitter1=1.0, phase=0.0, composition="classical_mixture",
+        mixture_weights=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None, Decimal("0.5")])
+def test_config_names_a_value_that_is_not_a_number(bad):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(splitter1=bad, splitter2=bad, phase=bad,
+                         composition="classical_mixture",
+                         mixture_weights=(bad, 0.5))
+    assert str(info.value) == (
+        "splitter1: must be a number; splitter2: must be a number; "
+        "phase: must be a number; mixture_weights: must be two numbers "
+        "(upper, lower)")
 
 
 def test_config_accepts_enum_values_as_plain_strings():
@@ -362,6 +393,28 @@ _NONFINITE = [(_BIG, None), (-_BIG, "-10**400"), (math.nan, "nan"),
     for value, suffix in _NONFINITE])
 def test_entry_points_name_an_int_too_large_for_a_float(call, value, error,
                                                         message):
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(value)
+
+
+# A str or a bool is not a number: each row names it with its finiteness
+# error, except the sites that tell a non-number from a nonfinite number.
+_NOT_A_NUMBER = {
+    "SpacetimePoint.t": (KinematicsError, "event coordinates must be numbers"),
+    "SpacetimePoint.x": (KinematicsError, "event coordinates must be numbers"),
+    "FrameMap.boost": (KinematicsError, "V: must be a number"),
+    "check_O3_frame_invariance": (KinematicsError, "V: must be a number"),
+}
+
+
+@pytest.mark.parametrize("call, value, error, message", [
+    pytest.param(call, value, *_NOT_A_NUMBER.get(name, (error, message)),
+                 id=f"{name}-{suffix}")
+    for name, call, error, message in _ENTRY_POINTS
+    for value, suffix in (("0.5", "str"), (True, "bool"))])
+def test_entry_points_name_a_non_number(call, value, error, message):
     with pytest.raises(error) as info:
         call(value)
     assert type(info.value) is error

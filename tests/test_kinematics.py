@@ -1,6 +1,7 @@
 """Unit tests for boosts, the faster-than-light branch, and cone classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +38,11 @@ def test_point_stores_two_floats():
     p = SpacetimePoint(1, 2.0)
     assert (p.t, p.x) == (1.0, 2.0)
     assert type(p.t) is float and type(p.x) is float
-    q = SpacetimePoint(np.float64(0.5), True)
+    q = SpacetimePoint(np.float64(0.5), np.float32(1.0))
     assert (q.t, q.x) == (0.5, 1.0) and type(q.t) is float
+    with pytest.raises(KinematicsError) as info:
+        SpacetimePoint(np.float64(0.5), True)
+    assert str(info.value) == "event coordinates must be numbers"
 
 
 @pytest.mark.parametrize("x", [(2.0,), [0.0, 1.0, 2.0], np.array([2.0]), None],
@@ -606,6 +610,25 @@ def test_preserves_null_lines_at_the_edges_of_the_float_range():
             FrameMap.general_linear(np.diag([s, 2.0 * s])), rng)
         assert preserves_null_lines(
             FrameMap.general_linear(s * boost_matrix(0.6)), rng)
+
+
+def test_classify_cone_preserver_scales_by_c_without_overflow():
+    # c*L would overflow here; the verdict must not come from a nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cls = classify_cone_preserver([[1e200, 1e200], [0.0, 1.0]], 1e150)
+        assert cls.kind is ConeClass.NOT_CONE_PRESERVING and cls.scale is None
+
+
+def test_a_numpy_float32_light_speed_is_computed_in_float64():
+    c = np.float32(0.3)
+    m = FrameMap.boost(0.18, c=c)
+    assert type(m.c) is float and m.c == float(c)
+    assert np.array_equal(m.linear_part, boost_matrix(0.18, float(c)))
+    assert (classify_cone_preserver(m.linear_part, m.c).kind
+            is ConeClass.CONFORMAL_LORENTZ)
+    w = velocity_addition(np.float32(0.5), 0.25)
+    assert type(w) is float and w == velocity_addition(0.5, 0.25)
 
 
 def test_frame_map_builds_a_numpy_float32_velocity_in_float64():
