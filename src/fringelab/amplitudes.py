@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence as SequenceType, Union
 
 import numpy as np
 
-from .constants import REL_TOL_ALGEBRA, finite_float, is_real
+from .constants import REL_TOL_ALGEBRA, finite_float, is_count, is_real
 
 
 class AmplitudeError(ValueError):
@@ -264,6 +264,8 @@ def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],
 def check_global_phase_invariance(rule: ProbabilityRule, trials: int,
                                   rng: np.random.Generator) -> bool:
     """True iff P(u(phi) A) == P(A) within REL_TOL_ALGEBRA over random trials."""
+    if not is_count(trials):
+        raise AmplitudeError("trials must be an integer")
     if trials < 1:
         raise AmplitudeError("trials must be at least 1")
     for _ in range(trials):

@@ -43,6 +43,7 @@ from .constants import (
     DEFAULT_TRIALS,
     REL_TOL_ALGEBRA,
     REL_TOL_SAMPLED,
+    is_count,
 )
 from .interference import (
     BlockedArm,
@@ -85,8 +86,12 @@ class CheckContext:
     trials: int = DEFAULT_TRIALS
     resolution: int = DEFAULT_RESOLUTION
 
-    def __post_init__(self):  # with no trials a randomized check tests nothing
-        if self.trials < 1:
+    def __post_init__(self):
+        for name in ("trials", "resolution"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        if self.trials < 1:  # with no trials a randomized check tests nothing
             raise ConfigError(f"trials: must be at least 1, got {self.trials!r}")
 
 

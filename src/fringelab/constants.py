@@ -17,7 +17,8 @@ a number is a real (int, float, Fraction or numpy scalar) that is not a
 bool, so a str, a bool, None or a Decimal is not one.  Every entry point
 computes with the float finite_float returns, so a float32 input is
 computed in float64, and raises its own named error for a non-number, nan,
-±inf or an int too large for a float.
+±inf or an int too large for a float.  is_count is the matching test for
+an integer count (trials, grid sizes): an int or numpy integer, not a bool.
 """
 
 import math
@@ -50,6 +51,11 @@ DEFAULT_RESOLUTION = 101
 def is_real(value) -> bool:
     """True for a real number: a numbers.Real that is not a bool."""
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def is_count(value) -> bool:
+    """True for an integer count: an int or numpy integer, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
 def finite_float(value) -> float | None:

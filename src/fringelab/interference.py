@@ -51,6 +51,7 @@ from .constants import (
     REL_TOL_ALGEBRA,
     REL_TOL_SAMPLED,
     finite_float,
+    is_count,
     is_real,
 )
 from .kinematics import (
@@ -112,62 +113,50 @@ class ExperimentConfig:
     mixture_weights: tuple[float, float] | None = None
 
     def __post_init__(self):
-        # Plain strings are accepted wherever an enum value is expected.
-        for name, kind in _ENUM_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, str) and not isinstance(value, kind):
-                try:
-                    object.__setattr__(self, name, kind(value))
-                except ValueError:
-                    pass  # problems() names the field below
-        problems = self.problems()
-        if problems:
-            raise ConfigError("; ".join(problems))
-        if self.mixture_weights is not None:
-            object.__setattr__(self, "mixture_weights",
-                               tuple(float(v) for v in self.mixture_weights))
-        object.__setattr__(self, "splitter1", float(self.splitter1))
-        object.__setattr__(self, "splitter2", float(self.splitter2))
-        object.__setattr__(self, "phase", float(self.phase))
-
-    def problems(self) -> list[str]:
-        """Every invariant violation, named by field."""
-        out = []
+        # Each field is checked once and stored as the value it was checked
+        # as; an enum field also accepts the string that names a member.
+        problems, fields = [], {}
         for name in ("splitter1", "splitter2"):
             value = getattr(self, name)
+            fields[name] = finite_float(value)
             if not is_real(value):
-                out.append(f"{name}: must be a number")
-            elif not 0.0 <= value <= 1.0:
-                out.append(f"{name}: transmissivity must lie in [0, 1], got {value!r}")
+                problems.append(f"{name}: must be a number")
+            elif not 0.0 <= value <= 1.0:  # as given: exact for a Fraction
+                problems.append(f"{name}: transmissivity must lie in [0, 1], got {value!r}")
+        fields["phase"] = finite_float(self.phase)
         if not is_real(self.phase):
-            out.append("phase: must be a number")
-        elif finite_float(self.phase) is None:
-            out.append(_PHASE_NOT_FINITE)
+            problems.append("phase: must be a number")
+        elif fields["phase"] is None:
+            problems.append(_PHASE_NOT_FINITE)
         for name, kind in _ENUM_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, kind):
+            try:
+                fields[name] = kind(value)
+            except ValueError:
                 allowed = ", ".join(m.value for m in kind)
-                out.append(f"{name}: {value!r} is not one of [{allowed}]")
-        if self.mixture_weights is not None:
-            w = self.mixture_weights
+                problems.append(f"{name}: {value!r} is not one of [{allowed}]")
+        w = self.mixture_weights
+        if w is not None:
             if (not isinstance(w, (tuple, list)) or len(w) != 2
                     or not all(is_real(v) for v in w)):
-                out.append("mixture_weights: must be two numbers (upper, lower)")
+                problems.append("mixture_weights: must be two numbers (upper, lower)")
             else:
-                upper, lower = map(finite_float, w)
+                w = upper, lower = tuple(map(finite_float, w))
                 if upper is None or lower is None or min(upper, lower) < 0.0:
-                    out.append("mixture_weights: weights must be finite and nonnegative")
+                    problems.append("mixture_weights: weights must be finite and nonnegative")
                 else:
                     # Two floats' sum is rounded once, as math.fsum rounds it,
                     # but past the largest float it is inf instead of raising.
                     total = upper + lower
                     if abs(total - 1.0) > REL_TOL_ALGEBRA:
-                        out.append(f"mixture_weights: must sum to 1, got {total!r}")
-                if (isinstance(self.composition, Composition)
-                        and self.composition is Composition.AMPLITUDE):
-                    out.append("mixture_weights: only meaningful for "
-                               "classical_mixture composition")
-        return out
+                        problems.append(f"mixture_weights: must sum to 1, got {total!r}")
+            if fields.get("composition") is Composition.AMPLITUDE:
+                problems.append("mixture_weights: only meaningful for "
+                                "classical_mixture composition")
+        if problems:
+            raise ConfigError("; ".join(problems))
+        fields["mixture_weights"] = w
+        self.__dict__.update(fields)
 
 
 @dataclass(frozen=True)
@@ -276,9 +265,10 @@ def _at_phase(config: ExperimentConfig, p: float) -> ExperimentConfig:
     """``config`` with phase ``p``, checking nothing.
 
     ``p`` is a float from a phase grid that _phase_floats checked once, on
-    entry, and the other fields passed problems() when ``config`` was
-    built, so the result, equal to ``dataclasses.replace(config, phase=p)``
-    field for field, is made without re-running __post_init__.
+    entry, and __post_init__ checked and stored the other fields when
+    ``config`` was built, so the result, equal to
+    ``dataclasses.replace(config, phase=p)`` field for field, is made
+    without re-running __post_init__.
     """
     out = object.__new__(ExperimentConfig)
     out.__dict__.update(config.__dict__, phase=p)
@@ -320,6 +310,8 @@ def visibility(sweep: Sequence[tuple[float, OutcomeDistribution]]) -> float:
 
 def uniform_phase_grid(n: int) -> list[float]:
     """n phases 2*pi*k/n, k = 0..n-1; for even n the grid hits pi exactly."""
+    if not is_count(n):
+        raise ConfigError("phase grid size must be an integer")
     if n < 1:
         raise ConfigError("phase grid needs at least one point")
     return [2.0 * math.pi * k / n for k in range(n)]
@@ -370,6 +362,8 @@ def no_go_search(phis: Sequence[float],
     phis = _phase_floats(phis)
     if len(phis) < 2:
         raise ConfigError("no-go search needs at least two phases")
+    if not is_count(weight_grid_resolution):
+        raise ConfigError("weight grid resolution must be an integer")
     if weight_grid_resolution < 2:
         raise ConfigError("weight grid resolution must be at least 2")
     steps = weight_grid_resolution - 1
@@ -508,7 +502,6 @@ def check_O3_frame_invariance(config: ExperimentConfig,
     boosts = list(boosts)
     if not boosts:
         raise ConfigError("frame invariance check needs at least one boost")
-    c = _require_light_speed(c)
     events = interferometer_events(c)
     names = list(events)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]

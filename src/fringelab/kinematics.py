@@ -69,12 +69,16 @@ def _finite_array(value) -> np.ndarray | None:
     return np.array(floats).reshape(entries.shape)
 
 
-def _require_invertible(lin: np.ndarray):
+def _require_invertible(lin: np.ndarray, c: float):
     # |det L| over the product of its row lengths (Hadamard's bound) lies in
-    # [0, 1] and is unchanged when L is scaled.  Each row is first divided
-    # by its largest entry, so nothing over- or underflows.
+    # [0, 1] and is unchanged when a row is scaled; it is taken with time as
+    # c*t (the time column divided by c), each row divided by its largest
+    # entry before and after, so nothing over- or underflows and c = 1 is exact.
     peaks = np.max(np.abs(lin), axis=1, keepdims=True)
     rows = lin / np.where(peaks > 0.0, peaks, 1.0)
+    rows[:, 0] /= c
+    peaks = np.max(np.abs(rows), axis=1, keepdims=True)
+    rows /= np.where(peaks > 0.0, peaks, 1.0)
     lengths = np.linalg.norm(rows, axis=1)
     if abs(np.linalg.det(rows)) <= REL_TOL_ALGEBRA * np.prod(lengths):
         raise SingularMapError("linear_part: singular within tolerance, "
@@ -108,6 +112,7 @@ class SpacetimePoint:
 
 def event_interval(p: SpacetimePoint, c: float = DEFAULT_C) -> float:
     """Signed interval of ``p`` relative to the origin: x^2 - c^2 t^2."""
+    c = _require_light_speed(c)
     try:
         value = p.x * p.x - (c * p.t) ** 2
     except OverflowError:
@@ -137,6 +142,7 @@ def classify_interval(a: SpacetimePoint, b: SpacetimePoint,
     both sides are halved, so the band cannot overflow where the interval fits.
     An interval that does not fit a float raises KinematicsError.
     """
+    c = _require_light_speed(c)
     try:
         space = (b.x - a.x) ** 2
         time = (c * (b.t - a.t)) ** 2
@@ -178,8 +184,8 @@ def _require_light_speed(c: float) -> float:
     return f
 
 
-def _require_subluminal(V: float, c: float) -> tuple[float, float]:
-    """(V, c) as floats, once c is a light speed and |V| < c."""
+def _require_subluminal(V: float, c: float) -> tuple[float, float, float]:
+    """(V, c, gamma) as floats, once c is a light speed and |V| < c."""
     light = _require_light_speed(c)
     v = finite_float(V)
     if v is None:
@@ -187,11 +193,11 @@ def _require_subluminal(V: float, c: float) -> tuple[float, float]:
     if abs(v) >= light * (1.0 - SPEED_GUARD_BAND):
         raise SpeedDomainError(
             f"V: subluminal branch needs |V| < c, got V={V!r} with c={c!r}")
-    return v, light
+    return v, light, 1.0 / math.sqrt(1.0 - (v / light) ** 2)
 
 
-def _require_superluminal(V: float, c: float) -> tuple[float, float]:
-    """(V, c) as floats, once c is a light speed and |V| > c."""
+def _require_superluminal(V: float, c: float) -> tuple[float, float, float]:
+    """(V, c, gamma) as floats, once c is a light speed and |V| > c."""
     light = _require_light_speed(c)
     v = finite_float(V)
     if v is None:
@@ -202,25 +208,22 @@ def _require_superluminal(V: float, c: float) -> tuple[float, float]:
     if abs(v) <= light * (1.0 + SPEED_GUARD_BAND):
         raise SpeedDomainError(
             f"V: superluminal branch needs |V| > c, got V={V!r} with c={c!r}")
-    return v, light
+    return v, light, 1.0 / math.sqrt((v / light) ** 2 - 1.0)
 
 
 def lorentz_gamma(V: float, c: float = DEFAULT_C) -> float:
     """Stretch factor 1/sqrt(1 - V^2/c^2) for |V| < c."""
-    V, c = _require_subluminal(V, c)
-    return 1.0 / math.sqrt(1.0 - (V / c) ** 2)
+    return _require_subluminal(V, c)[2]
 
 
 def superluminal_gamma(V: float, c: float = DEFAULT_C) -> float:
     """Stretch factor 1/sqrt(V^2/c^2 - 1) for |V| > c."""
-    V, c = _require_superluminal(V, c)
-    return 1.0 / math.sqrt((V / c) ** 2 - 1.0)
+    return _require_superluminal(V, c)[2]
 
 
 def boost_matrix(V: float, c: float = DEFAULT_C) -> np.ndarray:
     """Matrix of the 1+1 boost on (t, x) vectors."""
-    V, c = _require_subluminal(V, c)
-    g = lorentz_gamma(V, c)
+    V, c, g = _require_subluminal(V, c)
     return np.array([[g, -g * V / (c * c)],
                      [-g * V, g]])
 
@@ -233,8 +236,7 @@ def superluminal_matrix(V: float, eta: int, c: float = DEFAULT_C) -> np.ndarray:
     """
     if isinstance(eta, bool) or eta not in (1, -1):
         raise KinematicsError(f"eta: must be +1 or -1, got {eta!r}")
-    V, c = _require_superluminal(V, c)
-    g = superluminal_gamma(V, c)
+    V, c, g = _require_superluminal(V, c)
     return eta * g * np.array([[1.0, -V / (c * c)],
                                [-V, 1.0]])
 
@@ -318,7 +320,7 @@ class FrameMap:
         if problems:
             raise KinematicsError("; ".join(problems))
         if branch is BranchKind.GENERAL_LINEAR:
-            _require_invertible(lin)
+            _require_invertible(lin, light)
         elif branch is BranchKind.SUBLUMINAL:  # the builders reject a V not finite
             lin, V = boost_matrix(V, c), finite_float(V)
         else:
@@ -384,8 +386,8 @@ def superluminal_map(p: SpacetimePoint, V: float, eta: int,
 
 def velocity_addition(V1: float, V2: float, c: float = DEFAULT_C) -> float:
     """Relativistic composition of two collinear subluminal velocities."""
-    V1, c = _require_subluminal(V1, c)
-    V2, c = _require_subluminal(V2, c)
+    V1, c, _ = _require_subluminal(V1, c)
+    V2, c, _ = _require_subluminal(V2, c)
     return (V1 + V2) / (1.0 + V1 * V2 / (c * c))
 
 
@@ -448,7 +450,7 @@ def classify_cone_preserver(linear_part, c: float = DEFAULT_C) -> ConeClassifica
         raise KinematicsError("linear_part: must be a 2x2 (1+1) or 4x4 (1+3) "
                               "matrix of finite numbers")
     c = _require_light_speed(c)
-    _require_invertible(lin)
+    _require_invertible(lin, c)
     _, e0 = math.frexp(float(np.max(np.abs(lin))))
     lin = np.ldexp(lin, -e0)
     lin[0, 1:] *= c

@@ -46,7 +46,7 @@ def _envelope(doc, cls, what: str) -> tuple[dict, list[str]]:
 
 def experiment_config_from_dict(doc) -> ExperimentConfig:
     fields, problems = _envelope(doc, ExperimentConfig, "experiment config")
-    # Field values are validated in one place, ExperimentConfig.problems();
+    # Field values are validated in one place, ExperimentConfig.__post_init__;
     # its messages join the schema's so one round trip surfaces every offense.
     try:
         config = ExperimentConfig(**fields)

@@ -308,3 +308,11 @@ def test_carrier_check_overflow_names_the_phase_grid(edge):
     with pytest.raises(AmplitudeError, match=r"phase grid spanning .* overflows"):
         carrier_minimality_check([0.0, edge])
     assert carrier_minimality_check([0.0, math.copysign(177.0, edge)]).actions
+
+
+@pytest.mark.parametrize("trials", [2.5, 3.0, True, "3"])
+def test_global_phase_invariance_refuses_a_non_integer_trial_count(trials):
+    with pytest.raises(AmplitudeError) as info:
+        check_global_phase_invariance(SQUARED_NORM, trials,
+                                      np.random.default_rng(0))
+    assert str(info.value) == "trials must be an integer"

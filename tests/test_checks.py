@@ -160,3 +160,17 @@ def test_perturbed_maps_are_never_cone_preservers():
         fm = perturbed_noncone_map(rng)
         assert (classify_cone_preserver(fm.linear_part).kind
                 is ConeClass.NOT_CONE_PRESERVING)
+
+
+@pytest.mark.parametrize("field", ["trials", "resolution"])
+@pytest.mark.parametrize("bad", [2.5, 5.0, np.float64(5.0), True, "5", None])
+def test_check_context_refuses_a_count_that_is_not_an_integer(field, bad):
+    with pytest.raises(ConfigError) as info:
+        CheckContext(**{field: bad})
+    assert str(info.value) == f"{field}: must be an integer, got {bad!r}"
+
+
+def test_check_context_takes_numpy_integers_and_any_integer_resolution():
+    # The no-go check reports a resolution below 2 as its own FAIL line.
+    ctx = CheckContext(trials=np.int64(3), resolution=1)
+    assert ctx.resolution == 1 and ctx.trials == 3

@@ -410,6 +410,15 @@ def test_check_json_printed_without_out_flag(capsys):
     assert doc["suite"] == "carrier"
 
 
+def test_check_reports_a_resolution_of_one_as_a_failed_check(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "classical-no-go",
+                       "--trials", "5", "--resolution", "1")
+    assert code == 1
+    assert out.startswith("FAIL  classical-no-go  [O2 no-go]  raised "
+                          "ConfigError: weight grid resolution must be at "
+                          "least 2\n")
+
+
 def test_check_unknown_selector_exits_with_usage_error(capsys):
     code, _, err = run(capsys, "check", "--suite", "zzz-nothing")
     assert code == 2

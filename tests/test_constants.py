@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fringelab.constants import finite_float, is_real
+from fringelab.constants import finite_float, is_count, is_real
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fringelab"
 
@@ -117,3 +117,12 @@ def test_finite_float_returns_none_for_a_non_number(value):
                                    math.nan])
 def test_is_real_accepts_ints_floats_fractions_and_numpy_scalars(value):
     assert is_real(value)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0, True), (3, True), (10 ** 400, True), (np.int64(3), True),
+    (np.uint8(3), True), (True, False), (np.bool_(True), False),
+    (2.0, False), (2.5, False), (np.float64(2.0), False),
+    (Fraction(4, 2), False), ("5", False), (None, False)])
+def test_is_count_takes_ints_and_numpy_integers_but_not_bools(value, expected):
+    assert is_count(value) is expected

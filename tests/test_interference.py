@@ -106,6 +106,47 @@ def test_config_rejects_bad_fields_with_field_names():
     assert "splitter1" in message and "phase" in message
 
 
+_EVERY_FIELD_WRONG = (
+    "splitter1: transmissivity must lie in [0, 1], got 1.5; "
+    "splitter2: transmissivity must lie in [0, 1], got -0.5; "
+    "phase: must be finite; "
+    "blocked_arm: 'sideways' is not one of [none, upper, lower]; "
+    "detector_model: 'camera' is not one of [none, non_demolishing_recording, "
+    "non_demolishing_silent, absorb_and_reemit_recording]; ")
+
+
+@pytest.mark.parametrize("composition, tail", [
+    ("quantum", "composition: 'quantum' is not one of [amplitude, "
+     "classical_mixture]; mixture_weights: must sum to 1, got 0.75"),
+    ("amplitude", "mixture_weights: must sum to 1, got 0.75; mixture_weights: "
+     "only meaningful for classical_mixture composition"),
+])
+def test_config_names_every_wrong_field_in_field_order(composition, tail):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(splitter1=1.5, splitter2=-0.5, phase=math.nan,
+                         blocked_arm="sideways", detector_model="camera",
+                         composition=composition, mixture_weights=(0.25, 0.5))
+    assert str(info.value) == _EVERY_FIELD_WRONG + tail
+
+
+def test_config_stores_each_field_as_the_value_it_checked():
+    config = ExperimentConfig(np.float32(0.25), Fraction(3, 4), 1, "lower",
+                              DetectorModel.NON_DEMOLISHING_SILENT,
+                              "classical_mixture",
+                              [Fraction(1, 4), np.float32(0.75)])
+    assert [type(v) for v in (config.splitter1, config.splitter2,
+                              config.phase)] == [float] * 3
+    assert config.blocked_arm is BlockedArm.LOWER
+    assert config.composition is Composition.CLASSICAL_MIXTURE
+    assert config.mixture_weights == (0.25, 0.75)
+    assert [type(v) for v in config.mixture_weights] == [float, float]
+    for p in (0.0, -2.5, 1e300):
+        fast, slow = _at_phase(config, p), dataclasses.replace(config, phase=p)
+        for field in dataclasses.fields(ExperimentConfig):
+            a, b = getattr(fast, field.name), getattr(slow, field.name)
+            assert type(a) is type(b) and a == b
+
+
 def test_config_rejects_weights_outside_classical_mode():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(mixture_weights=(0.5, 0.5))
@@ -474,6 +515,17 @@ def test_no_go_search_input_guards():
         no_go_search([0.0], weight_grid_resolution=11)
     with pytest.raises(ConfigError):
         no_go_search(uniform_phase_grid(4), weight_grid_resolution=1)
+
+
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, "3"])
+def test_grid_sizes_must_be_integers(bad):
+    with pytest.raises(ConfigError) as info:
+        no_go_search(uniform_phase_grid(4), bad)
+    assert str(info.value) == "weight grid resolution must be an integer"
+    with pytest.raises(ConfigError) as info:
+        uniform_phase_grid(bad)
+    assert str(info.value) == "phase grid size must be an integer"
+    assert uniform_phase_grid(np.int64(4)) == uniform_phase_grid(4)
 
 
 def test_O1_report_pattern():

@@ -613,11 +613,38 @@ def test_preserves_null_lines_at_the_edges_of_the_float_range():
 
 
 def test_classify_cone_preserver_scales_by_c_without_overflow():
-    # c*L would overflow here; the verdict must not come from a nan.
+    # c*L would overflow here; the verdict must not come from a nan.  With
+    # time measured as c*t the Hadamard ratio is about 1e-150: singular.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cls = classify_cone_preserver([[1e200, 1e200], [0.0, 1.0]], 1e150)
-        assert cls.kind is ConeClass.NOT_CONE_PRESERVING and cls.scale is None
+        with pytest.raises(SingularMapError):
+            classify_cone_preserver([[1e200, 1e200], [0.0, 1.0]], 1e150)
+
+
+# Determinant-1 boosts at a large c, which a singularity test in raw units
+# (time not measured as c*t) called singular.
+_LARGE_C_BOOSTS = {
+    "composed": lambda: compose(FrameMap.boost(1e13, c=3e13),
+                                FrameMap.boost(2e13, c=3e13)),
+    "general_linear": lambda: FrameMap.general_linear(
+        boost_matrix(1e149, 1e150), c=1e150),
+    "boost": lambda: FrameMap.boost(1e13, c=3e13),
+}
+
+
+@pytest.mark.parametrize("build", _LARGE_C_BOOSTS.values(),
+                         ids=_LARGE_C_BOOSTS.keys())
+def test_singularity_is_measured_in_light_units(build):
+    m = build()
+    assert abs(np.linalg.det(m.linear_part) - 1.0) <= 1e-12
+    cls = classify_cone_preserver(m.linear_part, m.c)
+    assert cls.kind is ConeClass.CONFORMAL_LORENTZ
+
+
+def test_composed_boosts_at_a_large_c_add_their_velocities():
+    m = _LARGE_C_BOOSTS["composed"]()
+    expected = boost_matrix(velocity_addition(1e13, 2e13, 3e13), 3e13)
+    assert np.allclose(m.linear_part, expected, rtol=1e-12, atol=0.0)
 
 
 def test_a_numpy_float32_light_speed_is_computed_in_float64():
