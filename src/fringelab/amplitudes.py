@@ -23,6 +23,7 @@ statistics, while the planar rotation action does both.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -209,7 +210,7 @@ def components(g: AlternativeGraph) -> tuple[Amplitude, ...]:
         return (g.amplitude,)
     if isinstance(g, Sequence):
         parts = [components(ch) for ch in g.children]
-        return tuple(_product_reduce(combo)
+        return tuple(functools.reduce(concat, combo)
                      for combo in itertools.product(*parts))
     # Sequence and Branch checked their children; only a root can be a non-node.
     _require_graph(g)
@@ -224,13 +225,6 @@ def components(g: AlternativeGraph) -> tuple[Amplitude, ...]:
                 "distinguishable components")
         total = sum_alternatives(total, comps[0])
     return (total,)
-
-
-def _product_reduce(combo: tuple[Amplitude, ...]) -> Amplitude:
-    out = combo[0]
-    for a in combo[1:]:
-        out = concat(out, a)
-    return out
 
 
 def evaluate(g: AlternativeGraph, rule: ProbabilityRule = SQUARED_NORM) -> float:

@@ -44,6 +44,7 @@ from .constants import (
     REL_TOL_ALGEBRA,
     REL_TOL_SAMPLED,
     is_count,
+    is_seed,
 )
 from .interference import (
     BlockedArm,
@@ -87,6 +88,8 @@ class CheckContext:
     resolution: int = DEFAULT_RESOLUTION
 
     def __post_init__(self):
+        if not is_seed(self.seed):
+            raise ConfigError(f"seed: must be an integer in [0, 2**64), got {self.seed!r}")
         for name in ("trials", "resolution"):
             value = getattr(self, name)
             if not is_count(value):

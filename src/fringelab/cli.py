@@ -29,7 +29,7 @@ from .checks import (
     NoMatchingChecksError,
     run_checks,
 )
-from .constants import DEFAULT_RESOLUTION, DEFAULT_SEED, DEFAULT_TRIALS
+from .constants import DEFAULT_RESOLUTION, DEFAULT_SEED, DEFAULT_TRIALS, is_seed
 from .interference import (
     ConfigError,
     ExperimentConfig,
@@ -59,7 +59,7 @@ def _parse_seed(text: str) -> int:
         value = int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 2 ** 64:
+    if not is_seed(value):
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
 
@@ -243,11 +243,7 @@ def cmd_check(args: argparse.Namespace) -> int:
           f"(suite: {args.suite}, seed: {args.seed})")
     report = {"suite": args.suite,
               "checks": [r.as_dict() for r in results]}
-    text = dump_json(report)
-    if args.out is not None:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, dump_json(report))
     return 0 if passed == len(results) else 1
 
 

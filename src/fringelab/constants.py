@@ -19,6 +19,7 @@ computes with the float finite_float returns, so a float32 input is
 computed in float64, and raises its own named error for a non-number, nan,
 ±inf or an int too large for a float.  is_count is the matching test for
 an integer count (trials, grid sizes): an int or numpy integer, not a bool.
+is_seed adds the one range of a seed, [0, 2**64).
 """
 
 import math
@@ -56,6 +57,11 @@ def is_real(value) -> bool:
 def is_count(value) -> bool:
     """True for an integer count: an int or numpy integer, not a bool."""
     return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def is_seed(value) -> bool:
+    """True for a seed: a count (see is_count) that fits an unsigned 64-bit int."""
+    return is_count(value) and 0 <= int(value) < 2 ** 64
 
 
 def finite_float(value) -> float | None:

@@ -2,10 +2,10 @@
 
 Events are 1+1 pairs ``(t, x)`` with the metric ``diag(-c^2, 1)``, so the
 signed interval of a displacement is ``dx^2 - c^2 dt^2`` (negative:
-timelike, positive: spacelike, zero: null), and every FrameMap is 1+1.
-1+3 appears in one function: classify_cone_preserver also takes a 4x4
-matrix, which is where the claim that no linear map flips the interval in
-1+3 is tested.
+timelike, positive: spacelike, zero: null); every FrameMap and every
+worldline polyline is 1+1 too.  1+3 appears in one function:
+classify_cone_preserver also takes a 4x4 matrix, which is where the claim
+that no linear map flips the interval in 1+3 is tested.
 
 Two boost branches are provided.  The standard subluminal boost,
 
@@ -41,6 +41,7 @@ from .constants import (
     REL_TOL_SAMPLED,
     SPEED_GUARD_BAND,
     finite_float,
+    is_count,
     is_real,
 )
 
@@ -143,12 +144,9 @@ def classify_interval(a: SpacetimePoint, b: SpacetimePoint,
     An interval that does not fit a float raises KinematicsError.
     """
     c = _require_light_speed(c)
-    try:
-        space = (b.x - a.x) ** 2
-        time = (c * (b.t - a.t)) ** 2
-        value = space - time
-    except OverflowError:
-        value = math.inf
+    dx, cdt = b.x - a.x, c * (b.t - a.t)
+    space, time = dx * dx, cdt * cdt
+    value = space - time
     if not math.isfinite(value):
         raise KinematicsError(f"interval: not a finite float from {a} to {b}")
     if 0.5 * abs(value) <= REL_TOL_ALGEBRA * (0.5 * space + 0.5 * time):
@@ -550,6 +548,8 @@ def past_worldline_segment(w: Worldline, e_index: int) -> Worldline:
     ``e_index``: every vertex with a smaller proper-time label, excluding
     the event itself.
     """
+    if not is_count(e_index):
+        raise KinematicsError(f"e_index: must be an integer, got {e_index!r}")
     if not 0 <= e_index < len(w):
         raise IndexError(f"vertex index {e_index} out of range")
     # A prefix of checked vertices and labels passes every test of
@@ -564,12 +564,9 @@ def past_worldline_segment(w: Worldline, e_index: int) -> Worldline:
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Row-wise dot products with the coordinates summed left to right, so
-    # each value is the plain scalar sum, whatever numpy's reduction order.
-    out = x[:, 0] * y[:, 0]
-    for k in range(1, x.shape[1]):
-        out = out + x[:, k] * y[:, k]
-    return out
+    # Row-wise dot products of (t, x) pairs, t term first, so each value is
+    # the plain scalar sum, whatever numpy's reduction order.
+    return x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1]
 
 
 def _clamp01(x: np.ndarray) -> np.ndarray:
@@ -590,26 +587,25 @@ def _non_adjacent_pairs(segments: int) -> tuple[np.ndarray, np.ndarray]:
 def polyline_is_simple(points: np.ndarray) -> bool:
     """True iff the open polyline through ``points`` is injective.
 
-    Checks, at REL_TOL_SAMPLED relative to the bounding-box diagonal: no
-    repeated vertices, no collinear backtracking between consecutive
-    segments, and no contact between non-adjacent segments.  The last two
-    tests each take one numpy pass over all their segment pairs.  Contact
-    is the distance between the closest points of two segments, found by
-    the clamped construction of Ericson (Real-Time Collision Detection,
-    5.1.9) with each of its branches selected by np.where.  A diagonal
-    that is not a finite float raises KinematicsError.
+    ``points`` is an (n, 2) array of 1+1 ``(t, x)`` events; any other shape
+    raises KinematicsError.  Checks, at REL_TOL_SAMPLED relative to the
+    bounding-box diagonal: no repeated vertices, no collinear backtracking
+    between consecutive segments, and no contact between non-adjacent
+    segments.  The last two tests each take one numpy pass over all their
+    segment pairs.  Contact is the distance between the closest points of
+    two segments, found by the clamped construction of Ericson (Real-Time
+    Collision Detection, 5.1.9) with each of its branches selected by
+    np.where.  A diagonal that is not a finite float raises KinematicsError.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise KinematicsError(f"polyline: need (t, x) points, got shape {pts.shape}")
     n = len(pts)
     if n < 2:
         return True
     rows = pts.tolist()
-    try:
-        diag = math.sqrt(sum(
-            (max(p[k] for p in rows) - min(p[k] for p in rows)) ** 2
-            for k in range(len(rows[0]))))
-    except OverflowError:
-        diag = math.inf
+    dt, dx = (max(v) - min(v) for v in pts.T.tolist())
+    diag = math.sqrt(dt * dt + dx * dx)
     if not math.isfinite(diag):
         raise KinematicsError("polyline: bounding-box diagonal is not a finite float")
     tol = REL_TOL_SAMPLED * diag

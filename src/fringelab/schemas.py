@@ -2,9 +2,9 @@
 
 Every document carries ``schema: 1``.  Unknown fields are rejected rather
 than ignored: a typo in a physics-critical field like ``eta`` must fail
-loudly, not silently fall back to a default.  One helper checks the
-envelope of both document types; ExperimentConfig and FrameMap check field
-values, and SpacetimePoint checks each event's coordinates.  Every problem
+loudly, not silently fall back to a default.  One function reads both
+documents: it checks the envelope, and ExperimentConfig and FrameMap check
+field values; SpacetimePoint checks each event's coordinates.  Every problem
 is gathered before raising so a bad file is fixed in one round trip.
 """
 
@@ -23,8 +23,13 @@ class SchemaError(ValueError):
     """Document fails schema validation; message lists every offense."""
 
 
-def _envelope(doc, cls, what: str) -> tuple[dict, list[str]]:
-    """The fields of ``doc`` that ``cls`` declares, and the envelope problems."""
+def _from_dict(doc, cls, what: str, error: type[Exception], **defaults):
+    """``cls`` built from the fields of ``doc``, which it alone validates.
+
+    Envelope problems (the schema version, unknown fields) come first; a
+    field problem ``cls`` raises as ``error`` joins them, so one round trip
+    names every offense.
+    """
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} must be a JSON object")
     problems = []
@@ -36,44 +41,22 @@ def _envelope(doc, cls, what: str) -> tuple[dict, list[str]]:
     unknown = sorted(set(doc) - known - {"schema"})
     if unknown:
         problems.append(f"unknown fields rejected: {', '.join(unknown)}")
-    return {name: doc[name] for name in known & set(doc)}, problems
-
-
-# ---------------------------------------------------------------------------
-# experiment configuration
-# ---------------------------------------------------------------------------
+    try:
+        value = cls(**{**defaults, **{name: doc[name] for name in known & set(doc)}})
+    except error as err:
+        problems.append(str(err))
+    if problems:
+        raise SchemaError("; ".join(problems))
+    return value
 
 
 def experiment_config_from_dict(doc) -> ExperimentConfig:
-    fields, problems = _envelope(doc, ExperimentConfig, "experiment config")
-    # Field values are validated in one place, ExperimentConfig.__post_init__;
-    # its messages join the schema's so one round trip surfaces every offense.
-    try:
-        config = ExperimentConfig(**fields)
-    except ConfigError as err:
-        problems.append(str(err))
-        config = None
-    if problems:
-        raise SchemaError("; ".join(problems))
-    return config
-
-
-# ---------------------------------------------------------------------------
-# frame maps
-# ---------------------------------------------------------------------------
+    return _from_dict(doc, ExperimentConfig, "experiment config", ConfigError)
 
 
 def frame_map_from_dict(doc) -> FrameMap:
-    fields, problems = _envelope(doc, FrameMap, "map spec")
-    # FrameMap alone validates field values (a missing branch is passed as
-    # None); its messages join the schema's, so one round trip names them all.
-    try:
-        frame_map = FrameMap(**{"branch": None, **fields})
-    except KinematicsError as err:
-        problems.append(str(err))
-    if problems:
-        raise SchemaError("; ".join(problems))
-    return frame_map
+    # A missing branch is passed as None, so FrameMap names it with the rest.
+    return _from_dict(doc, FrameMap, "map spec", KinematicsError, branch=None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ axioms, byte-level determinism, and mutation sensitivity of the flip suite
 and of every check in the mutation table.
 """
 
+import dataclasses
+import itertools
 import math
 import time
 
@@ -298,6 +300,16 @@ def _time_order_classify_interval(a, b, c=1.0):
             else kinematics.IntervalKind.SPACELIKE)
 
 
+_search_calls = itertools.count(1)
+
+
+def _drifting_no_go_search(phis, resolution):
+    # Hidden state: each call's report counts one config more than the last.
+    report = interference.no_go_search(phis, resolution)
+    return dataclasses.replace(report, classical_config_count=(
+        report.classical_config_count + next(_search_calls)))
+
+
 MUTATIONS = {
     "blocked-arm-exact": (interference, "_per_path_splits", _squared_root_splits),
     "classical-no-go": (interference, "_simulate_classical",
@@ -338,6 +350,7 @@ MUTATIONS = {
                               _raw_evaluate_outcomes),
     "frame-invariant-statistics": (interference, "classify_interval",
                                    _time_order_classify_interval),
+    "seed-repeatability": (checks, "no_go_search", _drifting_no_go_search),
 }
 
 
@@ -368,9 +381,8 @@ def test_carrier_minimality_detail_names_the_planar_requirement(monkeypatch):
         "recombination")
 
 
-def test_mutation_table_covers_every_check_but_seed_repeatability():
-    assert set(MUTATIONS) == {spec.id for spec in checks.REGISTRY} - {
-        "seed-repeatability"}
+def test_mutation_table_covers_every_check():
+    assert set(MUTATIONS) == {spec.id for spec in checks.REGISTRY}
 
 
 @pytest.mark.parametrize("check_id, passed, failed", [

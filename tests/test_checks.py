@@ -170,6 +170,21 @@ def test_check_context_refuses_a_count_that_is_not_an_integer(field, bad):
     assert str(info.value) == f"{field}: must be an integer, got {bad!r}"
 
 
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), -1, np.int64(-1), True,
+                                 2 ** 64, "3", None])
+def test_check_context_refuses_a_seed_outside_the_u64_counts(bad):
+    with pytest.raises(ConfigError) as info:
+        CheckContext(seed=bad)
+    assert str(info.value) == (f"seed: must be an integer in [0, 2**64), "
+                               f"got {bad!r}")
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.int64(5),
+                                  np.uint64(2 ** 64 - 1)])
+def test_check_context_takes_every_u64_seed(seed):
+    assert CheckContext(seed=seed).seed == seed
+
+
 def test_check_context_takes_numpy_integers_and_any_integer_resolution():
     # The no-go check reports a resolution below 2 as its own FAIL line.
     ctx = CheckContext(trials=np.int64(3), resolution=1)

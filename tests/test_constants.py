@@ -14,13 +14,12 @@ from fringelab.constants import finite_float, is_count, is_real
 SRC = Path(__file__).resolve().parent.parent / "src" / "fringelab"
 
 # The only places an OverflowError may be caught: finite_float itself, and
-# the four sites that catch arithmetic overflow in a result.
+# the two sites that catch arithmetic overflow in a result.  Elsewhere a
+# square is a product, which overflows to inf instead of raising.
 OVERFLOW_HANDLERS = [
     ("amplitudes.py", "carrier_minimality_check"),
     ("constants.py", "finite_float"),
-    ("kinematics.py", "classify_interval"),
     ("kinematics.py", "event_interval"),
-    ("kinematics.py", "polyline_is_simple"),
 ]
 
 

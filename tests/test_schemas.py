@@ -150,6 +150,35 @@ def test_frame_map_domain_errors_surface_as_schema_errors():
                              "V": 2.0, "eta": 0})
 
 
+@pytest.mark.parametrize("read, doc, message", [
+    (experiment_config_from_dict, {"schema": 2, "phase": "zero", "junk": 1},
+     "schema: unsupported version 2 (expected 1); unknown fields rejected: "
+     "junk; phase: must be a number"),
+    (experiment_config_from_dict, {"splitter1": 2.0},
+     "schema: missing (expected 1); splitter1: transmissivity must lie in "
+     "[0, 1], got 2.0"),
+    (frame_map_from_dict, {"schema": 2, "branch": "subluminal", "V": "fast",
+                           "junk": 1},
+     "schema: unsupported version 2 (expected 1); unknown fields rejected: "
+     "junk; V: must be a number"),
+    (frame_map_from_dict, {"schema": 2, "branch": "subluminal", "V": 1.5,
+                           "junk": 1},
+     "schema: unsupported version 2 (expected 1); unknown fields rejected: "
+     "junk; V: subluminal branch needs |V| < c, got V=1.5 with c=1.0"),
+    (frame_map_from_dict, {"schema": "1", "V": 0.5, "extra": 0, "alpha": 1},
+     "schema: unsupported version '1' (expected 1); unknown fields rejected: "
+     "alpha, extra; branch: None is not one of [subluminal, superluminal, "
+     "general-linear]"),
+    (experiment_config_from_dict, [1], "experiment config must be a JSON object"),
+    (frame_map_from_dict, "x", "map spec must be a JSON object"),
+])
+def test_document_errors_join_envelope_then_field_problems(read, doc, message):
+    # Envelope problems come first, then the one field validator's message.
+    with pytest.raises(SchemaError) as err:
+        read(doc)
+    assert str(err.value) == message
+
+
 def test_events_csv_parse_and_emit():
     text = "# comment\nt,x\n0,0\n1.5,-2\n\n# trailing comment\n2,3\n"
     events = parse_events_csv(text)

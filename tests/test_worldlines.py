@@ -83,6 +83,18 @@ def test_polyline_is_simple_direct_calls():
     assert not polyline_is_simple(bowtie)
 
 
+@pytest.mark.parametrize("points", [
+    # Among them a straight 1+3 walk, which a 4-D test would call simple.
+    np.zeros(3), np.zeros((3, 1)), np.zeros((3, 4)) + np.arange(3)[:, None],
+    np.arange(9.0).reshape(3, 3), np.zeros((0, 3)), np.zeros((1, 4)),
+    np.zeros((2, 2, 2))])
+def test_polyline_points_must_be_t_x_pairs(points):
+    with pytest.raises(KinematicsError) as info:
+        polyline_is_simple(points)
+    assert str(info.value) == (f"polyline: need (t, x) points, got shape "
+                               f"{points.shape}")
+
+
 def test_past_segment_is_a_strict_prefix():
     w = Worldline(_pts((0.0, 0.0), (1.0, 0.5), (2.0, 0.0), (3.0, 0.5)),
                   (0.0, 0.1, 0.9, 2.0))
@@ -95,6 +107,15 @@ def test_past_segment_is_a_strict_prefix():
         past_worldline_segment(w, 4)
     with pytest.raises(IndexError):
         past_worldline_segment(w, -1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, None])
+def test_past_segment_index_must_be_an_integer(bad):
+    w = Worldline(_pts((0.0, 0.0), (1.0, 0.5), (2.0, 0.0)))
+    with pytest.raises(KinematicsError) as info:
+        past_worldline_segment(w, bad)
+    assert str(info.value) == f"e_index: must be an integer, got {bad!r}"
+    assert len(past_worldline_segment(w, np.int64(1))) == 1
 
 
 def test_past_segment_is_a_worldline_prefix():
@@ -215,9 +236,8 @@ def _reference_is_simple(points) -> bool:
     n = len(pts)
     if n < 2:
         return True
-    diag = math.sqrt(sum(
-        (max(p[k] for p in pts) - min(p[k] for p in pts)) ** 2
-        for k in range(len(pts[0]))))
+    dt, dx = (max(p[k] for p in pts) - min(p[k] for p in pts) for k in (0, 1))
+    diag = math.sqrt(dt * dt + dx * dx)
     tol = REL_TOL_SAMPLED * diag
     for i in range(n):
         for j in range(i + 1, n):
@@ -240,18 +260,14 @@ def _reference_is_simple(points) -> bool:
     return True
 
 
-_DIMS = st.sampled_from([2, 4])
-
-
 @st.composite
 def random_walks(draw):
     # Steps of any size and direction: some walks stay simple, many cross.
-    dim = draw(_DIMS)
     n = draw(st.integers(2, 16))
     # At 1e-160 and 1e-165 squared lengths fall to subnormals or to zero.
     scale = draw(st.sampled_from([1e-165, 1e-160, 1e-6, 1.0, 1e6]))
-    steps = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=dim,
-                                   max_size=dim), min_size=n, max_size=n))
+    steps = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2,
+                                   max_size=2), min_size=n, max_size=n))
     return np.cumsum(np.array(steps) * scale, axis=0)
 
 
@@ -280,10 +296,9 @@ def self_crossing_walks(draw):
 @st.composite
 def lattice_polylines(draw):
     # Small integer grids: vertices repeat, segments overlap, touch and fold.
-    dim = draw(_DIMS)
     n = draw(st.integers(2, 12))
-    coords = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
-                                    max_size=dim), min_size=n, max_size=n))
+    coords = draw(st.lists(st.lists(st.integers(-2, 2), min_size=2,
+                                    max_size=2), min_size=n, max_size=n))
     return np.array(coords, dtype=float)
 
 
