@@ -4,9 +4,10 @@ Three layers: ``kinematics`` holds the 1+1 boost pair (subluminal and the
 formal faster-than-light branch), interval classification, and worldline
 topology checks; ``amplitudes`` holds the planar amplitude calculus with
 pluggable probability rules; ``interference`` runs the Mach-Zehnder
-benchmark under amplitude or classical-mixture composition.  ``checks``
-registers the invariant suite behind the ``fringelab check`` command and
-``schemas`` pins the JSON/CSV formats.
+benchmark under amplitude or classical-mixture composition from
+``amplitudes`` and ``constants`` alone: neither imports ``kinematics`` or
+numpy.  ``checks`` joins the layers: the suite behind ``fringelab check``
+and the O3 frame report live there.  ``schemas`` pins the JSON/CSV formats.
 """
 
 from .amplitudes import (
@@ -25,6 +26,7 @@ from .amplitudes import (
     phase,
     sum_alternatives,
 )
+from .checks import check_O3_frame_invariance
 from .interference import (
     BlockedArm,
     Composition,
@@ -32,7 +34,6 @@ from .interference import (
     ExperimentConfig,
     OutcomeDistribution,
     check_O1_robustness,
-    check_O3_frame_invariance,
     no_go_search,
     phase_sweep,
     simulate,

@@ -28,9 +28,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence as SequenceType, Union
-
-import numpy as np
+from typing import Callable, Iterable, Mapping, Sequence as SequenceType, Union
 
 from .constants import REL_TOL_ALGEBRA, finite_float, is_count, is_real
 
@@ -227,9 +225,16 @@ def components(g: AlternativeGraph) -> tuple[Amplitude, ...]:
     return (total,)
 
 
+def _weight_sum(weights: Iterable[float]) -> float:
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        raise AmplitudeError("rule weights sum past the largest float") from None
+
+
 def evaluate(g: AlternativeGraph, rule: ProbabilityRule = SQUARED_NORM) -> float:
     """Raw (unnormalized) outcome weight of one process graph."""
-    return math.fsum(rule(a) for a in components(g))
+    return _weight_sum([rule(a) for a in components(g)])
 
 
 def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],
@@ -243,7 +248,7 @@ def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],
     if not outcomes:
         raise GraphStructureError("need at least one declared outcome")
     raw = {name: evaluate(g, rule) for name, g in outcomes.items()}
-    total = math.fsum(raw.values())
+    total = _weight_sum(raw.values())
     if total <= 0.0:
         raise DegenerateOutcomesError(
             "all declared outcomes have zero weight; nothing to normalize")
@@ -318,16 +323,9 @@ def carrier_minimality_check(phis: SequenceType[float]
     records = []
     try:
         for s in _EXPONENTS:
-            invariant = True
-            for a in probes:
-                base = a * a
-                for p in phis:
-                    acted = math.exp(s * p) * a
-                    if abs(acted * acted - base) > REL_TOL_ALGEBRA:
-                        invariant = False
-                        break
-                if not invariant:
-                    break
+            acted = ((math.exp(s * p) * a, a) for a in probes for p in phis)
+            invariant = all(abs(u * u - a * a) <= REL_TOL_ALGEBRA
+                            for u, a in acted)
             recombined = [(1.0 + math.exp(s * p)) ** 2 for p in phis]
             alters = (max(recombined) - min(recombined)) > REL_TOL_ALGEBRA
             records.append(CarrierActionRecord(s, invariant, alters))

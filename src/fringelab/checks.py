@@ -12,13 +12,16 @@ The ``paper_ref`` on each entry names the postulate or behaviour the check
 exercises (O1/O2/O3 for the operational interferometer postulates, A1-A4
 for the amplitude rules, and behaviour slugs for the kinematic identities);
 selectors match case-insensitive substrings of either the id or that label.
+
+This module joins the layers, so the O3 frame report, which boosts the
+bench's events with ``kinematics``, lives here beside its check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .amplitudes import (
     sum_alternatives,
 )
 from .constants import (
+    DEFAULT_C,
     DEFAULT_RESOLUTION,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -50,8 +54,8 @@ from .interference import (
     BlockedArm,
     ConfigError,
     ExperimentConfig,
+    OutcomeDistribution,
     check_O1_robustness,
-    check_O3_frame_invariance,
     no_go_search,
     phase_sweep,
     simulate,
@@ -62,9 +66,11 @@ from .kinematics import (
     FrameMap,
     SpacetimePoint,
     Worldline,
+    _require_light_speed,
     boost_matrix,
     check_no_branching,
     classify_cone_preserver,
+    classify_interval,
     compose,
     event_interval,
     in_causal_past,
@@ -525,6 +531,78 @@ def _check_classical_no_go(ctx: CheckContext, rng) -> tuple[bool, str]:
         f"max classical variation {format_float(report.max_classical_variation)} "
         f"across {report.classical_config_count} configurations; amplitude "
         f"visibility {format_float(report.amplitude_visibility)}")
+
+
+_EVENT_TABLE: tuple[tuple[str, float, float], ...] = (
+    # The interferometer's marker events on a light-speed skeleton: photon
+    # legs are null, the two mirror reflections are mutually spacelike.
+    ("source", 0.0, -1.0),
+    ("splitter1", 1.0, 0.0),
+    ("mirror_upper", 2.0, 1.0),
+    ("mirror_lower", 2.0, -1.0),
+    ("splitter2", 3.0, 0.0),
+    ("detector_d0", 4.0, 1.0),
+    ("detector_d1", 4.0, -1.0),
+)
+
+
+def interferometer_events(c: float = DEFAULT_C) -> dict[str, SpacetimePoint]:
+    """Canonical-frame marker events of the bench layout, scaled by c."""
+    c = _require_light_speed(c)  # FrameMap's rule for c, and its message
+    return {name: SpacetimePoint(t, c * x) for name, t, x in _EVENT_TABLE}
+
+
+@dataclass(frozen=True)
+class FrameInvarianceEntry:
+    velocity: float
+    interval_kinds_preserved: bool
+    statistics_identical: bool
+
+
+@dataclass(frozen=True)
+class FrameInvarianceReport:
+    baseline: OutcomeDistribution
+    entries: tuple[FrameInvarianceEntry, ...]
+    passed: bool
+
+
+def check_O3_frame_invariance(config: ExperimentConfig,
+                              boosts: Sequence[float],
+                              c: float = DEFAULT_C) -> FrameInvarianceReport:
+    """Observed statistics and causal relations under subluminal boosts.
+
+    The experiment description (splitter ratios, relative phase, blocking,
+    detector model) contains no frame-dependent quantity, so simulate must
+    return bit-identical numbers in every frame; the geometric content is
+    that boosting the bench's marker events never changes any pair's
+    interval classification.  An empty ``boosts`` raises ConfigError.
+    """
+    boosts = list(boosts)
+    if not boosts:
+        raise ConfigError("frame invariance check needs at least one boost")
+    events = interferometer_events(c)
+    names = list(events)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    baseline_kinds = {
+        (a, b): classify_interval(events[a], events[b], c)
+        for a, b in pairs}
+    baseline = simulate(config)
+    entries = []
+    for V in boosts:
+        m = FrameMap.boost(V, c)  # rejects |V| >= c and a V that is not finite
+        moved = {name: m.apply(p) for name, p in events.items()}
+        kinds_ok = all(
+            classify_interval(moved[a], moved[b], c) is baseline_kinds[a, b]
+            for a, b in pairs)
+        again = simulate(config)
+        stats_ok = again.as_tuple() == baseline.as_tuple()
+        entries.append(FrameInvarianceEntry(m.V, kinds_ok, stats_ok))
+    return FrameInvarianceReport(
+        baseline=baseline,
+        entries=tuple(entries),
+        passed=all(e.interval_kinds_preserved and e.statistics_identical
+                   for e in entries),
+    )
 
 
 def _check_frame_invariance(ctx: CheckContext, rng) -> tuple[bool, str]:

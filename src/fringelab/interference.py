@@ -25,6 +25,9 @@ composition the outcome is the classical mixture of the live arm.  Those
 probabilities, like every classical one, are products of transmissivities,
 never squared amplitude norms, so 50/50 values like 1/4 and 1/2 come out as
 exact binary floats.
+
+This layer imports only ``amplitudes`` and ``constants``.  The O3 frame
+report, which boosts the bench's events with ``kinematics``, is in ``checks``.
 """
 
 from __future__ import annotations
@@ -46,19 +49,12 @@ from .amplitudes import (
     phase,
 )
 from .constants import (
-    DEFAULT_C,
     DEFAULT_RESOLUTION,
     REL_TOL_ALGEBRA,
     REL_TOL_SAMPLED,
     finite_float,
     is_count,
     is_real,
-)
-from .kinematics import (
-    FrameMap,
-    SpacetimePoint,
-    _require_light_speed,
-    classify_interval,
 )
 
 
@@ -176,18 +172,16 @@ class OutcomeDistribution:
     @classmethod
     def from_weights(cls, w_d0: float, w_d1: float,
                      w_absorbed: float) -> "OutcomeDistribution":
-        if min(w_d0, w_d1, w_absorbed) < 0.0:
-            raise ConfigError("outcome weights must be nonnegative")
         total = w_d0 + w_d1 + w_absorbed
-        if total <= 0.0:
+        # A nan weight makes the total nan, and an overflowing sum makes it inf.
+        if not 0.0 <= min(w_d0, w_d1, w_absorbed) <= total < math.inf:
+            raise ConfigError("outcome weights must be nonnegative with a finite sum")
+        if total == 0.0:
             raise DegenerateOutcomesError(
                 "all outcome weights are zero; nothing to normalize")
         p0, p1, pa = w_d0 / total, w_d1 / total, w_absorbed / total
         detected = p0 + p1
-        if detected > 0.0:
-            cond0, cond1 = p0 / detected, p1 / detected
-        else:
-            cond0 = cond1 = None
+        cond0, cond1 = (p0 / detected, p1 / detected) if detected > 0.0 else (None, None)
         # The fields are checked above; skip the frozen __init__'s
         # per-field object.__setattr__, as _at_phase does.
         out = object.__new__(cls)
@@ -405,7 +399,7 @@ def no_go_search(phis: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# detector-robustness and frame-invariance reports
+# detector-robustness report
 # ---------------------------------------------------------------------------
 
 
@@ -453,98 +447,3 @@ def check_O1_robustness(phis: Sequence[float]) -> DetectorRobustnessReport:
         entries.append(DetectorVisibilityEntry(model.value, records, vis, ok))
     return DetectorRobustnessReport(tuple(entries),
                                     passed=all(e.ok for e in entries))
-
-
-_EVENT_TABLE: tuple[tuple[str, float, float], ...] = (
-    # The interferometer's marker events on a light-speed skeleton: photon
-    # legs are null, the two mirror reflections are mutually spacelike.
-    ("source", 0.0, -1.0),
-    ("splitter1", 1.0, 0.0),
-    ("mirror_upper", 2.0, 1.0),
-    ("mirror_lower", 2.0, -1.0),
-    ("splitter2", 3.0, 0.0),
-    ("detector_d0", 4.0, 1.0),
-    ("detector_d1", 4.0, -1.0),
-)
-
-
-def interferometer_events(c: float = DEFAULT_C) -> dict[str, SpacetimePoint]:
-    """Canonical-frame marker events of the bench layout, scaled by c."""
-    c = _require_light_speed(c)  # FrameMap's rule for c, and its message
-    return {name: SpacetimePoint(t, c * x) for name, t, x in _EVENT_TABLE}
-
-
-@dataclass(frozen=True)
-class FrameInvarianceEntry:
-    velocity: float
-    interval_kinds_preserved: bool
-    statistics_identical: bool
-
-
-@dataclass(frozen=True)
-class FrameInvarianceReport:
-    baseline: OutcomeDistribution
-    entries: tuple[FrameInvarianceEntry, ...]
-    passed: bool
-
-
-def check_O3_frame_invariance(config: ExperimentConfig,
-                              boosts: Sequence[float],
-                              c: float = DEFAULT_C) -> FrameInvarianceReport:
-    """Observed statistics and causal relations under subluminal boosts.
-
-    The experiment description (splitter ratios, relative phase, blocking,
-    detector model) contains no frame-dependent quantity, so simulate must
-    return bit-identical numbers in every frame; the geometric content is
-    that boosting the bench's marker events never changes any pair's
-    interval classification.  An empty ``boosts`` raises ConfigError.
-    """
-    boosts = list(boosts)
-    if not boosts:
-        raise ConfigError("frame invariance check needs at least one boost")
-    events = interferometer_events(c)
-    names = list(events)
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    baseline_kinds = {
-        (a, b): classify_interval(events[a], events[b], c)
-        for a, b in pairs}
-    baseline = simulate(config)
-    entries = []
-    for V in boosts:
-        m = FrameMap.boost(V, c)  # rejects |V| >= c and a V that is not finite
-        moved = {name: m.apply(p) for name, p in events.items()}
-        kinds_ok = all(
-            classify_interval(moved[a], moved[b], c) is baseline_kinds[a, b]
-            for a, b in pairs)
-        again = simulate(config)
-        stats_ok = again.as_tuple() == baseline.as_tuple()
-        entries.append(FrameInvarianceEntry(m.V, kinds_ok, stats_ok))
-    return FrameInvarianceReport(
-        baseline=baseline,
-        entries=tuple(entries),
-        passed=all(e.interval_kinds_preserved and e.statistics_identical
-                   for e in entries),
-    )
-
-
-__all__ = [
-    "BlockedArm",
-    "Composition",
-    "ConfigError",
-    "DetectorModel",
-    "DetectorRobustnessReport",
-    "DetectorVisibilityEntry",
-    "ExperimentConfig",
-    "FrameInvarianceEntry",
-    "FrameInvarianceReport",
-    "NoGoReport",
-    "OutcomeDistribution",
-    "check_O1_robustness",
-    "check_O3_frame_invariance",
-    "interferometer_events",
-    "no_go_search",
-    "phase_sweep",
-    "simulate",
-    "uniform_phase_grid",
-    "visibility",
-]

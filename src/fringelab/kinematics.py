@@ -587,17 +587,18 @@ def _non_adjacent_pairs(segments: int) -> tuple[np.ndarray, np.ndarray]:
 def polyline_is_simple(points: np.ndarray) -> bool:
     """True iff the open polyline through ``points`` is injective.
 
-    ``points`` is an (n, 2) array of 1+1 ``(t, x)`` events; any other shape
-    raises KinematicsError.  Checks, at REL_TOL_SAMPLED relative to the
-    bounding-box diagonal: no repeated vertices, no collinear backtracking
-    between consecutive segments, and no contact between non-adjacent
-    segments.  The last two tests each take one numpy pass over all their
-    segment pairs.  Contact is the distance between the closest points of
-    two segments, found by the clamped construction of Ericson (Real-Time
-    Collision Detection, 5.1.9) with each of its branches selected by
-    np.where.  A diagonal that is not a finite float raises KinematicsError.
+    ``points`` is an (n, 2) array of 1+1 ``(t, x)`` finite numbers; any
+    other shape or entry raises KinematicsError.  Checks, at REL_TOL_SAMPLED
+    relative to the bounding-box diagonal: no repeated vertices, no
+    collinear backtracking between consecutive segments, and no contact
+    between non-adjacent segments.  The last two tests each take one numpy
+    pass over all their segment pairs.  Contact is the distance between the
+    closest points of two segments, found by the clamped construction of
+    Ericson (Real-Time Collision Detection, 5.1.9) with each of its branches
+    selected by np.where.  A diagonal that is not a finite float raises too.
     """
-    pts = np.asarray(points, dtype=float)
+    if (pts := _finite_array(points)) is None:
+        raise KinematicsError("polyline: points must be finite numbers")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise KinematicsError(f"polyline: need (t, x) points, got shape {pts.shape}")
     n = len(pts)

@@ -348,7 +348,7 @@ MUTATIONS = {
         "re-squared", lambda a: a.re * a.re)),
     "outcome-normalization": (checks, "evaluate_outcomes",
                               _raw_evaluate_outcomes),
-    "frame-invariant-statistics": (interference, "classify_interval",
+    "frame-invariant-statistics": (checks, "classify_interval",
                                    _time_order_classify_interval),
     "seed-repeatability": (checks, "no_go_search", _drifting_no_go_search),
 }

@@ -195,6 +195,20 @@ def test_evaluate_outcomes_degenerate_error():
         evaluate_outcomes({})
 
 
+_BIG = ProbabilityRule("big", lambda a: 1e308)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evaluate(Branch((Leaf(UNIT), Leaf(UNIT)), True), _BIG),
+    lambda: evaluate_outcomes({"a": Leaf(UNIT), "b": Leaf(UNIT)}, _BIG),
+], ids=["evaluate", "evaluate_outcomes"])
+def test_a_weight_sum_past_the_largest_float_is_named(call):
+    with pytest.raises(AmplitudeError) as info:
+        call()
+    assert type(info.value) is AmplitudeError
+    assert str(info.value) == "rule weights sum past the largest float"
+
+
 def test_classical_mixture_differs_from_coherent_sum():
     # Two unit paths with relative phase pi: coherent weight 0, while every
     # convex mixture of the per-path weights equals 1.

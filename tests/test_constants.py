@@ -13,10 +13,12 @@ from fringelab.constants import finite_float, is_count, is_real
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fringelab"
 
-# The only places an OverflowError may be caught: finite_float itself, and
-# the two sites that catch arithmetic overflow in a result.  Elsewhere a
-# square is a product, which overflows to inf instead of raising.
+# The only places an OverflowError may be caught: finite_float itself, the
+# two sites that catch arithmetic overflow in a result, and math.fsum's
+# overflow of rule weights.  Elsewhere a square is a product, which
+# overflows to inf instead of raising.
 OVERFLOW_HANDLERS = [
+    ("amplitudes.py", "_weight_sum"),
     ("amplitudes.py", "carrier_minimality_check"),
     ("constants.py", "finite_float"),
     ("kinematics.py", "event_interval"),

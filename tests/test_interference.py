@@ -20,14 +20,13 @@ from fringelab.interference import (
     _at_phase,
     _simulate_classical,
     check_O1_robustness,
-    check_O3_frame_invariance,
-    interferometer_events,
     no_go_search,
     phase_sweep,
     simulate,
     uniform_phase_grid,
     visibility,
 )
+from fringelab.checks import check_O3_frame_invariance, interferometer_events
 from fringelab.amplitudes import (
     Amplitude,
     AmplitudeError,
@@ -268,6 +267,23 @@ def test_outcome_distribution_normalizes_and_guards():
     from fringelab.amplitudes import DegenerateOutcomesError
     with pytest.raises(DegenerateOutcomesError):
         OutcomeDistribution.from_weights(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("weights", [
+    (math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (0.0, 0.0, math.nan),
+    (math.inf, 1.0, 0.0), (1e308, 1e308, 0.0), (-0.1, 0.5, 0.6)],
+    ids=["nan-first", "nan-second", "nan-absorbed", "inf", "sum-overflows",
+         "negative"])
+def test_outcome_weights_must_be_nonnegative_with_a_finite_sum(weights):
+    with pytest.raises(ConfigError) as info:
+        OutcomeDistribution.from_weights(*weights)
+    assert str(info.value) == "outcome weights must be nonnegative with a finite sum"
+
+
+def test_simulate_refuses_rule_weights_whose_sum_overflows():
+    big = ProbabilityRule("big", lambda a: 1e308)
+    with pytest.raises(ConfigError, match="with a finite sum"):
+        simulate(ExperimentConfig(), big)
 
 
 def test_custom_probability_rule_is_used_by_simulate():

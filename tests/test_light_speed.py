@@ -1,4 +1,5 @@
-"""Every public ``c`` parameter of kinematics and interference follows one rule."""
+"""Every public ``c`` parameter of kinematics, interference and checks
+follows one rule."""
 
 import inspect
 import math
@@ -6,13 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import fringelab.checks as checks
 import fringelab.interference as interference
 import fringelab.kinematics as kinematics
-from fringelab.interference import (
-    ExperimentConfig,
-    check_O3_frame_invariance,
-    interferometer_events,
-)
+from fringelab.checks import check_O3_frame_invariance, interferometer_events
+from fringelab.interference import ExperimentConfig
 from fringelab.kinematics import (
     BranchKind,
     FrameMap,
@@ -56,8 +55,8 @@ _CALLS = {
     "kinematics.velocity_addition": lambda c: velocity_addition(0.1, 0.2, c),
     "kinematics.classify_cone_preserver":
         lambda c: classify_cone_preserver(np.eye(2), c),
-    "interference.interferometer_events": lambda c: interferometer_events(c),
-    "interference.check_O3_frame_invariance":
+    "checks.interferometer_events": lambda c: interferometer_events(c),
+    "checks.check_O3_frame_invariance":
         lambda c: check_O3_frame_invariance(ExperimentConfig(), [0.3], c),
 }
 
@@ -71,7 +70,7 @@ def _takes_c(obj) -> bool:
 
 def _public_c_parameters() -> set[str]:
     found = set()
-    for module in (kinematics, interference):
+    for module in (kinematics, interference, checks):
         prefix = module.__name__.rsplit(".", 1)[1]
         for name, obj in vars(module).items():
             if (name.startswith("_")

@@ -95,6 +95,19 @@ def test_polyline_points_must_be_t_x_pairs(points):
                                f"{points.shape}")
 
 
+@pytest.mark.parametrize("points", [
+    [[0, 0], [math.nan, 1]], [[0, 0], [1, math.inf]], [[0, 0], [None, 1]],
+    [[True, 0], [2, 1]], [["1", "0"], [2, 1]], [["a", "b"], [1, 2]],
+    [[0, 0], [1]], [[0, 0], [1, 2, 3]], [[0, 0], [10 ** 400, 1]]],
+    ids=["nan", "inf", "None", "bool", "str", "letters", "ragged",
+         "ragged-long", "int-too-large"])
+def test_polyline_points_must_be_finite_numbers(points):
+    with pytest.raises(KinematicsError) as info:
+        polyline_is_simple(points)
+    assert type(info.value) is KinematicsError
+    assert str(info.value) == "polyline: points must be finite numbers"
+
+
 def test_past_segment_is_a_strict_prefix():
     w = Worldline(_pts((0.0, 0.0), (1.0, 0.5), (2.0, 0.0), (3.0, 0.5)),
                   (0.0, 0.1, 0.9, 2.0))
