@@ -105,14 +105,18 @@ class ProbabilityRule:
     expected to be invariant under a global phase and to produce weights
     that normalize additively over distinguishable outcomes;
     check_global_phase_invariance tests the first property.  Every weight a
-    rule returns is checked to be finite and nonnegative.
+    rule returns is checked to be finite and nonnegative, and an arithmetic
+    error its function raises becomes an AmplitudeError naming the rule.
     """
 
     name: str
     weight: Callable[[Amplitude], float]
 
     def __call__(self, a: Amplitude) -> float:
-        weight = self.weight(a)
+        try:
+            weight = self.weight(a)
+        except ArithmeticError as err:
+            raise AmplitudeError(f"rule {self.name!r} raised {err!r}") from err
         value = finite_float(weight)
         if value is None:
             # not a number; a rational (an int, say) too large for a float;
@@ -260,9 +264,11 @@ def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],
 # ---------------------------------------------------------------------------
 
 
-def check_global_phase_invariance(rule: ProbabilityRule, trials: int,
-                                  rng: np.random.Generator) -> bool:
-    """True iff P(u(phi) A) == P(A) within REL_TOL_ALGEBRA over random trials."""
+def check_global_phase_invariance(rule: ProbabilityRule, trials: int, rng) -> bool:
+    """True iff P(u(phi) A) == P(A) within REL_TOL_ALGEBRA over random trials.
+
+    ``rng``, a ``numpy.random.Generator``, draws each trial's A and phi.
+    """
     if not is_count(trials):
         raise AmplitudeError("trials must be an integer")
     if trials < 1:

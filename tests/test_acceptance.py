@@ -330,7 +330,7 @@ MUTATIONS = {
     "no-sign-flip-in-four-dimensions": (checks, "classify_cone_preserver",
                                         _always(ConeClass.SIGN_FLIP)),
     "null-line-sampling-agreement": (checks, "preserves_null_lines",
-                                     lambda m, rng: True),
+                                     lambda m: True),
     "past-segment-prefix": (checks, "past_worldline_segment",
                             _past_segment_with_the_event),
     "superluminal-interval-flip": (kinematics, "superluminal_matrix",

@@ -30,6 +30,7 @@ from fringelab.amplitudes import (
     phase,
     sum_alternatives,
 )
+from fringelab.interference import ExperimentConfig, simulate
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -260,6 +261,27 @@ def test_rule_names_a_weight_that_is_not_a_number(weight):
     assert type(info.value) is AmplitudeError
     assert str(info.value) == (
         f"rule 'odd' produced an invalid weight {weight!r}")
+
+
+@pytest.mark.parametrize("run, cause", [
+    (lambda: evaluate(Leaf(UNIT), ProbabilityRule(
+        "exp", lambda a: math.exp(1000.0))), OverflowError),
+    (lambda: simulate(ExperimentConfig(), ProbabilityRule(
+        "exp", lambda a: 1 / 0)), ZeroDivisionError),
+], ids=["evaluate-overflow", "simulate-zero-division"])
+def test_rule_names_an_arithmetic_error_of_its_weight(run, cause):
+    with pytest.raises(AmplitudeError) as info:
+        run()
+    assert type(info.value) is AmplitudeError
+    assert type(info.value.__cause__) is cause
+    assert str(info.value) == (
+        f"rule 'exp' raised {info.value.__cause__!r}")
+
+
+def test_rule_leaves_other_errors_of_its_weight_alone():
+    rule = ProbabilityRule("key", lambda a: {}["k"])
+    with pytest.raises(KeyError):
+        rule(UNIT)
 
 
 def test_rule_returns_a_float_for_a_valid_weight():

@@ -103,6 +103,18 @@ def test_subset_run_reproduces_full_run_results():
             assert r == full[r.id]
 
 
+def test_seed_repeatability_fails_when_seeded_by_filtered_position(monkeypatch):
+    # A runner that numbers the filtered list from 0 instead of by registry
+    # position would break the rule above; the check itself must see it.
+    assert all(r.passed for r in run_checks(FAST))
+    original = checks.select_checks
+    monkeypatch.setattr(checks, "select_checks", lambda selector: list(
+        enumerate(spec for _, spec in original(selector))))
+    [result] = run_checks(FAST, "seed-repeatability")
+    assert not result.passed
+    assert result.detail == "this check was not seeded by its registry position"
+
+
 def test_different_seeds_change_sampled_details():
     a = run_checks(CheckContext(seed=1, trials=40), "boost-interval")[0]
     b = run_checks(CheckContext(seed=2, trials=40), "boost-interval")[0]

@@ -13,11 +13,13 @@ from fringelab.constants import finite_float, is_count, is_real
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fringelab"
 
-# The only places an OverflowError may be caught: finite_float itself, the
-# two sites that catch arithmetic overflow in a result, and math.fsum's
-# overflow of rule weights.  Elsewhere a square is a product, which
-# overflows to inf instead of raising.
+# The only places an OverflowError (or its base ArithmeticError) may be
+# caught: finite_float itself, the two sites that catch arithmetic overflow
+# in a result, math.fsum's overflow of rule weights, and a rule's weight
+# function, whose arithmetic errors are named.  Elsewhere a square is a
+# product, which overflows to inf instead of raising.
 OVERFLOW_HANDLERS = [
+    ("amplitudes.py", "__call__"),
     ("amplitudes.py", "_weight_sum"),
     ("amplitudes.py", "carrier_minimality_check"),
     ("constants.py", "finite_float"),
@@ -30,8 +32,9 @@ def _names_overflow(handler: ast.ExceptHandler) -> bool:
     if kinds is None:
         return False
     elts = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-    return any(isinstance(e, ast.Name) and e.id == "OverflowError"
-               for e in elts)
+    # ArithmeticError is OverflowError's base, so it catches overflow too.
+    return any(isinstance(e, ast.Name)
+               and e.id in ("OverflowError", "ArithmeticError") for e in elts)
 
 
 def _overflow_handlers(path: Path) -> list[tuple[str, str]]:

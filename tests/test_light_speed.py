@@ -24,8 +24,6 @@ from fringelab.kinematics import (
     event_interval,
     in_causal_past,
     lorentz_boost,
-    lorentz_gamma,
-    superluminal_gamma,
     superluminal_map,
     superluminal_matrix,
     velocity_addition,
@@ -39,8 +37,6 @@ _CALLS = {
     "kinematics.event_interval": lambda c: event_interval(_P, c),
     "kinematics.classify_interval": lambda c: classify_interval(_O, _P, c),
     "kinematics.in_causal_past": lambda c: in_causal_past(_P, _O, c),
-    "kinematics.lorentz_gamma": lambda c: lorentz_gamma(0.1, c),
-    "kinematics.superluminal_gamma": lambda c: superluminal_gamma(2.0, c),
     "kinematics.boost_matrix": lambda c: boost_matrix(0.1, c),
     "kinematics.superluminal_matrix": lambda c: superluminal_matrix(2.0, 1, c),
     "kinematics.FrameMap": lambda c: FrameMap(BranchKind.SUBLUMINAL, 0.1, c=c),
