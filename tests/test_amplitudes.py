@@ -263,12 +263,23 @@ def test_rule_names_a_weight_that_is_not_a_number(weight):
         f"rule 'odd' produced an invalid weight {weight!r}")
 
 
+def _evaluate_with_numpy_raising(rule):
+    # Under errstate(divide="raise") a numpy division by zero raises
+    # FloatingPointError, the third kind of ArithmeticError.
+    with np.errstate(divide="raise"):
+        return evaluate(Leaf(UNIT), rule)
+
+
 @pytest.mark.parametrize("run, cause", [
     (lambda: evaluate(Leaf(UNIT), ProbabilityRule(
         "exp", lambda a: math.exp(1000.0))), OverflowError),
     (lambda: simulate(ExperimentConfig(), ProbabilityRule(
         "exp", lambda a: 1 / 0)), ZeroDivisionError),
-], ids=["evaluate-overflow", "simulate-zero-division"])
+    (lambda: _evaluate_with_numpy_raising(ProbabilityRule(
+        "exp", lambda a: np.float64(1.0) / np.float64(0.0))),
+     FloatingPointError),
+], ids=["evaluate-overflow", "simulate-zero-division",
+        "evaluate-floating-point"])
 def test_rule_names_an_arithmetic_error_of_its_weight(run, cause):
     with pytest.raises(AmplitudeError) as info:
         run()

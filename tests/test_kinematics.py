@@ -1,5 +1,6 @@
 """Unit tests for boosts, the faster-than-light branch, and cone classification."""
 
+import inspect
 import math
 import warnings
 
@@ -556,6 +557,23 @@ def test_preserves_null_lines_agrees_with_classification():
         assert preserves_null_lines(m)
     bad = FrameMap.general_linear([[1.0, 0.0], [0.0, 2.0]])
     assert not preserves_null_lines(bad)
+
+
+@pytest.mark.parametrize("kept", [1.0, -1.0],
+                         ids=["keeps-(1,c)", "keeps-(1,-c)"])
+def test_preserves_null_lines_needs_both_rays(kept):
+    # The map fixes one null ray and sends the other to the timelike (1, 0),
+    # so a test that mapped only one of the rays would pass it.
+    c = 2.0
+    rays = np.array([[1.0, 1.0], [c * kept, -c * kept]])
+    images = np.array([[1.0, 1.0], [c * kept, 0.0]])
+    m = FrameMap.general_linear(images @ np.linalg.inv(rays), c=c)
+    assert np.allclose(m.linear_part @ rays, images, rtol=0.0, atol=1e-15)
+    assert not preserves_null_lines(m)
+
+
+def test_preserves_null_lines_takes_only_the_map():
+    assert list(inspect.signature(preserves_null_lines).parameters) == ["m"]
 
 
 # _reference_preserves_null_lines is the sampled test that
