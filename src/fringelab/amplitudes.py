@@ -169,12 +169,12 @@ class Sequence:
 
 @dataclass(frozen=True)
 class Branch:
-    """Parallel alternatives.
+    """Parallel alternatives; ``distinguishable`` must be True or False.
 
-    ``distinguishable=False`` means no which-way record exists at
-    recombination, so the alternatives keep one joint amplitude (the sum).
-    ``distinguishable=True`` means a record exists and the alternatives are
-    mutually exclusive outcomes whose weights add.
+    ``False`` means no which-way record exists at recombination, so the
+    alternatives keep one joint amplitude (the sum).  ``True`` means a
+    record exists and the alternatives are mutually exclusive outcomes whose
+    weights add.  Any other value ("false", None) raises GraphStructureError.
     """
 
     children: tuple
@@ -186,8 +186,10 @@ class Branch:
             raise GraphStructureError("branch node needs at least two children")
         for ch in children:
             _require_graph(ch)
+        if not isinstance(self.distinguishable, bool):
+            raise GraphStructureError("distinguishable: must be True or False, "
+                                      f"got {self.distinguishable!r}")
         object.__setattr__(self, "children", children)
-        object.__setattr__(self, "distinguishable", bool(self.distinguishable))
 
 
 AlternativeGraph = Union[Leaf, Sequence, Branch]

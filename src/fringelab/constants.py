@@ -6,11 +6,11 @@ verdict.  REL_TOL_ALGEBRA (closed-form identities) bounds the null band of
 classify_interval, the pullback residual of classify_cone_preserver, the
 FrameMap singularity test, check_global_phase_invariance,
 carrier_minimality_check, mixture-weight sums, the no-go and which-way
-visibilities, and the check suite's numeric checks.  REL_TOL_SAMPLED
-(sampled and geometric tests) bounds polyline_is_simple (so Worldline and
-check_no_branching), preserves_null_lines, the composed-boost comparison of
-the velocity-addition check and the silent-detector visibility of
-check_O1_robustness.
+visibilities, and the check suite's numeric checks.  REL_TOL_SAMPLED bounds
+the geometric tests polyline_is_simple (so Worldline and check_no_branching)
+and preserves_null_lines, which maps the two null rays once each, and the
+sampled ones: the composed-boost comparison of the velocity-addition check
+and the silent-detector visibility of check_O1_robustness.
 
 is_real is the one number test and finite_float the one finiteness test:
 a number is a real (int, float, Fraction or numpy scalar) that is not a

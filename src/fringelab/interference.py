@@ -306,7 +306,7 @@ def uniform_phase_grid(n: int) -> list[float]:
     """n phases 2*pi*k/n, k = 0..n-1; for even n the grid hits pi exactly."""
     if not is_count(n):
         raise ConfigError("phase grid size must be an integer")
-    if n < 1:
+    if (n := int(n)) < 1:  # a numpy integer as the int it names
         raise ConfigError("phase grid needs at least one point")
     return [2.0 * math.pi * k / n for k in range(n)]
 
@@ -358,7 +358,7 @@ def no_go_search(phis: Sequence[float],
         raise ConfigError("no-go search needs at least two phases")
     if not is_count(weight_grid_resolution):
         raise ConfigError("weight grid resolution must be an integer")
-    if weight_grid_resolution < 2:
+    if (weight_grid_resolution := int(weight_grid_resolution)) < 2:
         raise ConfigError("weight grid resolution must be at least 2")
     steps = weight_grid_resolution - 1
     var_d0 = var_d1 = var_abs = 0.0

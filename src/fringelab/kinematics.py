@@ -182,51 +182,49 @@ def _require_light_speed(c: float) -> float:
     return f
 
 
-def _require_subluminal(V: float, c: float) -> tuple[float, float, float]:
-    """(V, c, gamma) as floats, once c is a light speed and |V| < c."""
-    light = _require_light_speed(c)
-    v = finite_float(V)
-    if v is None:
-        raise SpeedDomainError("V: must be finite")
-    if abs(v) >= light * (1.0 - SPEED_GUARD_BAND):
-        raise SpeedDomainError(
-            f"V: subluminal branch needs |V| < c, got V={V!r} with c={c!r}")
-    return v, light, 1.0 / math.sqrt(1.0 - (v / light) ** 2)
+def _require_sign(eta) -> int:
+    """``eta`` as an int, once it is a real number (see is_real) equal to ±1."""
+    if not is_real(eta) or eta not in (1, -1):
+        raise KinematicsError(f"eta: must be +1 or -1, got {eta!r}")
+    return int(eta)
 
 
-def _require_superluminal(V: float, c: float) -> tuple[float, float, float]:
-    """(V, c, gamma) as floats, once c is a light speed and |V| > c."""
-    light = _require_light_speed(c)
-    v = finite_float(V)
-    if v is None:
+def _boost_entries(V, eta: int | None, c: float) -> tuple[float, tuple]:
+    """The one statement of both boost branches: V and four row-major floats.
+
+    c comes from _require_light_speed, eta from _require_sign or None for |V| < c.
+    """
+    if (v := finite_float(V)) is None:
         raise SpeedDomainError("V: must be finite")
-    if not math.isfinite((v / light) * (v / light)):  # gamma squares V/c
+    if eta is None:
+        if abs(v) >= c * (1.0 - SPEED_GUARD_BAND):
+            raise SpeedDomainError(
+                f"V: subluminal branch needs |V| < c, got V={V!r} with c={c!r}")
+        g = 1.0 / math.sqrt(1.0 - (v / c) ** 2)
+        return v, (g, -g * v / (c * c), -g * v, g)
+    if not math.isfinite((v / c) * (v / c)):  # gamma squares V/c
         raise SpeedDomainError(
             f"V: (V/c)^2 must be a finite float, got V={V!r} with c={c!r}")
-    if abs(v) <= light * (1.0 + SPEED_GUARD_BAND):
+    if abs(v) <= c * (1.0 + SPEED_GUARD_BAND):
         raise SpeedDomainError(
             f"V: superluminal branch needs |V| > c, got V={V!r} with c={c!r}")
-    return v, light, 1.0 / math.sqrt((v / light) ** 2 - 1.0)
+    s = eta * (1.0 / math.sqrt((v / c) ** 2 - 1.0))
+    return v, (s, s * (-v / (c * c)), s * -v, s)
 
 
 def boost_matrix(V: float, c: float = DEFAULT_C) -> np.ndarray:
-    """Matrix of the 1+1 boost on (t, x) vectors."""
-    V, c, g = _require_subluminal(V, c)
-    return np.array([[g, -g * V / (c * c)],
-                     [-g * V, g]])
+    """Matrix of the 1+1 boost on (t, x) vectors; c and V are checked once."""
+    return np.array(_boost_entries(V, None, _require_light_speed(c))[1]).reshape(2, 2)
 
 
 def superluminal_matrix(V: float, eta: int, c: float = DEFAULT_C) -> np.ndarray:
     """Matrix of the formal |V| > c map on (t, x) vectors, 1+1 only.
 
     Negates the interval exactly: the pullback of diag(-c^2, 1) is its own
-    negative for either sign of eta.
+    negative for either sign of eta.  eta, c and V are checked once each.
     """
-    if isinstance(eta, bool) or eta not in (1, -1):
-        raise KinematicsError(f"eta: must be +1 or -1, got {eta!r}")
-    V, c, g = _require_superluminal(V, c)
-    return eta * g * np.array([[1.0, -V / (c * c)],
-                               [-V, 1.0]])
+    _, entries = _boost_entries(V, _require_sign(eta), _require_light_speed(c))
+    return np.array(entries).reshape(2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +283,11 @@ class FrameMap:
                                 "(no default; both signs are admissible)")
         elif branch in (BranchKind.SUBLUMINAL, BranchKind.GENERAL_LINEAR):
             problems.append(f"eta: not allowed for the {branch.value} branch")
-        elif isinstance(eta, bool) or eta not in (1, -1):
-            problems.append("eta: must be 1 or -1")
+        else:
+            try:
+                eta = _require_sign(eta)
+            except KinematicsError as err:
+                problems.append(str(err))
         if lin is None:
             if branch is BranchKind.GENERAL_LINEAR:
                 problems.append("linear_part: required for the general-linear branch")
@@ -309,11 +310,9 @@ class FrameMap:
             raise KinematicsError("; ".join(problems))
         if branch is BranchKind.GENERAL_LINEAR:
             _require_invertible(lin, light)
-        elif branch is BranchKind.SUBLUMINAL:  # the builders reject a V not finite
-            lin, V = boost_matrix(V, c), finite_float(V)
-        else:
-            eta = int(eta)
-            lin, V = superluminal_matrix(V, eta, c), finite_float(V)
+        else:  # eta is None on the subluminal branch
+            V, entries = _boost_entries(V, eta, light)
+            lin = np.array(entries).reshape(2, 2)
         lin.setflags(write=False)
         tr.setflags(write=False)
         for name, value in (("branch", branch), ("V", V), ("eta", eta),
@@ -369,8 +368,8 @@ def superluminal_map(p: SpacetimePoint, V: float, eta: int,
 
 def velocity_addition(V1: float, V2: float, c: float = DEFAULT_C) -> float:
     """Relativistic composition of two collinear subluminal velocities."""
-    V1, c, _ = _require_subluminal(V1, c)
-    V2, c, _ = _require_subluminal(V2, c)
+    c = _require_light_speed(c)
+    (V1, _), (V2, _) = _boost_entries(V1, None, c), _boost_entries(V2, None, c)
     return (V1 + V2) / (1.0 + V1 * V2 / (c * c))
 
 

@@ -363,3 +363,14 @@ def test_global_phase_invariance_refuses_a_non_integer_trial_count(trials):
         check_global_phase_invariance(SQUARED_NORM, trials,
                                       np.random.default_rng(0))
     assert str(info.value) == "trials must be an integer"
+
+
+@pytest.mark.parametrize("flag", ["false", "", None, [], 0, 1, np.bool_(True)],
+                         ids=["'false'", "''", "None", "[]", "0", "1", "np.bool_"])
+def test_branch_distinguishable_must_be_a_bool(flag):
+    children = (Leaf(UNIT), Leaf(Amplitude(-1.0, 0.0)))
+    with pytest.raises(GraphStructureError) as info:
+        Branch(children, flag)
+    assert str(info.value) == f"distinguishable: must be True or False, got {flag!r}"
+    assert evaluate(Branch(children, True)) == 2.0
+    assert evaluate(Branch(children, False)) == 0.0

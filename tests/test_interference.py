@@ -49,6 +49,7 @@ from fringelab.kinematics import (
     superluminal_matrix,
     velocity_addition,
 )
+from fringelab.schemas import dump_json
 
 
 def test_config_defaults_are_valid():
@@ -601,3 +602,12 @@ def test_event_table_applies_the_frame_map_rule_for_c(c):
     with pytest.raises(KinematicsError) as frame:
         FrameMap.identity(c)
     assert str(bench.value) == str(frame.value) == message
+
+
+def test_a_numpy_integer_count_is_used_as_the_int_it_names():
+    grid = uniform_phase_grid(np.int64(4))
+    assert all(type(phi) is float for phi in grid)
+    report = no_go_search(uniform_phase_grid(8), np.int64(5))
+    assert type(report.resolution) is int
+    assert dump_json(dataclasses.asdict(report)) == dump_json(
+        dataclasses.asdict(no_go_search(uniform_phase_grid(8), 5)))

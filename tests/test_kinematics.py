@@ -2,13 +2,17 @@
 
 import inspect
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fringelab.constants as constants
+import fringelab.kinematics as kinematics
 from fringelab.checks import (
     perturbed_noncone_map,
     random_conformal_lorentz_4d,
@@ -732,3 +736,72 @@ def test_frame_map_builds_a_numpy_float32_velocity_in_float64():
     assert np.array_equal(boost_matrix(V), boost_matrix(float(V)))
     assert np.array_equal(superluminal_matrix(np.float32(2.5), -1),
                           superluminal_matrix(2.5, -1))
+
+
+def _calls_of(fn, *functions) -> list[int]:
+    # How many times each of ``functions`` runs during ``fn()``.
+    codes = [f.__code__ for f in functions]
+    counts = [0] * len(codes)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes.index(frame.f_code)] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+# (call, the finite_float runs it makes: one for c and one per velocity)
+_ONE_CHECK_PER_INPUT = {
+    "FrameMap.boost": (lambda: FrameMap.boost(0.3, 2.0), 2),
+    "FrameMap.superluminal": (lambda: FrameMap.superluminal(3.0, -1, 2.0), 2),
+    "boost_matrix": (lambda: boost_matrix(0.3, 2.0), 2),
+    "superluminal_matrix": (lambda: superluminal_matrix(3.0, -1, 2.0), 2),
+    "velocity_addition": (lambda: velocity_addition(0.3, 0.2, 2.0), 3),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_CHECK_PER_INPUT)
+def test_each_boost_checks_c_and_each_velocity_once(name):
+    call, finite_floats = _ONE_CHECK_PER_INPUT[name]
+    assert _calls_of(call, kinematics._require_light_speed,
+                     constants.finite_float) == [1, finite_floats]
+
+
+_C = st.one_of(st.floats(2.0 ** -10, 2.0 ** 10), st.integers(1, 1024),
+               st.fractions(Fraction(1, 1024), 1024, max_denominator=1024),
+               st.floats(2.0 ** -10, 2.0 ** 10, width=32).map(np.float32))
+_KIND = st.sampled_from([float, int, Fraction, np.float32])
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=_C, ratio=st.floats(-0.99, 0.99), kind=_KIND)
+def test_both_subluminal_builders_are_the_closed_form_bit_for_bit(c, ratio, kind):
+    V = kind(ratio * float(c))
+    v, light = float(V), float(c)
+    g = 1.0 / math.sqrt(1.0 - (v / light) ** 2)
+    closed = np.array([[g, -g * v / (light * light)], [-g * v, g]])
+    m = FrameMap.boost(V, c)
+    assert type(m.V) is float and m.V == v
+    assert m.linear_part.tobytes() == closed.tobytes()
+    assert boost_matrix(V, c).tobytes() == closed.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=_C, ratio=st.floats(1.01, 100.0), sign=st.sampled_from([1, -1]),
+       eta=st.sampled_from([1, -1]), kind=_KIND)
+def test_both_superluminal_builders_are_the_closed_form_bit_for_bit(
+        c, ratio, sign, eta, kind):
+    V = kind(sign * ratio * float(c))
+    v, light = float(V), float(c)
+    assume(abs(v) > light * 1.001)  # an int V may round back toward c
+    g = 1.0 / math.sqrt((v / light) ** 2 - 1.0)
+    closed = eta * g * np.array([[1.0, -v / (light * light)], [-v, 1.0]])
+    m = FrameMap.superluminal(V, eta, c)
+    assert type(m.V) is float and m.V == v and type(m.eta) is int
+    assert m.linear_part.tobytes() == closed.tobytes()
+    assert superluminal_matrix(V, eta, c).tobytes() == closed.tobytes()
