@@ -23,7 +23,6 @@ statistics, while the planar rotation action does both.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -50,6 +49,9 @@ class DegenerateOutcomesError(AmplitudeError):
 # ---------------------------------------------------------------------------
 
 
+_NOT_FINITE = "amplitude components must be finite"
+
+
 @dataclass(frozen=True)
 class Amplitude:
     """One process amplitude: a point (re, im) of the planar carrier."""
@@ -60,7 +62,7 @@ class Amplitude:
     def __post_init__(self):
         re, im = finite_float(self.re), finite_float(self.im)
         if re is None or im is None:
-            raise AmplitudeError("amplitude components must be finite")
+            raise AmplitudeError(_NOT_FINITE)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -201,6 +203,53 @@ def _require_graph(g) -> None:
             f"expected a graph node, got {type(g).__name__}")
 
 
+def _pairs(g: AlternativeGraph) -> list[tuple[float, float]]:
+    """components(g) as (re, im) float pairs, with the same arithmetic.
+
+    A sequence left-folds the carrier product over its children, first
+    child slowest, as ``functools.reduce(concat, ...)`` over each
+    ``itertools.product`` combination does; a coherent branch adds each
+    child's one pair to ``0.0, 0.0``, as ``sum_alternatives`` from ``ZERO``
+    does.  Each product and sum is checked as building its Amplitude would
+    check it.
+    """
+    if isinstance(g, Leaf):
+        a = g.amplitude
+        return [(a.re, a.im)]
+    parts = []
+    for ch in g.children:
+        if isinstance(ch, Leaf):  # read in place: one call fewer per leaf
+            a = ch.amplitude
+            parts.append([(a.re, a.im)])
+        else:
+            parts.append(_pairs(ch))
+    if isinstance(g, Sequence):
+        out = parts[0]
+        for nxt in parts[1:]:
+            folded = []
+            for are, aim in out:
+                for bre, bim in nxt:
+                    re, im = are * bre - aim * bim, are * bim + aim * bre
+                    if not (math.isfinite(re) and math.isfinite(im)):
+                        raise AmplitudeError(_NOT_FINITE)
+                    folded.append((re, im))
+            out = folded
+        return out
+    if g.distinguishable:
+        return list(itertools.chain.from_iterable(parts))
+    re = im = 0.0
+    for pairs in parts:
+        if len(pairs) != 1:
+            raise GraphStructureError(
+                "cannot coherently sum a child that already carries "
+                "distinguishable components")
+        (bre, bim), = pairs
+        re, im = re + bre, im + bim
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise AmplitudeError(_NOT_FINITE)
+    return [(re, im)]
+
+
 def components(g: AlternativeGraph) -> tuple[Amplitude, ...]:
     """Mutually exclusive amplitude components of a process graph.
 
@@ -210,25 +259,9 @@ def components(g: AlternativeGraph) -> tuple[Amplitude, ...]:
     whose child still carries several distinguishable components would erase
     recorded which-way information, so that shape is rejected.
     """
-    if isinstance(g, Leaf):
-        return (g.amplitude,)
-    if isinstance(g, Sequence):
-        parts = [components(ch) for ch in g.children]
-        return tuple(functools.reduce(concat, combo)
-                     for combo in itertools.product(*parts))
     # Sequence and Branch checked their children; only a root can be a non-node.
     _require_graph(g)
-    child_components = [components(ch) for ch in g.children]
-    if g.distinguishable:
-        return tuple(itertools.chain.from_iterable(child_components))
-    total = ZERO
-    for comps in child_components:
-        if len(comps) != 1:
-            raise GraphStructureError(
-                "cannot coherently sum a child that already carries "
-                "distinguishable components")
-        total = sum_alternatives(total, comps[0])
-    return (total,)
+    return tuple(Amplitude(re, im) for re, im in _pairs(g))
 
 
 def _weight_sum(weights: Iterable[float]) -> float:
@@ -239,8 +272,20 @@ def _weight_sum(weights: Iterable[float]) -> float:
 
 
 def evaluate(g: AlternativeGraph, rule: ProbabilityRule = SQUARED_NORM) -> float:
-    """Raw (unnormalized) outcome weight of one process graph."""
-    return _weight_sum([rule(a) for a in components(g)])
+    """Raw (unnormalized) outcome weight of one process graph.
+
+    Under SQUARED_NORM each pair weighs ``re*re + im*im``, as norm_squared
+    computes it; a weight past the largest float goes to the rule, which
+    names it.  Any other rule is handed an Amplitude.
+    """
+    _require_graph(g)
+    if rule is not SQUARED_NORM:
+        return _weight_sum([rule(Amplitude(re, im)) for re, im in _pairs(g)])
+    weights = []
+    for re, im in _pairs(g):
+        w = re * re + im * im
+        weights.append(w if w < math.inf else rule(Amplitude(re, im)))
+    return _weight_sum(weights)
 
 
 def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],

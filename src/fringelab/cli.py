@@ -209,9 +209,13 @@ def cmd_interfere(args: argparse.Namespace) -> int:
     lines = [f"# {_CONVENTION_NOTE}",
              f"# visibility = {format_float(vis)}",
              "phi,p_d0,p_d1,p_absorbed,p_d0_given_detected,p_d1_given_detected"]
+    # '%.17g' % x is format_float(x) for every float, nan and -0.0 included;
+    # an undefined conditional prints as nan.
     for phi, d in sweep:
-        lines.append(",".join(["nan" if v is None else format_float(v)
-                               for v in (phi, *d.as_tuple())]))
+        c0, c1 = d.p_d0_given_detected, d.p_d1_given_detected
+        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+            phi, d.p_d0, d.p_d1, d.p_absorbed,
+            math.nan if c0 is None else c0, math.nan if c1 is None else c1))
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.out is not None:
         print(f"visibility = {format_float(vis)}")

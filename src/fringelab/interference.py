@@ -32,6 +32,7 @@ report, which boosts the bench's events with ``kinematics``, is in ``checks``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -235,21 +236,34 @@ def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
                                             w_upper * u2 + w_lower * v2)
 
 
-def _simulate_amplitude(config: ExperimentConfig,
-                        rule: ProbabilityRule) -> OutcomeDistribution:
-    T1 = config.splitter1
-    T2 = config.splitter2
+@functools.lru_cache(maxsize=64)
+def _fixed_parts(T1: float, T2: float
+                 ) -> tuple[Leaf, Leaf, Leaf, SequenceNode, SequenceNode]:
+    """The parts of both outcome graphs that no phase changes.
+
+    The legs t1, r2 and t2, then the lower arm to D0 (r1, t2) and to D1
+    (r1, r2).  Keyed by the stored splitter floats, so 0.0 and -0.0 share
+    an entry; both are taken as 0.0, so the entry does not depend on which
+    came first.  The sign of a zero leg cannot reach a squared-norm weight.
+    """
+    T1, T2 = T1 + 0.0, T2 + 0.0  # -0.0 + 0.0 is 0.0; any other value stays
     t1, r1 = math.sqrt(T1), math.sqrt(1.0 - T1)
     t2, r2 = math.sqrt(T2), math.sqrt(1.0 - T2)
-    recorded = config.detector_model.records_which_way
-    upper_in = SequenceNode((Leaf(Amplitude(t1, 0.0)),
-                             Leaf(phase(config.phase))))
     lower_in = Leaf(Amplitude(0.0, r1))
-    to_d0 = Branch((SequenceNode((upper_in, Leaf(Amplitude(0.0, r2)))),
-                    SequenceNode((lower_in, Leaf(Amplitude(t2, 0.0))))),
+    leg_r2, leg_t2 = Leaf(Amplitude(0.0, r2)), Leaf(Amplitude(t2, 0.0))
+    return (Leaf(Amplitude(t1, 0.0)), leg_r2, leg_t2,
+            SequenceNode((lower_in, leg_t2)), SequenceNode((lower_in, leg_r2)))
+
+
+def _simulate_amplitude(config: ExperimentConfig,
+                        rule: ProbabilityRule) -> OutcomeDistribution:
+    t1, r2, t2, lower_d0, lower_d1 = _fixed_parts(config.splitter1,
+                                                  config.splitter2)
+    recorded = config.detector_model.records_which_way
+    upper_in = SequenceNode((t1, Leaf(phase(config.phase))))
+    to_d0 = Branch((SequenceNode((upper_in, r2)), lower_d0),
                    distinguishable=recorded)
-    to_d1 = Branch((SequenceNode((upper_in, Leaf(Amplitude(t2, 0.0)))),
-                    SequenceNode((lower_in, Leaf(Amplitude(0.0, r2))))),
+    to_d1 = Branch((SequenceNode((upper_in, t2)), lower_d1),
                    distinguishable=recorded)
     return OutcomeDistribution.from_weights(
         evaluate(to_d0, rule), evaluate(to_d1, rule), 0.0)

@@ -4,8 +4,9 @@ Each test prints a single PASS line (visible with ``pytest -s``) after its
 assertions, so a green run doubles as a checklist of the package-level
 claims: exact blocked-arm probabilities, the interval flip, the classical
 no-go contrast, cone-preserver classification, no-branching, the amplitude
-axioms, byte-level determinism, and mutation sensitivity of the flip suite
-and of every check in the mutation table.
+axioms, byte-level determinism, and mutation sensitivity of the flip suite,
+of every check in the mutation table and of every kernel in the kernel
+mutation table.
 """
 
 import dataclasses
@@ -365,6 +366,37 @@ def test_criterion_8_checks_fail_under_their_mutations(monkeypatch, check_id):
     assert not mutated.passed
     print(f"PASS  criterion 8: mutating {module.__name__}.{target} fails "
           f"{check_id}: {mutated.detail}")
+
+
+# Kernel mutation table, keyed by kernel: the module and the name of a fast
+# kernel, and a mutant of it under which at least one registered check must
+# FAIL.  A golden digest does not count: it does not say which property broke.
+
+_pairs = amplitudes._pairs
+
+
+def _coherent_only_pairs(g):
+    # The pair walker blind to which-way records: every branch sums coherently.
+    if isinstance(g, amplitudes.Branch) and g.distinguishable:
+        g = amplitudes.Branch(g.children, False)
+    return _pairs(g)
+
+
+KERNEL_MUTATIONS = {
+    "amplitudes._pairs": (amplitudes, "_pairs", _coherent_only_pairs),
+}
+
+
+@pytest.mark.parametrize("kernel", list(KERNEL_MUTATIONS))
+def test_kernels_fail_a_check_under_their_mutations(monkeypatch, kernel):
+    module, target, mutant = KERNEL_MUTATIONS[kernel]
+    ctx = CheckContext(seed=8, trials=20, resolution=11)
+    assert all(r.passed for r in run_checks(ctx))
+    monkeypatch.setattr(module, target, mutant)
+    failed = [r.id for r in run_checks(ctx) if not r.passed]
+    assert failed
+    print(f"PASS  kernel mutation: mutating {module.__name__}.{target} "
+          f"fails {failed}")
 
 
 def test_carrier_minimality_detail_names_the_planar_requirement(monkeypatch):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import amplitude_oracle as oracle
 
 from fringelab.amplitudes import (
     UNIT,
@@ -374,3 +376,67 @@ def test_branch_distinguishable_must_be_a_bool(flag):
     assert str(info.value) == f"distinguishable: must be True or False, got {flag!r}"
     assert evaluate(Branch(children, True)) == 2.0
     assert evaluate(Branch(children, False)) == 0.0
+
+
+# -- the pair walker against the Amplitude-based oracle ------------------------
+
+# Signed zeros, subnormals, and magnitudes whose products (near 1e154) or
+# sums (near 1e308) overflow, beside ordinary values.
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 0.5,
+    1e154, -1e154, 1.5e154, 1e308, -1e308, 1.7976931348623157e308])
+_FLOATS = st.one_of(_EDGE_FLOATS,
+                    st.floats(-4.0, 4.0),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_LEAVES = st.builds(lambda re, im: Leaf(Amplitude(re, im)), _FLOATS, _FLOATS)
+_GRAPHS = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.builds(Sequence, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+        st.builds(Branch, st.lists(kids, min_size=2, max_size=3).map(tuple),
+                  st.booleans())),
+    max_leaves=10)
+
+# Reads the sign bits too, so a -0.0 handed over as 0.0 changes the weight.
+_SIGNED_L1 = ProbabilityRule("signed-l1", lambda a: (
+    abs(a.re) + abs(a.im) + 0.25 * (math.copysign(1.0, a.re) < 0.0)
+    + 0.5 * (math.copysign(1.0, a.im) < 0.0)))
+
+
+def _bits(x):
+    if isinstance(x, float):
+        return x.hex()
+    return [(a.re.hex(), a.im.hex()) for a in x]
+
+
+def _outcome(fn, *args):
+    """fn's result as float bits, or the class and message of its error."""
+    try:
+        return _bits(fn(*args))
+    except AmplitudeError as err:
+        return type(err), str(err)
+
+
+@given(_GRAPHS)
+@example(Branch((Leaf(Amplitude(-0.0, -0.0)), Leaf(Amplitude(-0.0, 0.0))),
+                False))
+@example(Sequence((Leaf(Amplitude(1e154, 1e154)),
+                   Branch((Leaf(UNIT), Leaf(UNIT)), True),
+                   Branch((Leaf(UNIT), Leaf(UNIT)), True))))
+@example(Branch((Leaf(Amplitude(1e308)), Leaf(Amplitude(1e308)),
+                 Branch((Leaf(UNIT), Leaf(UNIT)), True)), False))
+@settings(max_examples=400, deadline=None)
+def test_pair_walker_matches_the_oracle_bit_for_bit(g):
+    assert _outcome(components, g) == _outcome(oracle.components, g)
+    for rule in (SQUARED_NORM, _SIGNED_L1):
+        assert (_outcome(evaluate, g, rule)
+                == _outcome(oracle.evaluate, g, rule))
+
+
+@pytest.mark.parametrize("root", ["junk", None, UNIT])
+def test_a_root_that_is_not_a_graph_node_is_named(root):
+    for call in (components, evaluate, oracle.components):
+        with pytest.raises(GraphStructureError) as info:
+            call(root)
+        assert str(info.value) == (
+            f"expected a graph node, got {type(root).__name__}")

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amplitude_oracle as oracle
+import fringelab.amplitudes as amplitudes
+import fringelab.interference as interference
 from fringelab.cli import main
 from fringelab.interference import BlockedArm, Composition, DetectorModel
 from fringelab.kinematics import BranchKind
-from fringelab.schemas import dump_json, parse_events_csv
+from fringelab.schemas import dump_json, format_float, parse_events_csv
 
 
 def write(path, text):
@@ -175,6 +178,52 @@ def test_interfere_classical_flat_with_summary(tmp_path, capsys):
     _, rows = parse_table(out_path.read_text(encoding="utf-8"))
     assert len(rows) == 7
     assert len({row["p_d0"] for row in rows}) == 1
+
+
+@given(st.floats())
+@example(math.nan)
+@example(-math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072009e-308)
+@example(1e16)
+def test_interfere_row_format_is_format_float(x):
+    # cmd_interfere prints each row with one '%.17g,...' format.
+    assert "%.17g" % x == format_float(x)
+
+
+# The sweep workload's three kinds of graph-path config.
+_GRAPH_PATH_KINDS = {
+    "balanced": {"schema": 1, "splitter1": 0.5, "splitter2": 0.5},
+    "unbalanced": {"schema": 1, "splitter1": 0.2718281828459045,
+                   "splitter2": 0.8141592653589793},
+    "recording": {"schema": 1, "splitter1": 0.6180339887498949,
+                  "splitter2": 0.1414213562373095,
+                  "detector_model": "non_demolishing_recording"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRAPH_PATH_KINDS))
+def test_interfere_bytes_equal_the_oracle_graph_path(tmp_path, capsys,
+                                                     monkeypatch, kind):
+    config = write(tmp_path / "config.json", dump_json(_GRAPH_PATH_KINDS[kind]))
+
+    def interfere(name):
+        out = tmp_path / name
+        code, stdout, _ = run(capsys, "interfere", "--config", config,
+                              "--phis=-2.0943951023931957:10.471975511965976:2001",
+                              "--out", str(out))
+        assert code == 0
+        return out.read_bytes(), stdout
+
+    fast = interfere("fast.csv")
+    monkeypatch.setattr(amplitudes, "components", oracle.components)
+    monkeypatch.setattr(interference, "_simulate_amplitude",
+                        oracle.simulate_amplitude)
+    assert interfere("oracle.csv") == fast
+    assert fast[0].count(b"\n") == 3 + 2001
 
 
 def test_interfere_rejects_bad_config_listing_fields(tmp_path, capsys):

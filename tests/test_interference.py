@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amplitude_oracle as oracle
+import fringelab.interference as interference
 from fringelab.interference import (
     BlockedArm,
     Composition,
@@ -31,6 +33,7 @@ from fringelab.amplitudes import (
     Amplitude,
     AmplitudeError,
     ProbabilityRule,
+    SQUARED_NORM,
     carrier_minimality_check,
     norm_squared,
     phase,
@@ -305,6 +308,46 @@ def test_phase_sweep_shape_and_empty_guard():
     assert sweep[0][1].as_tuple() == simulate(ExperimentConfig()).as_tuple()
     with pytest.raises(ConfigError):
         phase_sweep(ExperimentConfig(), [])
+
+
+def _bits(dist):
+    return [None if v is None else v.hex() for v in dist.as_tuple()]
+
+
+# The phase-free graph parts are cached by the stored splitter floats: 0.0
+# and -0.0 share an entry, and a Fraction is stored as its float.
+_CACHED_SPLITTERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, Fraction(1, 3)]), st.floats(0.0, 1.0))
+_GRAPH_PATH_CONFIGS = st.builds(
+    ExperimentConfig, splitter1=_CACHED_SPLITTERS, splitter2=_CACHED_SPLITTERS,
+    phase=st.floats(allow_nan=False, allow_infinity=False),
+    detector_model=st.sampled_from(list(DetectorModel)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAPH_PATH_CONFIGS, _GRAPH_PATH_CONFIGS)
+def test_cached_parts_give_the_bits_of_fresh_parts_and_of_the_oracle(a, b):
+    cached = [_bits(simulate(config)) for config in (a, b, a)]
+    for config, got in zip((a, b, a), cached):
+        interference._fixed_parts.cache_clear()
+        assert _bits(simulate(config)) == got
+        assert _bits(oracle.simulate_amplitude(config, SQUARED_NORM)) == got
+
+
+def test_cached_parts_do_not_depend_on_which_zero_filled_the_entry():
+    # Recorded, the upper arm's zero amplitude reaches the rule as a component
+    # of its own, and this rule reads the sign of its real part.
+    signed = ProbabilityRule("sign-reading", lambda a: (
+        norm_squared(a) + 0.5 * (math.copysign(1.0, a.re) < 0.0)))
+    zero, minus_zero = (
+        ExperimentConfig(splitter1=z, phase=0.3,
+                         detector_model=DetectorModel.NON_DEMOLISHING_RECORDING)
+        for z in (0.0, -0.0))
+    seen = set()
+    for order in ((zero, minus_zero), (minus_zero, zero)):
+        interference._fixed_parts.cache_clear()
+        seen.update(tuple(_bits(simulate(c, signed))) for c in order)
+    assert len(seen) == 1
 
 
 def _members(kind):
