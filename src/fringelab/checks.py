@@ -680,9 +680,9 @@ REGISTRY: tuple[CheckSpec, ...] = (
 def select_checks(selector: str | None) -> list[tuple[int, CheckSpec]]:
     """Registry entries whose id or label contains the selector substring."""
     indexed = list(enumerate(REGISTRY))
-    if selector is None or selector.strip() in ("", "all"):
+    needle = "" if selector is None else selector.strip().lower()
+    if needle in ("", "all"):
         return indexed
-    needle = selector.strip().lower()
     picked = [(i, spec) for i, spec in indexed
               if needle in spec.id.lower() or needle in spec.paper_ref.lower()]
     if not picked:

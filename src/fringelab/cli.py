@@ -44,6 +44,7 @@ from .schemas import (
     dump_json,
     experiment_config_from_dict,
     format_float,
+    format_row,
     frame_map_from_dict,
     load_json,
     parse_events_csv,
@@ -120,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_interfere.add_argument("--config",
                              help="experiment JSON (default: ideal 50/50 bench)")
     p_interfere.add_argument("--phis", type=_parse_phis,
-                             default=tuple(float(v) for v in np.linspace(
-                                 0.0, 2.0 * math.pi, 65)),
+                             default=f"0:{2.0 * math.pi!r}:65",
                              help="sweep grid start:stop:steps "
                                   "(default 0:2pi:65, endpoints included)")
     p_interfere.add_argument("--out", help="output CSV path (default stdout)")
@@ -189,33 +189,25 @@ def cmd_transform(args: argparse.Namespace) -> int:
              "t,x,t_out,x_out,interval_in,interval_out"]
     for p in events:
         q = m.apply(p)
-        lines.append(",".join(format_float(v) for v in (
-            p.t, p.x, q.t, q.x,
-            event_interval(p, m.c), event_interval(q, m.c))))
+        lines.append(format_row(p.t, p.x, q.t, q.x,
+                                event_interval(p, m.c), event_interval(q, m.c)))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _load_experiment(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    return experiment_config_from_dict(load_json(_read_text(path)))
-
-
 def cmd_interfere(args: argparse.Namespace) -> int:
-    config = _load_experiment(args.config)
+    config = (ExperimentConfig() if args.config is None else
+              experiment_config_from_dict(load_json(_read_text(args.config))))
     sweep = phase_sweep(config, args.phis)
     vis = visibility(sweep)
     lines = [f"# {_CONVENTION_NOTE}",
              f"# visibility = {format_float(vis)}",
              "phi,p_d0,p_d1,p_absorbed,p_d0_given_detected,p_d1_given_detected"]
-    # '%.17g' % x is format_float(x) for every float, nan and -0.0 included;
-    # an undefined conditional prints as nan.
-    for phi, d in sweep:
+    for phi, d in sweep:  # an undefined conditional prints as nan
         c0, c1 = d.p_d0_given_detected, d.p_d1_given_detected
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            phi, d.p_d0, d.p_d1, d.p_absorbed,
-            math.nan if c0 is None else c0, math.nan if c1 is None else c1))
+        lines.append(format_row(phi, d.p_d0, d.p_d1, d.p_absorbed,
+                                math.nan if c0 is None else c0,
+                                math.nan if c1 is None else c1))
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.out is not None:
         print(f"visibility = {format_float(vis)}")

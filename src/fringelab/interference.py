@@ -260,10 +260,10 @@ def _simulate_amplitude(config: ExperimentConfig,
     t1, r2, t2, lower_d0, lower_d1 = _fixed_parts(config.splitter1,
                                                   config.splitter2)
     recorded = config.detector_model.records_which_way
-    upper_in = SequenceNode((t1, Leaf(phase(config.phase))))
-    to_d0 = Branch((SequenceNode((upper_in, r2)), lower_d0),
+    plate = Leaf(phase(config.phase))
+    to_d0 = Branch((SequenceNode((t1, plate, r2)), lower_d0),
                    distinguishable=recorded)
-    to_d1 = Branch((SequenceNode((upper_in, t2)), lower_d1),
+    to_d1 = Branch((SequenceNode((t1, plate, t2)), lower_d1),
                    distinguishable=recorded)
     return OutcomeDistribution.from_weights(
         evaluate(to_d0, rule), evaluate(to_d1, rule), 0.0)

@@ -27,7 +27,6 @@ module is safe for arbitrary parallel use.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -554,16 +553,6 @@ def _clamp01(x: np.ndarray) -> np.ndarray:
     return np.fmin(np.fmax(x, 0.0), 1.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _non_adjacent_pairs(segments: int) -> tuple[np.ndarray, np.ndarray]:
-    # Segment index pairs (i, j) with j >= i + 2, in row-major order; the
-    # arrays are shared by every caller, so they are read-only.
-    pairs = np.triu_indices(segments, 2)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
-
-
 def polyline_is_simple(points: np.ndarray) -> bool:
     """True iff the open polyline through ``points`` is injective.
 
@@ -604,8 +593,8 @@ def polyline_is_simple(points: np.ndarray) -> bool:
         if ((area_sq <= (REL_TOL_SAMPLED * REL_TOL_SAMPLED) * uu * vv)
                 & (uv < 0.0)).any():
             return False
-        # Segment i is P_i + s d_i and segment j is P_j + t d_j, s, t in [0, 1].
-        i, j = _non_adjacent_pairs(n - 1)
+        # Segments i and j >= i + 2 are P_i + s d_i and P_j + t d_j, s, t in [0, 1].
+        i, j = np.triu_indices(n - 1, 2)
         d1, d2, r = d[i], d[j], pts[i] - pts[j]
         a, e = sq[i], sq[j]
         f, cc, b = _rowdot(d2, r), _rowdot(d1, r), _rowdot(d1, d2)

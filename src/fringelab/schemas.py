@@ -1,8 +1,8 @@
 """Versioned JSON schemas and the events CSV format.
 
-Every document carries ``schema: 1``.  Unknown fields are rejected rather
-than ignored: a typo in a physics-critical field like ``eta`` must fail
-loudly, not silently fall back to a default.  One function reads both
+Every document carries ``schema: 1``.  Unknown and repeated fields are
+rejected, not ignored: a typo in a physics-critical field like ``eta`` must
+fail loudly, not silently fall back to a default.  One function reads both
 documents: it checks the envelope, and ExperimentConfig and FrameMap check
 field values; SpacetimePoint checks each event's coordinates.  Every problem
 is gathered before raising so a bad file is fixed in one round trip.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+from .constants import is_real
 from .interference import ConfigError, ExperimentConfig
 from .kinematics import FrameMap, KinematicsError, SpacetimePoint
 
@@ -35,7 +36,7 @@ def _from_dict(doc, cls, what: str, error: type[Exception], **defaults):
     problems = []
     if "schema" not in doc:
         problems.append("schema: missing (expected 1)")
-    elif doc["schema"] != SCHEMA_VERSION:
+    elif not (is_real(doc["schema"]) and doc["schema"] == SCHEMA_VERSION):
         problems.append(f"schema: unsupported version {doc['schema']!r} (expected 1)")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(doc) - known - {"schema"})
@@ -97,9 +98,15 @@ def parse_events_csv(text: str) -> list[SpacetimePoint]:
     return events
 
 
+def format_row(*values: float) -> str:
+    """Float ``values``, comma-joined, each in the 17 significant digits
+    that parse back to its bits (nan, inf and -0.0 included)."""
+    return ",".join(["%.17g"] * len(values)) % values
+
+
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; parses back to the same bits."""
-    return format(float(x), ".17g")
+    return format_row(float(x))
 
 
 def dump_json(doc) -> str:
@@ -107,9 +114,20 @@ def dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    seen, repeated = set(), set()
+    for name, _ in pairs:
+        (repeated if name in seen else seen).add(name)
+    if repeated:
+        raise SchemaError(f"duplicate fields rejected: {', '.join(sorted(repeated))}")
+    return dict(pairs)
+
+
 def load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_fields)
+    except SchemaError:  # a repeated field; a ValueError, so not wrapped below
+        raise
     except json.JSONDecodeError as err:
         raise SchemaError(f"invalid JSON at line {err.lineno}, "
                           f"column {err.colno}: {err.msg}") from None

@@ -88,6 +88,11 @@ def test_selector_all_and_blank_mean_everything():
     assert len(select_checks("  ")) == len(REGISTRY)
 
 
+@pytest.mark.parametrize("selector", ["ALL", " All ", "aLL"])
+def test_selector_all_is_case_insensitive_too(selector):
+    assert select_checks(selector) == select_checks("all")
+
+
 def test_unknown_selector_raises_and_lists_ids():
     with pytest.raises(NoMatchingChecksError) as info:
         select_checks("no-such-check")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,10 +13,15 @@ from hypothesis import strategies as st
 import amplitude_oracle as oracle
 import fringelab.amplitudes as amplitudes
 import fringelab.interference as interference
-from fringelab.cli import main
+from fringelab.cli import build_parser, main
 from fringelab.interference import BlockedArm, Composition, DetectorModel
-from fringelab.kinematics import BranchKind
-from fringelab.schemas import dump_json, format_float, parse_events_csv
+from fringelab.kinematics import BranchKind, event_interval
+from fringelab.schemas import (
+    dump_json,
+    format_float,
+    frame_map_from_dict,
+    parse_events_csv,
+)
 
 
 def write(path, text):
@@ -105,6 +111,72 @@ def test_transform_output_round_trips(tmp_path, capsys):
     parsed = parse_events_csv(first_two + "\n")
     assert parsed[0].t == 0.1
     assert parsed[0].x == 0.30000000000000004
+
+
+def _signed_events(seed):
+    # -0.0 coordinates, events within a few ulp of the light cone, and events
+    # near 1e-150 and 1e150, whose intervals lie near 1e-300 and 1e300.
+    rng = np.random.default_rng(seed)
+    rows = ["-0.0,0.0", "0.0,-0.0", "-0.0,-0.0", "1,1", "1,-1"]
+    for scale in (1e-150, 1.0, 1e150):
+        for t in (rng.uniform(-1.0, 1.0, 20) * scale).tolist():
+            x = t * (1.0 + int(rng.integers(-3, 4)) * 2.0 ** -52)
+            rows.append(f"{t!r},{x if rng.random() < 0.5 else -x!r}")
+            rows.append(f"{t!r},{float(rng.uniform(-1.0, 1.0)) * scale!r}")
+    return "t,x\n" + "\n".join(rows) + "\n"
+
+
+_MAPS = {
+    "subluminal": {"schema": 1, "branch": "subluminal", "V": 0.6},
+    "superluminal": {"schema": 1, "branch": "superluminal", "V": -2.5,
+                     "eta": -1},
+    "general-linear": {"schema": 1, "branch": "general-linear",
+                       "linear_part": [[2.0, 1.0], [1.0, 3.0]],
+                       "translation": [0.0, -0.0]},
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_MAPS))
+def test_transform_rows_are_the_per_value_17_digit_join(tmp_path, capsys,
+                                                        branch):
+    text = _signed_events(sum(map(ord, branch)))
+    events = write(tmp_path / "events.csv", text)
+    config = write(tmp_path / "map.json", dump_json(_MAPS[branch]))
+    code, out, err = run(capsys, "transform", "--events", events,
+                         "--config", config)
+    assert (code, err) == (0, "")
+    m = frame_map_from_dict(_MAPS[branch])
+    rows = []
+    for p in parse_events_csv(text):
+        q = m.apply(p)
+        rows.append(",".join(format(float(v), ".17g") for v in (
+            p.t, p.x, q.t, q.x, event_interval(p, m.c), event_interval(q, m.c))))
+    assert out.splitlines()[2:] == rows
+    assert "-0," in out and "e+299" in out and "e-301" in out
+
+
+def test_interfere_default_grid_is_parsed_from_its_text():
+    phis = build_parser().parse_args(["interfere"]).phis
+    assert isinstance(phis, tuple)
+    assert ([v.hex() for v in phis]
+            == [float(v).hex() for v in np.linspace(0.0, 2.0 * math.pi, 65)])
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("transform", '{"schema": 1, "branch": "superluminal", "V": 2.0, '
+                  '"eta": 1, "eta": -1}'),
+    ("interfere", '{"schema": 1, "phase": 0.5, "splitter1": 0.3, '
+                  '"phase": 0.0, "splitter1": 0.3}'),
+])
+def test_a_repeated_field_exits_2_naming_it(tmp_path, capsys, command, doc):
+    config = write(tmp_path / "doc.json", doc)
+    argv = ["--config", config]
+    if command == "transform":
+        argv += ["--events", write(tmp_path / "events.csv", EVENTS)]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    expected = "eta" if command == "transform" else "phase, splitter1"
+    assert err == f"error: duplicate fields rejected: {expected}\n"
 
 
 def test_transform_reports_bad_line(tmp_path, capsys):

@@ -59,6 +59,50 @@ def test_overflow_is_caught_only_by_finite_float_and_result_checks():
     assert found == OVERFLOW_HANDLERS
 
 
+# The one place a 17-significant-digit format is written, in code, string or
+# comment, and the one function that is cached.  A second row format, or a
+# second cache, must be added here on purpose.
+FLOAT_FORMATS = [("schemas.py", "format_row")]
+CACHES = [("interference.py", "_fixed_parts")]
+_CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
+
+
+def _scopes(tree) -> list[tuple[int, int, str]]:
+    # (first line, last line, name) of each function, decorators included,
+    # sorted so that the last scope holding a line is the innermost.
+    return sorted((min([f.lineno] + [d.lineno for d in f.decorator_list]),
+                   f.end_lineno, f.name) for f in ast.walk(tree)
+                  if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _scope_of(scopes, lineno: int) -> str:
+    inside = [name for first, last, name in scopes if first <= lineno <= last]
+    return inside[-1] if inside else "<module>"
+
+
+def test_the_17_digit_format_is_written_once():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        scopes = _scopes(ast.parse(text))
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            found += [(path.name, _scope_of(scopes, lineno))] * line.count(".17g")
+    assert found == FLOAT_FORMATS
+
+
+def test_only_fixed_parts_is_cached():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = _scopes(tree)
+        found += [(path.name, _scope_of(scopes, node.lineno))
+                  for node in ast.walk(tree)
+                  if (node.id if isinstance(node, ast.Name) else
+                      node.attr if isinstance(node, ast.Attribute) else None)
+                  in _CACHE_NAMES]
+    assert found == CACHES
+
+
 def _is_number_test(node) -> bool:
     # isinstance(..., numbers.Real) or isinstance(..., (int, float)).
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amplitude_oracle as oracle
+import fringelab.amplitudes as amplitudes
 import fringelab.interference as interference
 from fringelab.interference import (
     BlockedArm,
@@ -348,6 +349,32 @@ def test_cached_parts_do_not_depend_on_which_zero_filled_the_entry():
         interference._fixed_parts.cache_clear()
         seen.update(tuple(_bits(simulate(c, signed))) for c in order)
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("model", [DetectorModel.NONE,
+                                   DetectorModel.NON_DEMOLISHING_RECORDING])
+def test_a_graph_path_phase_builds_two_paths_and_walks_six_nodes(monkeypatch,
+                                                                 model):
+    # Each outcome is its two flat paths: the upper arm is one three-leg
+    # Sequence built per phase, the lower arm a cached one.  Walking an
+    # outcome visits its Branch and both paths; leaves are read in place.
+    config = ExperimentConfig(splitter1=0.3, splitter2=0.6, detector_model=model)
+    expected = simulate(config)  # fills the _fixed_parts entry
+    counts = {"Sequence": 0, "_pairs": 0}
+    build, walk = amplitudes.Sequence.__post_init__, amplitudes._pairs
+
+    def counted_build(self):
+        counts["Sequence"] += 1
+        build(self)
+
+    def counted_walk(g):
+        counts["_pairs"] += 1
+        return walk(g)
+
+    monkeypatch.setattr(amplitudes.Sequence, "__post_init__", counted_build)
+    monkeypatch.setattr(amplitudes, "_pairs", counted_walk)
+    assert simulate(config) == expected
+    assert counts == {"Sequence": 2, "_pairs": 6}
 
 
 def _members(kind):

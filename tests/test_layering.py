@@ -17,7 +17,7 @@ LAYERS = {
     "amplitudes": ({"constants"}, False),
     "interference": ({"amplitudes", "constants"}, False),
     "kinematics": ({"constants"}, True),
-    "schemas": ({"interference", "kinematics"}, False),
+    "schemas": ({"constants", "interference", "kinematics"}, False),
 }
 UNRESTRICTED = {"checks", "cli", "__init__"}
 

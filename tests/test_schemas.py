@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fringelab.interference import BlockedArm, Composition, ExperimentConfig
 from fringelab.kinematics import FrameMap
@@ -12,6 +14,7 @@ from fringelab.schemas import (
     dump_json,
     experiment_config_from_dict,
     format_float,
+    format_row,
     frame_map_from_dict,
     load_json,
     parse_events_csv,
@@ -51,6 +54,30 @@ def test_schema_version_is_required_and_pinned():
     assert "schema" in str(err.value)
     with pytest.raises(SchemaError):
         experiment_config_from_dict({"schema": 2})
+
+
+@pytest.mark.parametrize("read, fields", [
+    (experiment_config_from_dict, {"phase": 0.5}),
+    (frame_map_from_dict, {"branch": "subluminal", "V": 0.5}),
+])
+def test_schema_version_is_a_number_not_a_bool(read, fields):
+    with pytest.raises(SchemaError) as err:
+        read(load_json(dump_json({"schema": True, **fields})))
+    assert str(err.value) == "schema: unsupported version True (expected 1)"
+    # JSON 1.0 is version 1, as it is eta = 1.
+    assert repr(read(load_json(dump_json({"schema": 1.0, **fields})))) == repr(
+        read({"schema": 1, **fields}))
+
+
+def test_a_repeated_field_is_rejected_naming_each_one_once():
+    text = ('{"schema": 1, "branch": "superluminal", "V": 2.0, "eta": 1, '
+            '"eta": -1, "V": 2.0, "V": 3.0}')
+    with pytest.raises(SchemaError) as err:
+        load_json(text)
+    assert str(err.value) == "duplicate fields rejected: V, eta"
+    with pytest.raises(SchemaError) as err:
+        load_json('[{"a": 1}, {"b": {"c": 0, "c": 0}}]')
+    assert str(err.value) == "duplicate fields rejected: c"
 
 
 def test_all_problems_reported_together():
@@ -222,6 +249,23 @@ def test_format_float_round_trips_bits():
     values += [0.0, 1.0, -1.0, 0.1, 2.0 / 3.0, math.pi, 1e-300, 1e300]
     for v in values:
         assert float(format_float(v)) == v
+
+
+def _per_value_join(values):
+    # The row text before format_row: one format call per value.
+    return ",".join(format(float(v), ".17g") for v in values)
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf,
+                                0.0, -0.0, 5e-324, -5e-324,
+                                2.2250738585072009e-308, 1e308, -1e308,
+                                1.7976931348623157e308, 1e16, 0.1])
+
+
+@given(st.lists(st.one_of(st.floats(), _EDGE_FLOATS), min_size=1, max_size=6))
+def test_format_row_is_the_per_value_join(values):
+    assert format_row(*values) == _per_value_join(values)
+    assert format_float(values[0]) == _per_value_join(values[:1])
 
 
 def test_dump_json_is_canonical():
