@@ -13,7 +13,6 @@ and the O3 frame report live there.  ``schemas`` pins the JSON/CSV formats.
 from .amplitudes import (
     Amplitude,
     Branch,
-    Leaf,
     ProbabilityRule,
     SQUARED_NORM,
     Sequence,

@@ -146,15 +146,6 @@ SQUARED_NORM = ProbabilityRule("squared-norm", norm_squared)
 
 
 @dataclass(frozen=True)
-class Leaf:
-    amplitude: Amplitude
-
-    def __post_init__(self):
-        if not isinstance(self.amplitude, Amplitude):
-            raise GraphStructureError("leaf payload must be an Amplitude")
-
-
-@dataclass(frozen=True)
 class Sequence:
     """Consecutive legs of one path; amplitudes multiply."""
 
@@ -194,11 +185,12 @@ class Branch:
         object.__setattr__(self, "children", children)
 
 
-AlternativeGraph = Union[Leaf, Sequence, Branch]
+# A leaf of a graph is its Amplitude: one leg.
+AlternativeGraph = Union[Amplitude, Sequence, Branch]
 
 
 def _require_graph(g) -> None:
-    if not isinstance(g, (Leaf, Sequence, Branch)):
+    if not isinstance(g, (Amplitude, Sequence, Branch)):
         raise GraphStructureError(
             f"expected a graph node, got {type(g).__name__}")
 
@@ -213,14 +205,12 @@ def _pairs(g: AlternativeGraph) -> list[tuple[float, float]]:
     does.  Each product and sum is checked as building its Amplitude would
     check it.
     """
-    if isinstance(g, Leaf):
-        a = g.amplitude
-        return [(a.re, a.im)]
+    if isinstance(g, Amplitude):
+        return [(g.re, g.im)]
     parts = []
     for ch in g.children:
-        if isinstance(ch, Leaf):  # read in place: one call fewer per leaf
-            a = ch.amplitude
-            parts.append([(a.re, a.im)])
+        if isinstance(ch, Amplitude):  # read in place: one call fewer per leaf
+            parts.append([(ch.re, ch.im)])
         else:
             parts.append(_pairs(ch))
     if isinstance(g, Sequence):
@@ -279,11 +269,9 @@ def evaluate(g: AlternativeGraph, rule: ProbabilityRule = SQUARED_NORM) -> float
     names it.  Any other rule is handed an Amplitude.
     """
     _require_graph(g)
-    if rule is not SQUARED_NORM:
-        return _weight_sum([rule(Amplitude(re, im)) for re, im in _pairs(g)])
     weights = []
     for re, im in _pairs(g):
-        w = re * re + im * im
+        w = re * re + im * im if rule is SQUARED_NORM else math.inf
         weights.append(w if w < math.inf else rule(Amplitude(re, im)))
     return _weight_sum(weights)
 

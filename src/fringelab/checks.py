@@ -29,7 +29,6 @@ from .amplitudes import (
     Amplitude,
     Branch,
     DegenerateOutcomesError,
-    Leaf,
     SQUARED_NORM,
     carrier_minimality_check,
     check_global_phase_invariance,
@@ -423,10 +422,9 @@ def _check_distributivity(ctx: CheckContext, rng) -> tuple[bool, str]:
 
 
 def _check_interference_witness(ctx: CheckContext, rng) -> tuple[bool, str]:
-    coherent = Branch((Leaf(phase(0.0)), Leaf(phase(math.pi))),
-                      distinguishable=False)
+    coherent = Branch((phase(0.0), phase(math.pi)), distinguishable=False)
     w_coherent = evaluate(coherent, SQUARED_NORM)
-    per_path = [evaluate(Leaf(phase(0.0))), evaluate(Leaf(phase(math.pi)))]
+    per_path = [evaluate(phase(0.0)), evaluate(phase(math.pi))]
     gap = min(abs(w_coherent - (w * per_path[0] + (1.0 - w) * per_path[1]))
               for w in np.linspace(0.0, 1.0, 101))
     ok = w_coherent <= 1e-30 and gap > 0.5
@@ -445,7 +443,7 @@ def _check_global_phase_invariance(ctx: CheckContext, rng) -> tuple[bool, str]:
 def _check_outcome_normalization(ctx: CheckContext, rng) -> tuple[bool, str]:
     for _ in range(max(10, ctx.trials // 10)):
         graphs = {
-            f"out{i}": Leaf(Amplitude(*rng.uniform(-2.0, 2.0, 2)))
+            f"out{i}": Amplitude(*rng.uniform(-2.0, 2.0, 2))
             for i in range(int(rng.integers(2, 5)))}
         try:
             out = evaluate_outcomes(graphs, SQUARED_NORM)
@@ -458,8 +456,7 @@ def _check_outcome_normalization(ctx: CheckContext, rng) -> tuple[bool, str]:
         parts = math.fsum(evaluate(g, SQUARED_NORM) for g in graphs.values())
         if abs(total - parts) > REL_TOL_ALGEBRA * (1.0 + parts):
             return False, "distinguishable branch weight is not additive"
-    cancel = Branch((Leaf(phase(0.0)), Leaf(Amplitude(-1.0, 0.0))),
-                    distinguishable=False)
+    cancel = Branch((phase(0.0), Amplitude(-1.0, 0.0)), distinguishable=False)
     try:
         evaluate_outcomes({"only": cancel}, SQUARED_NORM)
         return False, "all-zero outcomes did not raise the degenerate error"

@@ -18,7 +18,9 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
+import io
 import math
 import sys
 
@@ -187,10 +189,16 @@ def cmd_transform(args: argparse.Namespace) -> int:
              + (f" eta={m.eta:+d}" if m.eta is not None else "")
              + f" c={format_float(m.c)}",
              "t,x,t_out,x_out,interval_in,interval_out"]
-    for p in events:
-        q = m.apply(p)
-        lines.append(format_row(p.t, p.x, q.t, q.x,
-                                event_interval(p, m.c), event_interval(q, m.c)))
+    # An image past the largest float is named below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in events:
+            try:
+                q = m.apply(p)
+            except KinematicsError:  # p is finite, so its image is not
+                raise KinematicsError(
+                    f"image of {p} under the map is not finite") from None
+            lines.append(format_row(p.t, p.x, q.t, q.x, event_interval(p, m.c),
+                                    event_interval(q, m.c)))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -244,6 +252,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # stdout is UTF-8 on any locale; a capture that replaced it stays as it is
+    out = sys.stdout
+    if (isinstance(out, io.TextIOWrapper)
+            and codecs.lookup(out.encoding).name != "utf-8"):
+        out.reconfigure(encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {"transform": cmd_transform, "interfere": cmd_interfere,

@@ -42,7 +42,6 @@ from .amplitudes import (
     Amplitude,
     Branch,
     DegenerateOutcomesError,
-    Leaf,
     ProbabilityRule,
     SQUARED_NORM,
     Sequence as SequenceNode,
@@ -238,7 +237,8 @@ def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
 
 @functools.lru_cache(maxsize=64)
 def _fixed_parts(T1: float, T2: float
-                 ) -> tuple[Leaf, Leaf, Leaf, SequenceNode, SequenceNode]:
+                 ) -> tuple[Amplitude, Amplitude, Amplitude,
+                            SequenceNode, SequenceNode]:
     """The parts of both outcome graphs that no phase changes.
 
     The legs t1, r2 and t2, then the lower arm to D0 (r1, t2) and to D1
@@ -249,9 +249,9 @@ def _fixed_parts(T1: float, T2: float
     T1, T2 = T1 + 0.0, T2 + 0.0  # -0.0 + 0.0 is 0.0; any other value stays
     t1, r1 = math.sqrt(T1), math.sqrt(1.0 - T1)
     t2, r2 = math.sqrt(T2), math.sqrt(1.0 - T2)
-    lower_in = Leaf(Amplitude(0.0, r1))
-    leg_r2, leg_t2 = Leaf(Amplitude(0.0, r2)), Leaf(Amplitude(t2, 0.0))
-    return (Leaf(Amplitude(t1, 0.0)), leg_r2, leg_t2,
+    lower_in = Amplitude(0.0, r1)
+    leg_r2, leg_t2 = Amplitude(0.0, r2), Amplitude(t2, 0.0)
+    return (Amplitude(t1, 0.0), leg_r2, leg_t2,
             SequenceNode((lower_in, leg_t2)), SequenceNode((lower_in, leg_r2)))
 
 
@@ -260,7 +260,7 @@ def _simulate_amplitude(config: ExperimentConfig,
     t1, r2, t2, lower_d0, lower_d1 = _fixed_parts(config.splitter1,
                                                   config.splitter2)
     recorded = config.detector_model.records_which_way
-    plate = Leaf(phase(config.phase))
+    plate = phase(config.phase)
     to_d0 = Branch((SequenceNode((t1, plate, r2)), lower_d0),
                    distinguishable=recorded)
     to_d1 = Branch((SequenceNode((t1, plate, t2)), lower_d1),

@@ -28,9 +28,9 @@ module is safe for arbitrary parallel use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,9 +61,9 @@ def _finite_array(value) -> np.ndarray | None:
     """``value`` as a float array, or None unless every entry is a finite number."""
     try:
         entries = np.array(value, dtype=object)
-    except ValueError:  # nesting that numpy cannot shape
+        floats = [finite_float(v) for v in entries.flat]
+    except (ValueError, RuntimeError):  # nesting numpy cannot shape or walk
         return None
-    floats = [finite_float(v) for v in entries.flat]
     if None in floats:
         return None
     return np.array(floats).reshape(entries.shape)
@@ -105,9 +105,6 @@ class SpacetimePoint:
             raise KinematicsError("event coordinates must be numbers")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
-
-    def to_vector(self) -> np.ndarray:
-        return np.array((self.t, self.x))
 
 
 def event_interval(p: SpacetimePoint, c: float = DEFAULT_C) -> float:
@@ -344,7 +341,7 @@ class FrameMap:
     # -- behaviour ----------------------------------------------------------
 
     def apply(self, p: SpacetimePoint) -> SpacetimePoint:
-        return SpacetimePoint(*(self.linear_part @ p.to_vector() + self.translation))
+        return SpacetimePoint(*(self.linear_part @ (p.t, p.x) + self.translation))
 
     __call__ = apply
 
@@ -356,13 +353,13 @@ class FrameMap:
 
 def lorentz_boost(p: SpacetimePoint, V: float, c: float = DEFAULT_C) -> SpacetimePoint:
     """Boost an event along the x axis; preserves every pair interval."""
-    return SpacetimePoint(*(boost_matrix(V, c) @ p.to_vector()))
+    return SpacetimePoint(*(boost_matrix(V, c) @ (p.t, p.x)))
 
 
 def superluminal_map(p: SpacetimePoint, V: float, eta: int,
                      c: float = DEFAULT_C) -> SpacetimePoint:
     """Apply the formal |V| > c map; negates every interval."""
-    return SpacetimePoint(*(superluminal_matrix(V, eta, c) @ p.to_vector()))
+    return SpacetimePoint(*(superluminal_matrix(V, eta, c) @ (p.t, p.x)))
 
 
 def velocity_addition(V1: float, V2: float, c: float = DEFAULT_C) -> float:
@@ -476,6 +473,7 @@ def preserves_null_lines(m: FrameMap) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class Worldline:
     """A simple piecewise-linear curve with strictly increasing proper-time labels.
 
@@ -483,41 +481,37 @@ class Worldline:
     cross itself (injectivity).  Construction enforces this unless
     ``check_simple=False``, which builds a deliberately broken fixture: the
     crossing polyline that the worldline-no-branching check and the tests
-    must see flagged.
+    must see flagged.  ``taus`` defaults to the vertex indices.
     """
 
-    def __init__(self, vertices: Iterable[SpacetimePoint],
-                 taus: Sequence[float] | None = None, *,
-                 check_simple: bool = True):
-        verts = tuple(vertices)
+    vertices: tuple[SpacetimePoint, ...]
+    taus: tuple[float, ...] | None = None
+    _: KW_ONLY
+    check_simple: InitVar[bool] = True
+
+    def __post_init__(self, check_simple: bool):
+        verts = tuple(self.vertices)
         for v in verts:
             if not isinstance(v, SpacetimePoint):
                 raise KinematicsError("vertices must be SpacetimePoint values")
-        taus = tuple(map(finite_float, range(len(verts)) if taus is None else taus))
+        taus = tuple(map(finite_float,
+                         range(len(verts)) if self.taus is None else self.taus))
         if len(taus) != len(verts):
             raise KinematicsError("need exactly one tau label per vertex")
         if None in taus:
             raise KinematicsError("tau labels must be finite")
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise KinematicsError("tau labels must strictly increase")
-        self._vertices = verts
-        self._taus = taus
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "taus", taus)
         if check_simple and not polyline_is_simple(self.points_array()):
             raise KinematicsError("worldline polyline is not simple")
 
-    @property
-    def vertices(self) -> tuple[SpacetimePoint, ...]:
-        return self._vertices
-
-    @property
-    def taus(self) -> tuple[float, ...]:
-        return self._taus
-
     def __len__(self) -> int:
-        return len(self._vertices)
+        return len(self.vertices)
 
     def points_array(self) -> np.ndarray:
-        return np.array([(v.t, v.x) for v in self._vertices]).reshape(-1, 2)
+        return np.array([(v.t, v.x) for v in self.vertices]).reshape(-1, 2)
 
 
 def past_worldline_segment(w: Worldline, e_index: int) -> Worldline:
@@ -532,10 +526,9 @@ def past_worldline_segment(w: Worldline, e_index: int) -> Worldline:
     if not 0 <= e_index < len(w):
         raise IndexError(f"vertex index {e_index} out of range")
     # A prefix of checked vertices and labels passes every test of
-    # __init__, so it is built without re-running them.
+    # __post_init__, so it is built without re-running them.
     out = object.__new__(Worldline)
-    out._vertices = w.vertices[:e_index]
-    out._taus = w.taus[:e_index]
+    out.__dict__.update(vertices=w.vertices[:e_index], taus=w.taus[:e_index])
     return out
 
 

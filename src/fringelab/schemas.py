@@ -133,3 +133,5 @@ def load_json(text: str):
                           f"column {err.colno}: {err.msg}") from None
     except ValueError as err:  # an integer past Python's digit limit
         raise SchemaError(f"invalid JSON: {err}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply to parse") from None

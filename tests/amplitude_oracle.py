@@ -17,7 +17,6 @@ from fringelab.amplitudes import (
     Amplitude,
     Branch,
     GraphStructureError,
-    Leaf,
     Sequence,
     _weight_sum,
     concat,
@@ -28,8 +27,8 @@ from fringelab.interference import OutcomeDistribution
 
 
 def components(g):
-    if isinstance(g, Leaf):
-        return (g.amplitude,)
+    if isinstance(g, Amplitude):
+        return (g,)
     if isinstance(g, Sequence):
         parts = [components(ch) for ch in g.children]
         return tuple(functools.reduce(concat, combo)
@@ -60,13 +59,13 @@ def outcome_graphs(config):
     t1, r1 = math.sqrt(T1), math.sqrt(1.0 - T1)
     t2, r2 = math.sqrt(T2), math.sqrt(1.0 - T2)
     recorded = config.detector_model.records_which_way
-    upper_in = Sequence((Leaf(Amplitude(t1, 0.0)), Leaf(phase(config.phase))))
-    lower_in = Leaf(Amplitude(0.0, r1))
-    to_d0 = Branch((Sequence((upper_in, Leaf(Amplitude(0.0, r2)))),
-                    Sequence((lower_in, Leaf(Amplitude(t2, 0.0))))),
+    upper_in = Sequence((Amplitude(t1, 0.0), phase(config.phase)))
+    lower_in = Amplitude(0.0, r1)
+    to_d0 = Branch((Sequence((upper_in, Amplitude(0.0, r2))),
+                    Sequence((lower_in, Amplitude(t2, 0.0)))),
                    distinguishable=recorded)
-    to_d1 = Branch((Sequence((upper_in, Leaf(Amplitude(t2, 0.0)))),
-                    Sequence((lower_in, Leaf(Amplitude(0.0, r2))))),
+    to_d1 = Branch((Sequence((upper_in, Amplitude(t2, 0.0))),
+                    Sequence((lower_in, Amplitude(0.0, r2)))),
                    distinguishable=recorded)
     return to_d0, to_d1
 

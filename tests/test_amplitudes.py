@@ -18,7 +18,6 @@ from fringelab.amplitudes import (
     CarrierMinimalityReport,
     DegenerateOutcomesError,
     GraphStructureError,
-    Leaf,
     ProbabilityRule,
     SQUARED_NORM,
     Sequence,
@@ -128,61 +127,68 @@ def test_concat_distributes_over_sum(ar, ai, br, bi, cr, ci):
 
 def test_graph_node_validation():
     with pytest.raises(GraphStructureError):
-        Leaf("not an amplitude")
-    with pytest.raises(GraphStructureError):
         Sequence(())
     with pytest.raises(GraphStructureError):
-        Branch((Leaf(UNIT),), distinguishable=False)
-    with pytest.raises(GraphStructureError):
-        Sequence((Leaf(UNIT), "junk"))
+        Branch((UNIT,), distinguishable=False)
+    with pytest.raises(GraphStructureError,
+                       match="^expected a graph node, got str$"):
+        Sequence((UNIT, "junk"))
+    with pytest.raises(GraphStructureError,
+                       match="^expected a graph node, got NoneType$"):
+        Branch((UNIT, None), True)
+
+
+def test_an_amplitude_is_a_graph_leaf():
+    assert evaluate(UNIT) == 1.0
+    assert components(phase(0.5)) == (phase(0.5),)
 
 
 def test_components_of_plain_shapes():
-    assert components(Leaf(amp(0.6, 0.8))) == (amp(0.6, 0.8),)
-    seq = Sequence((Leaf(phase(0.5)), Leaf(phase(0.25))))
+    assert components(amp(0.6, 0.8)) == (amp(0.6, 0.8),)
+    seq = Sequence((phase(0.5), phase(0.25)))
     (got,) = components(seq)
     want = phase(0.75)
     assert abs(got.re - want.re) <= 1e-12 and abs(got.im - want.im) <= 1e-12
 
 
 def test_indistinguishable_branch_sums_amplitudes():
-    g = Branch((Leaf(phase(0.0)), Leaf(phase(math.pi))), distinguishable=False)
+    g = Branch((phase(0.0), phase(math.pi)), distinguishable=False)
     (total,) = components(g)
     assert abs(total.re) <= 1e-15 and abs(total.im) <= 1e-15
     assert evaluate(g) <= 1e-30
 
 
 def test_distinguishable_branch_adds_weights():
-    g = Branch((Leaf(phase(0.0)), Leaf(phase(math.pi))), distinguishable=True)
+    g = Branch((phase(0.0), phase(math.pi)), distinguishable=True)
     assert components(g) == (phase(0.0), phase(math.pi))
     assert evaluate(g) == 2.0
 
 
 def test_single_leaf_weight():
-    assert evaluate(Leaf(amp(0.6, 0.8))) == pytest.approx(1.0, rel=1e-15)
+    assert evaluate(amp(0.6, 0.8)) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_sequence_distributes_across_distinguishable_children():
-    recorded = Branch((Leaf(phase(0.0)), Leaf(phase(math.pi))),
+    recorded = Branch((phase(0.0), phase(math.pi)),
                       distinguishable=True)
-    g = Sequence((Leaf(amp(0.5)), recorded))
+    g = Sequence((amp(0.5), recorded))
     comps = components(g)
     assert len(comps) == 2
     assert evaluate(g) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_summing_over_recorded_alternatives_is_rejected():
-    recorded = Branch((Leaf(UNIT), Leaf(UNIT)), distinguishable=True)
-    g = Branch((recorded, Leaf(UNIT)), distinguishable=False)
+    recorded = Branch((UNIT, UNIT), distinguishable=True)
+    g = Branch((recorded, UNIT), distinguishable=False)
     with pytest.raises(GraphStructureError):
         components(g)
 
 
 def test_evaluate_outcomes_normalizes():
     out = evaluate_outcomes({
-        "a": Leaf(amp(1.0)),
-        "b": Leaf(amp(1.0, 1.0)),
-        "c": Leaf(amp(1.0, math.sqrt(2.0))),
+        "a": amp(1.0),
+        "b": amp(1.0, 1.0),
+        "c": amp(1.0, math.sqrt(2.0)),
     })
     assert math.isclose(sum(out.values()), 1.0, rel_tol=1e-12)
     assert out["a"] == pytest.approx(1.0 / 6.0, rel=1e-12)
@@ -190,7 +196,7 @@ def test_evaluate_outcomes_normalizes():
 
 
 def test_evaluate_outcomes_degenerate_error():
-    cancel = Branch((Leaf(phase(0.0)), Leaf(Amplitude(-1.0, 0.0))),
+    cancel = Branch((phase(0.0), Amplitude(-1.0, 0.0)),
                     distinguishable=False)
     with pytest.raises(DegenerateOutcomesError):
         evaluate_outcomes({"only": cancel})
@@ -202,8 +208,8 @@ _BIG = ProbabilityRule("big", lambda a: 1e308)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: evaluate(Branch((Leaf(UNIT), Leaf(UNIT)), True), _BIG),
-    lambda: evaluate_outcomes({"a": Leaf(UNIT), "b": Leaf(UNIT)}, _BIG),
+    lambda: evaluate(Branch((UNIT, UNIT), True), _BIG),
+    lambda: evaluate_outcomes({"a": UNIT, "b": UNIT}, _BIG),
 ], ids=["evaluate", "evaluate_outcomes"])
 def test_a_weight_sum_past_the_largest_float_is_named(call):
     with pytest.raises(AmplitudeError) as info:
@@ -215,9 +221,9 @@ def test_a_weight_sum_past_the_largest_float_is_named(call):
 def test_classical_mixture_differs_from_coherent_sum():
     # Two unit paths with relative phase pi: coherent weight 0, while every
     # convex mixture of the per-path weights equals 1.
-    coherent = Branch((Leaf(phase(0.0)), Leaf(phase(math.pi))),
+    coherent = Branch((phase(0.0), phase(math.pi)),
                       distinguishable=False)
-    per_path = [evaluate(Leaf(phase(0.0))), evaluate(Leaf(phase(math.pi)))]
+    per_path = [evaluate(phase(0.0)), evaluate(phase(math.pi))]
     for w in np.linspace(0.0, 1.0, 11):
         mixture = w * per_path[0] + (1 - w) * per_path[1]
         assert abs(evaluate(coherent) - mixture) > 0.5
@@ -229,8 +235,8 @@ def test_classical_mixture_is_blind_to_single_leaf_phase():
         a = Amplitude(*rng.uniform(-2, 2, 2))
         b = Amplitude(*rng.uniform(-2, 2, 2))
         phi = rng.uniform(0, 2 * math.pi)
-        plain = Branch((Leaf(a), Leaf(b)), distinguishable=True)
-        shifted = Branch((Sequence((Leaf(phase(phi)), Leaf(a))), Leaf(b)),
+        plain = Branch((a, b), distinguishable=True)
+        shifted = Branch((Sequence((phase(phi), a)), b),
                          distinguishable=True)
         assert abs(evaluate(plain) - evaluate(shifted)) <= 1e-12
 
@@ -269,11 +275,11 @@ def _evaluate_with_numpy_raising(rule):
     # Under errstate(divide="raise") a numpy division by zero raises
     # FloatingPointError, the third kind of ArithmeticError.
     with np.errstate(divide="raise"):
-        return evaluate(Leaf(UNIT), rule)
+        return evaluate(UNIT, rule)
 
 
 @pytest.mark.parametrize("run, cause", [
-    (lambda: evaluate(Leaf(UNIT), ProbabilityRule(
+    (lambda: evaluate(UNIT, ProbabilityRule(
         "exp", lambda a: math.exp(1000.0))), OverflowError),
     (lambda: simulate(ExperimentConfig(), ProbabilityRule(
         "exp", lambda a: 1 / 0)), ZeroDivisionError),
@@ -370,7 +376,7 @@ def test_global_phase_invariance_refuses_a_non_integer_trial_count(trials):
 @pytest.mark.parametrize("flag", ["false", "", None, [], 0, 1, np.bool_(True)],
                          ids=["'false'", "''", "None", "[]", "0", "1", "np.bool_"])
 def test_branch_distinguishable_must_be_a_bool(flag):
-    children = (Leaf(UNIT), Leaf(Amplitude(-1.0, 0.0)))
+    children = (UNIT, Amplitude(-1.0, 0.0))
     with pytest.raises(GraphStructureError) as info:
         Branch(children, flag)
     assert str(info.value) == f"distinguishable: must be True or False, got {flag!r}"
@@ -388,7 +394,7 @@ _EDGE_FLOATS = st.sampled_from([
 _FLOATS = st.one_of(_EDGE_FLOATS,
                     st.floats(-4.0, 4.0),
                     st.floats(allow_nan=False, allow_infinity=False))
-_LEAVES = st.builds(lambda re, im: Leaf(Amplitude(re, im)), _FLOATS, _FLOATS)
+_LEAVES = st.builds(Amplitude, _FLOATS, _FLOATS)
 _GRAPHS = st.recursive(
     _LEAVES,
     lambda kids: st.one_of(
@@ -418,13 +424,13 @@ def _outcome(fn, *args):
 
 
 @given(_GRAPHS)
-@example(Branch((Leaf(Amplitude(-0.0, -0.0)), Leaf(Amplitude(-0.0, 0.0))),
+@example(Branch((Amplitude(-0.0, -0.0), Amplitude(-0.0, 0.0)),
                 False))
-@example(Sequence((Leaf(Amplitude(1e154, 1e154)),
-                   Branch((Leaf(UNIT), Leaf(UNIT)), True),
-                   Branch((Leaf(UNIT), Leaf(UNIT)), True))))
-@example(Branch((Leaf(Amplitude(1e308)), Leaf(Amplitude(1e308)),
-                 Branch((Leaf(UNIT), Leaf(UNIT)), True)), False))
+@example(Sequence((Amplitude(1e154, 1e154),
+                   Branch((UNIT, UNIT), True),
+                   Branch((UNIT, UNIT), True))))
+@example(Branch((Amplitude(1e308), Amplitude(1e308),
+                 Branch((UNIT, UNIT), True)), False))
 @settings(max_examples=400, deadline=None)
 def test_pair_walker_matches_the_oracle_bit_for_bit(g):
     assert _outcome(components, g) == _outcome(oracle.components, g)
@@ -433,7 +439,7 @@ def test_pair_walker_matches_the_oracle_bit_for_bit(g):
                 == _outcome(oracle.evaluate, g, rule))
 
 
-@pytest.mark.parametrize("root", ["junk", None, UNIT])
+@pytest.mark.parametrize("root", ["junk", None])
 def test_a_root_that_is_not_a_graph_node_is_named(root):
     for call in (components, evaluate, oracle.components):
         with pytest.raises(GraphStructureError) as info:

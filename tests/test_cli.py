@@ -4,6 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ def write(path, text):
 
 
 EVENTS = "t,x\n0,0\n1,0\n1,1\n0.5,-2\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -578,6 +584,69 @@ def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, bad):
     assert code == 2
     assert out == ""
     assert paths[bad] in err and "not UTF-8" in err
+
+
+_DEEP = "[" * 200_000
+_TOO_DEEP = "invalid JSON: nested too deeply to parse"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("interfere", _DEEP, _TOO_DEEP),
+    ("interfere", '{"schema": 1, "phase": ' + _DEEP, _TOO_DEEP),
+    ("transform", _DEEP, _TOO_DEEP),
+    # 40 levels: JSON parses it, but numpy walks at most 32 dimensions.
+    ("transform", '{"schema": 1, "branch": "subluminal", "V": 0.5, '
+     '"translation": ' + "[" * 40 + "1" + "]" * 40 + "}",
+     "translation: must be a list of finite numbers"),
+], ids=["interfere", "interfere-field", "transform", "transform-numpy-depth"])
+def test_deeply_nested_json_exits_2_naming_the_nesting(tmp_path, capsys,
+                                                       command, doc, message):
+    argv = [command, "--config", write(tmp_path / "doc.json", doc)]
+    if command == "transform":
+        argv += ["--events", write(tmp_path / "events.csv", EVENTS)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("events, doc, event", [
+    ("t,x\n0,0\n1e308,1e308\n",
+     {"branch": "general-linear", "linear_part": [[2, 0], [0, 1]]},
+     "SpacetimePoint(t=1e+308, x=1e+308)"),
+    ("t,x\n1e308,0\n",
+     {"branch": "general-linear", "linear_part": IDENTITY,
+      "translation": [1e308, 0]},
+     "SpacetimePoint(t=1e+308, x=0.0)"),
+], ids=["matmul", "translation"])
+def test_transform_names_an_image_that_overflows(tmp_path, capsys,
+                                                 events, doc, event):
+    config = write(tmp_path / "map.json", dump_json({"schema": 1, **doc}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "transform", "--config", config,
+                             "--events", write(tmp_path / "events.csv", events))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: image of {event} under the map is not finite\n"
+
+
+def _check_stdout(encoding):
+    env = {**os.environ, "PYTHONIOENCODING": encoding,
+           "PYTHONPATH": os.pathsep.join(
+               [str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "fringelab.cli", "check", "--trials", "5",
+         "--suite", "closure"], env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_check_writes_utf8_on_any_locale(encoding):
+    # The closure check's detail holds U+2218, which neither codec encodes.
+    want, got = _check_stdout("utf-8"), _check_stdout(encoding)
+    assert want.returncode == 0 and "\u2218".encode() in want.stdout
+    assert got.returncode == 0, got.stderr.decode(errors="replace")
+    assert got.stdout == want.stdout
 
 
 def _exit_status(argv):

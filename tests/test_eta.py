@@ -26,12 +26,16 @@ from fringelab.schemas import SchemaError, frame_map_from_dict, load_json
 _P = SpacetimePoint(0.3, 1.7)
 
 
+def _superluminal_map_vector(eta):
+    q = superluminal_map(_P, 2.0, eta)
+    return np.array((q.t, q.x))
+
+
 # One call per public function, class and classmethod that takes ``eta``,
 # with every other argument valid; each returns an array to compare.
 _CALLS = {
     "kinematics.superluminal_matrix": lambda eta: superluminal_matrix(2.0, eta),
-    "kinematics.superluminal_map":
-        lambda eta: superluminal_map(_P, 2.0, eta).to_vector(),
+    "kinematics.superluminal_map": _superluminal_map_vector,
     "kinematics.FrameMap":
         lambda eta: FrameMap(BranchKind.SUPERLUMINAL, 2.0, eta).linear_part,
     "kinematics.FrameMap.superluminal":

@@ -1,5 +1,6 @@
 """Tests for worldline simplicity, past segments, and the no-branching check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -138,6 +139,16 @@ def test_past_segment_is_a_worldline_prefix():
     assert past.vertices == w.vertices[:3] and past.taus == w.taus[:3]
     assert np.array_equal(past.points_array(), w.points_array()[:3])
     assert past_worldline_segment(w, 0).points_array().shape == (0, 2)
+
+
+def test_a_worldline_is_frozen_with_identity_equality():
+    verts = _pts((0.0, 0.0), (1.0, 0.5))
+    w = Worldline(verts)
+    with pytest.raises(AttributeError):
+        w.vertices = ()
+    assert w != Worldline(verts) and w == w
+    names = [f.name for f in dataclasses.fields(Worldline)]
+    assert names == ["vertices", "taus"]
 
 
 def test_no_branching_under_boosts_and_superluminal_maps():
