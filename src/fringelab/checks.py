@@ -95,12 +95,14 @@ class CheckContext:
     def __post_init__(self):
         if not is_seed(self.seed):
             raise ConfigError(f"seed: must be an integer in [0, 2**64), got {self.seed!r}")
-        for name in ("trials", "resolution"):
-            value = getattr(self, name)
+        counts = {"trials": self.trials, "resolution": self.resolution}
+        for name, value in counts.items():
             if not is_count(value):
                 raise ConfigError(f"{name}: must be an integer, got {value!r}")
-        if self.trials < 1:  # with no trials a randomized check tests nothing
-            raise ConfigError(f"trials: must be at least 1, got {self.trials!r}")
+        # No trials would test nothing; the no-go check fails resolution 1 itself.
+        for name, value in counts.items():
+            if value < 1:
+                raise ConfigError(f"{name}: must be at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -352,10 +354,10 @@ def _check_past_segment(ctx: CheckContext, rng) -> tuple[bool, str]:
         w = random_simple_worldline(rng)
         idx = int(rng.integers(0, len(w)))
         past = past_worldline_segment(w, idx)
+        # Worldline keeps w.taus strictly increasing, so its prefix lies
+        # strictly before the event's label.
         if past.vertices != w.vertices[:idx] or past.taus != w.taus[:idx]:
             return False, "past segment is not the strict prefix before the event"
-        if any(tau >= w.taus[idx] for tau in past.taus):
-            return False, "past segment contains a label at or after the event"
     return True, "past worldline segments are strict proper-time prefixes"
 
 

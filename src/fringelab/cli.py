@@ -31,7 +31,7 @@ from .checks import (
     NoMatchingChecksError,
     run_checks,
 )
-from .constants import DEFAULT_RESOLUTION, DEFAULT_SEED, DEFAULT_TRIALS, is_seed
+from .constants import DEFAULT_RESOLUTION, DEFAULT_SEED, DEFAULT_TRIALS
 from .interference import (
     ConfigError,
     ExperimentConfig,
@@ -58,23 +58,11 @@ _CONVENTION_NOTE = ("symmetric splitters: transmission sqrt(T), reflection "
 
 
 def _parse_seed(text: str) -> int:
+    # Text to int only, with a base prefix (0x10); CheckContext owns the range.
     try:
-        value = int(text, 0)
+        return int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not is_seed(value):
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _parse_positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
 
 
 def _parse_phis(text: str) -> tuple[float, ...]:
@@ -130,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nogo = sub.add_parser(
         "nogo", help="grid-search classical mixtures for any phase sensitivity")
-    p_nogo.add_argument("--resolution", type=_parse_positive,
+    p_nogo.add_argument("--resolution", type=int,
                         default=DEFAULT_RESOLUTION,
                         help=f"path-weight grid resolution "
                              f"(default {DEFAULT_RESOLUTION})")
@@ -148,11 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                          help=f"u64 seed for randomized trials "
                               f"(default {DEFAULT_SEED})")
-    p_check.add_argument("--trials", type=_parse_positive,
+    p_check.add_argument("--trials", type=int,
                          default=DEFAULT_TRIALS,
                          help=f"randomized trials per check "
                               f"(default {DEFAULT_TRIALS})")
-    p_check.add_argument("--resolution", type=_parse_positive,
+    p_check.add_argument("--resolution", type=int,
                          default=DEFAULT_RESOLUTION,
                          help=f"weight grid resolution for the no-go check "
                               f"(default {DEFAULT_RESOLUTION})")
@@ -189,14 +177,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
              + (f" eta={m.eta:+d}" if m.eta is not None else "")
              + f" c={format_float(m.c)}",
              "t,x,t_out,x_out,interval_in,interval_out"]
-    # An image past the largest float is named below, not warned about.
+    # apply names an image past the largest float; numpy's overflow
+    # warning would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         for p in events:
-            try:
-                q = m.apply(p)
-            except KinematicsError:  # p is finite, so its image is not
-                raise KinematicsError(
-                    f"image of {p} under the map is not finite") from None
+            q = m.apply(p)
             lines.append(format_row(p.t, p.x, q.t, q.x, event_interval(p, m.c),
                                     event_interval(q, m.c)))
     _write_text(args.out, "\n".join(lines) + "\n")

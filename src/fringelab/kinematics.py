@@ -107,6 +107,14 @@ class SpacetimePoint:
         object.__setattr__(self, "x", x)
 
 
+def _image(p: SpacetimePoint, coords) -> SpacetimePoint:
+    # coords, a map's image of the finite event p, as an event.
+    try:
+        return SpacetimePoint(*coords)
+    except KinematicsError:  # p is finite, so the map overflowed
+        raise KinematicsError(f"image of {p} under the map is not finite") from None
+
+
 def event_interval(p: SpacetimePoint, c: float = DEFAULT_C) -> float:
     """Signed interval of ``p`` relative to the origin: x^2 - c^2 t^2."""
     c = _require_light_speed(c)
@@ -311,9 +319,8 @@ class FrameMap:
             lin = np.array(entries).reshape(2, 2)
         lin.setflags(write=False)
         tr.setflags(write=False)
-        for name, value in (("branch", branch), ("V", V), ("eta", eta),
-                            ("linear_part", lin), ("translation", tr), ("c", light)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(branch=branch, V=V, eta=eta, linear_part=lin,
+                             translation=tr, c=light)
 
     # -- constructors -------------------------------------------------------
 
@@ -341,7 +348,7 @@ class FrameMap:
     # -- behaviour ----------------------------------------------------------
 
     def apply(self, p: SpacetimePoint) -> SpacetimePoint:
-        return SpacetimePoint(*(self.linear_part @ (p.t, p.x) + self.translation))
+        return _image(p, self.linear_part @ (p.t, p.x) + self.translation)
 
     __call__ = apply
 
@@ -353,13 +360,13 @@ class FrameMap:
 
 def lorentz_boost(p: SpacetimePoint, V: float, c: float = DEFAULT_C) -> SpacetimePoint:
     """Boost an event along the x axis; preserves every pair interval."""
-    return SpacetimePoint(*(boost_matrix(V, c) @ (p.t, p.x)))
+    return _image(p, boost_matrix(V, c) @ (p.t, p.x))
 
 
 def superluminal_map(p: SpacetimePoint, V: float, eta: int,
                      c: float = DEFAULT_C) -> SpacetimePoint:
     """Apply the formal |V| > c map; negates every interval."""
-    return SpacetimePoint(*(superluminal_matrix(V, eta, c) @ (p.t, p.x)))
+    return _image(p, superluminal_matrix(V, eta, c) @ (p.t, p.x))
 
 
 def velocity_addition(V1: float, V2: float, c: float = DEFAULT_C) -> float:

@@ -5,17 +5,21 @@ assertions, so a green run doubles as a checklist of the package-level
 claims: exact blocked-arm probabilities, the interval flip, the classical
 no-go contrast, cone-preserver classification, no-branching, the amplitude
 axioms, byte-level determinism, and mutation sensitivity of the flip suite,
-of every check in the mutation table and of every kernel in the kernel
-mutation table.
+of every check in the mutation table, of every kernel in the kernel
+mutation table and of every FAIL detail a check can report.
 """
 
+import ast
 import dataclasses
 import itertools
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_checks import filtered_position_select
 
 import fringelab.amplitudes as amplitudes
 import fringelab.checks as checks
@@ -438,6 +442,149 @@ def test_fail_details_name_what_broke(monkeypatch, check_id, passed, failed):
     monkeypatch.setattr(module, target, mutant)
     [mutated] = run_checks(ctx, check_id)
     assert not mutated.passed and mutated.detail == failed
+
+
+# FAIL detail table: each row reaches one ``return False, <detail>`` site of
+# ``checks`` that no row above reaches.  A row is the check id, the name
+# patched in ``checks``, its mutant, and the exact detail the check reports.
+
+def _inexact_velocity_addition(V1, V2, c=1.0):
+    # Exact except at the 0.8 anchor, where it is one ulp high.
+    if (V1, V2) == (0.5, 0.5):
+        return 0.8000000000000002
+    return kinematics.velocity_addition(V1, V2, c)
+
+
+_sum_alternatives = amplitudes.sum_alternatives
+
+
+def _re_shifted_sum(a, b):
+    # The sum plus 1e-3 on its real part: commutative, but 0 is no identity.
+    s = _sum_alternatives(a, b)
+    return Amplitude(s.re + 1e-3, s.im)
+
+
+def _zeros_evaluate_outcomes(outcomes, rule=SQUARED_NORM):
+    # All-zero outcomes come back as zeros instead of raising.
+    try:
+        return amplitudes.evaluate_outcomes(outcomes, rule)
+    except amplitudes.DegenerateOutcomesError:
+        return dict.fromkeys(outcomes, 0.0)
+
+
+def _skewed_conditional_simulate(config, rule=SQUARED_NORM):
+    # The D0 conditional one ulp above its exact value.
+    d = interference.simulate(config, rule)
+    return dataclasses.replace(d, p_d0_given_detected=math.nextafter(
+        d.p_d0_given_detected, 1.0))
+
+
+def _evens_then_odds_sweep(config, phis):
+    # Every (phi, outcome) pair kept, the odd-numbered ones moved to the end.
+    out = interference.phase_sweep(config, phis)
+    return out[::2] + out[1::2]
+
+
+_sweep_calls = itertools.count()
+
+
+def _rotating_sweep(config, phis):
+    # Hidden state: each call starts its sweep one phase later than the last.
+    out = interference.phase_sweep(config, phis)
+    k = next(_sweep_calls) % len(out)
+    return out[k:] + out[:k]
+
+
+def _a_boost(rng):
+    # A cone-preserving map where the check expects a spoiled one.
+    return FrameMap.boost(0.5)
+
+
+FAIL_DETAIL_MUTATIONS = [
+    ("velocity-addition-consistency", "velocity_addition",
+     _inexact_velocity_addition,
+     "0.5c plus 0.5c gave 0.80000000000000016, expected 0.8"),
+    ("superluminal-composition-closure", "classify_cone_preserver",
+     _always(ConeClass.CONFORMAL_LORENTZ),
+     "boost then superluminal map should still flip intervals"),
+    ("cone-preserver-classification", "classify_cone_preserver",
+     _always(ConeClass.SIGN_FLIP), "a scaled 1+3 Lorentz map misclassified"),
+    ("cone-preserver-classification", "perturbed_noncone_map", _a_boost,
+     "an anisotropic stretch classified as cone-preserving"),
+    ("null-line-sampling-agreement", "perturbed_noncone_map", _a_boost,
+     "a spoiled map slipped past the sampled null-ray test"),
+    ("worldline-no-branching", "check_no_branching", lambda w, m: True,
+     "the self-intersecting fixture was not flagged"),
+    ("phase-group-law", "phase",
+     lambda phi: Amplitude(math.cos(phi), math.sin(phi) + 1e-300),
+     "phase(0) is not the multiplicative identity"),
+    ("alternative-sum-cancellation", "sum_alternatives", _re_shifted_sum,
+     "zero amplitude is not a summation identity"),
+    ("alternative-sum-cancellation", "norm_squared", lambda a: 1.0,
+     "opposite unit amplitudes failed to cancel exactly"),
+    ("outcome-normalization", "evaluate_outcomes", _zeros_evaluate_outcomes,
+     "all-zero outcomes did not raise the degenerate error"),
+    ("blocked-arm-exact", "simulate", _skewed_conditional_simulate,
+     "blocked-arm conditionals are not exactly 1/2"),
+    ("fringe-law", "phase_sweep", _evens_then_odds_sweep,
+     "fringe moved faster than its slope bound"),
+    ("seed-repeatability", "phase_sweep", _rotating_sweep,
+     "re-running a sweep changed its numbers"),
+]
+
+
+@pytest.mark.parametrize("check_id, target, mutant, detail",
+                         FAIL_DETAIL_MUTATIONS,
+                         ids=[f"{row[0]}/{row[1]}" for row in FAIL_DETAIL_MUTATIONS])
+def test_fail_details_are_reached_under_their_mutations(monkeypatch, check_id,
+                                                        target, mutant, detail):
+    ctx = CheckContext(seed=8, trials=20, resolution=11)
+    [baseline] = run_checks(ctx, check_id)
+    assert baseline.id == check_id and baseline.passed
+    monkeypatch.setattr(checks, target, mutant)
+    [mutated] = run_checks(ctx, check_id)
+    assert not mutated.passed and mutated.detail == detail
+    print(f"PASS  FAIL detail: mutating checks.{target} fails {check_id}: "
+          f"{detail}")
+
+
+def _fail_site_patterns() -> dict[int, str]:
+    """Line number to detail regex of each ``return False, <detail>`` in checks."""
+    tree = ast.parse(Path(checks.__file__).read_text(encoding="utf-8"))
+    sites = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+                and isinstance(node.value.elts[0], ast.Constant)
+                and node.value.elts[0].value is False):
+            continue
+        detail = node.value.elts[1]
+        parts = detail.values if isinstance(detail, ast.JoinedStr) else [detail]
+        sites[node.lineno] = "".join(
+            re.escape(part.value) if isinstance(part, ast.Constant) else ".*"
+            for part in parts)
+    return sites
+
+
+def test_every_fail_site_in_checks_is_reached_by_a_mutation(monkeypatch):
+    # A FAIL line that no mutant reaches could be dead or wrongly worded
+    # without any test seeing it: a new one needs a row in a table above.
+    ctx = CheckContext(seed=8, trials=20, resolution=11)
+    reached = {detail for *_, detail in FAIL_DETAIL_MUTATIONS}
+    rows = list(MUTATIONS.items())
+    rows += [("all", row) for row in KERNEL_MUTATIONS.values()]
+    # tests/test_checks.py asserts this mutant's detail; only its site counts here.
+    rows.append(("seed-repeatability",
+                 (checks, "select_checks", filtered_position_select)))
+    for selector, (module, target, mutant) in rows:
+        with monkeypatch.context() as patched:
+            patched.setattr(module, target, mutant)
+            reached.update(r.detail for r in run_checks(ctx, selector)
+                           if not r.passed)
+    sites = _fail_site_patterns()
+    assert len(sites) >= len(FAIL_DETAIL_MUTATIONS)
+    unreached = [line for line, pattern in sites.items()
+                 if not any(re.fullmatch(pattern, d, re.DOTALL) for d in reached)]
+    assert unreached == []
 
 
 def test_criterion_8_nogo_command_fails_under_the_phase_reading_mutant(

@@ -373,6 +373,12 @@ def test_global_phase_invariance_refuses_a_non_integer_trial_count(trials):
     assert str(info.value) == "trials must be an integer"
 
 
+def test_global_phase_invariance_refuses_zero_trials():
+    with pytest.raises(AmplitudeError) as info:
+        check_global_phase_invariance(SQUARED_NORM, 0, np.random.default_rng(0))
+    assert str(info.value) == "trials must be at least 1"
+
+
 @pytest.mark.parametrize("flag", ["false", "", None, [], 0, 1, np.bool_(True)],
                          ids=["'false'", "''", "None", "[]", "0", "1", "np.bool_"])
 def test_branch_distinguishable_must_be_a_bool(flag):

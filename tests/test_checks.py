@@ -108,13 +108,19 @@ def test_subset_run_reproduces_full_run_results():
             assert r == full[r.id]
 
 
+_select_checks = checks.select_checks
+
+
+def filtered_position_select(selector):
+    # Numbers the selected checks from 0, not by their registry position.
+    return list(enumerate(spec for _, spec in _select_checks(selector)))
+
+
 def test_seed_repeatability_fails_when_seeded_by_filtered_position(monkeypatch):
     # A runner that numbers the filtered list from 0 instead of by registry
     # position would break the rule above; the check itself must see it.
     assert all(r.passed for r in run_checks(FAST))
-    original = checks.select_checks
-    monkeypatch.setattr(checks, "select_checks", lambda selector: list(
-        enumerate(spec for _, spec in original(selector))))
+    monkeypatch.setattr(checks, "select_checks", filtered_position_select)
     [result] = run_checks(FAST, "seed-repeatability")
     assert not result.passed
     assert result.detail == "this check was not seeded by its registry position"
@@ -185,6 +191,19 @@ def test_check_context_refuses_a_count_that_is_not_an_integer(field, bad):
     with pytest.raises(ConfigError) as info:
         CheckContext(**{field: bad})
     assert str(info.value) == f"{field}: must be an integer, got {bad!r}"
+
+
+# Both counts must be integers before either is compared with 1.
+@pytest.mark.parametrize("fields, message", [
+    ({"resolution": 0}, "resolution: must be at least 1, got 0"),
+    ({"resolution": np.int64(-3)}, "resolution: must be at least 1, got np.int64(-3)"),
+    ({"trials": 0, "resolution": 0}, "trials: must be at least 1, got 0"),
+    ({"trials": 0, "resolution": 2.5}, "resolution: must be an integer, got 2.5"),
+])
+def test_check_context_refuses_a_resolution_below_one(fields, message):
+    with pytest.raises(ConfigError) as info:
+        CheckContext(**fields)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad", [2.5, np.float64(3.0), -1, np.int64(-1), True,

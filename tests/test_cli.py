@@ -268,7 +268,7 @@ def test_interfere_classical_flat_with_summary(tmp_path, capsys):
 @example(2.2250738585072009e-308)
 @example(1e16)
 def test_interfere_row_format_is_format_float(x):
-    # cmd_interfere prints each row with one '%.17g,...' format.
+    # cmd_interfere prints each row with format_row, '%.17g' per value.
     assert "%.17g" % x == format_float(x)
 
 
@@ -483,9 +483,37 @@ def test_check_has_no_sampled_tolerance_flag(flag):
 
 def test_seed_flag_validation():
     for bad in ("-1", "18446744073709551616", "abc"):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--seed", bad])
-        assert exc.value.code == 2
+        assert _exit_status(["check", "--seed", bad]) == 2
+
+
+# Each number's range is checked once, by the library: argparse only turns
+# text into an int.  A number out of range exits 2 with the library's error
+# line; text that is no integer exits 2 through argparse's usage error.
+@pytest.mark.parametrize("argv, code, field", [
+    (["check", "--trials", "0"], 2, "trials: must be at least 1, got 0"),
+    (["check", "--seed", "-1"], 2, "seed: must be an integer in [0, 2**64)"),
+    (["check", "--seed", "18446744073709551616"], 2,
+     "seed: must be an integer in [0, 2**64)"),
+    (["check", "--resolution", "0"], 2, "resolution: must be at least 1, got 0"),
+    (["check", "--trials", "abc"], 2, "argument --trials: invalid int value"),
+    (["nogo", "--resolution", "0"], 2, "resolution must be at least 2"),
+    (["nogo", "--resolution", "1"], 2, "resolution must be at least 2"),
+    (["check", "--suite", "classical-no-go", "--trials", "5",
+      "--resolution", "1"], 1, "resolution must be at least 2"),
+    (["check", "--suite", "carrier", "--trials", "5", "--seed", "0x10"], 0,
+     "seed: 16)"),
+])
+def test_the_library_checks_each_flag_range(capsys, argv, code, field):
+    try:
+        got, parsed = main(argv), True
+    except SystemExit as exc:
+        got, parsed = exc.code, False
+    out, err = capsys.readouterr()
+    assert (got, parsed) == (code, "abc" not in argv)
+    if code < 2:
+        assert field in out
+    else:
+        assert field in err and err.startswith("error: " if parsed else "usage: ")
 
 
 def test_nogo_report(tmp_path, capsys):

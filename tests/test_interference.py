@@ -563,6 +563,12 @@ def test_visibility_ideal_and_flat_cases():
     assert visibility(blocked_everything) == 0.0  # 0/0 case
 
 
+def test_visibility_of_an_empty_sweep_is_an_error():
+    with pytest.raises(ConfigError) as info:
+        visibility([])
+    assert str(info.value) == "visibility needs a nonempty sweep"
+
+
 def test_visibility_invariant_under_global_phase_offset():
     grid = uniform_phase_grid(32)
     base = visibility(phase_sweep(ExperimentConfig(), grid))
@@ -625,6 +631,12 @@ def test_O1_report_pattern():
     assert by_model["none"].visibility >= 1.0 - 1e-9
     assert not by_model["none"].records_which_way
     assert by_model["absorb_and_reemit_recording"].records_which_way
+
+
+def test_O1_report_needs_two_phases():
+    with pytest.raises(ConfigError) as info:
+        check_O1_robustness([0.0])
+    assert str(info.value) == "robustness check needs at least two phases"
 
 
 def test_event_table_geometry():

@@ -343,6 +343,21 @@ def test_interval_overflow_is_a_named_error():
         event_interval(SpacetimePoint(1.0, 0.0), c=1e200)
 
 
+@pytest.mark.parametrize("image, event", [
+    (lambda p: FrameMap.general_linear([[2, 0], [0, 1]]).apply(p),
+     SpacetimePoint(1e308, 1e308)),
+    (lambda p: lorentz_boost(p, 0.9), SpacetimePoint(1e308, -1e308)),
+    (lambda p: superluminal_map(p, 1.5, 1), SpacetimePoint(1e308, -1e308)),
+], ids=["FrameMap.apply", "lorentz_boost", "superluminal_map"])
+def test_an_image_that_overflows_is_named_by_the_map(image, event):
+    # pyproject turns numpy's overflow warning into an error; errstate keeps
+    # it out so the map's own error is what is seen.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(KinematicsError) as info:
+            image(event)
+    assert str(info.value) == f"image of {event} under the map is not finite"
+
+
 def test_frame_map_arrays_are_read_only():
     m = FrameMap.boost(0.3)
     with pytest.raises(ValueError):

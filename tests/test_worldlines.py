@@ -38,6 +38,19 @@ def test_worldline_rejects_a_tau_too_large_for_a_float():
         Worldline(_pts((0.0, 0.0)), taus=[10 ** 400])
 
 
+def test_worldline_vertices_must_be_events():
+    with pytest.raises(KinematicsError) as info:
+        Worldline([SpacetimePoint(0.0, 0.0), (1.0, 0.5)])
+    assert str(info.value) == "vertices must be SpacetimePoint values"
+
+
+@pytest.mark.parametrize("taus", [(0.0,), (0.0, 1.0, 2.0)])
+def test_worldline_needs_one_tau_per_vertex(taus):
+    with pytest.raises(KinematicsError) as info:
+        Worldline(_pts((0.0, 0.0), (1.0, 0.5)), taus)
+    assert str(info.value) == "need exactly one tau label per vertex"
+
+
 def test_worldline_default_taus_are_vertex_indices():
     w = Worldline(_pts((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
     assert w.taus == (0.0, 1.0, 2.0)
