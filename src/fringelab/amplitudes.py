@@ -207,8 +207,20 @@ def _pairs(g: AlternativeGraph) -> list[tuple[float, float]]:
     """
     if isinstance(g, Amplitude):
         return [(g.re, g.im)]
+    children = g.children
+    if isinstance(g, Sequence):
+        for ch in children:
+            if not isinstance(ch, Amplitude):
+                break
+        else:  # all leaves: the fold below, on two floats
+            re, im = children[0].re, children[0].im
+            for b in children[1:]:
+                re, im = re * b.re - im * b.im, re * b.im + im * b.re
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise AmplitudeError(_NOT_FINITE)
+            return [(re, im)]
     parts = []
-    for ch in g.children:
+    for ch in children:
         if isinstance(ch, Amplitude):  # read in place: one call fewer per leaf
             parts.append([(ch.re, ch.im)])
         else:

@@ -45,8 +45,8 @@ from .amplitudes import (
     ProbabilityRule,
     SQUARED_NORM,
     Sequence as SequenceNode,
+    components,
     evaluate,
-    phase,
 )
 from .constants import (
     DEFAULT_RESOLUTION,
@@ -236,35 +236,45 @@ def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
 
 
 @functools.lru_cache(maxsize=64)
-def _fixed_parts(T1: float, T2: float
-                 ) -> tuple[Amplitude, Amplitude, Amplitude,
-                            SequenceNode, SequenceNode]:
+def _fixed_parts(T1: float, T2: float) -> tuple[Amplitude, ...]:
     """The parts of both outcome graphs that no phase changes.
 
     The legs t1, r2 and t2, then the lower arm to D0 (r1, t2) and to D1
-    (r1, r2).  Keyed by the stored splitter floats, so 0.0 and -0.0 share
-    an entry; both are taken as 0.0, so the entry does not depend on which
-    came first.  The sign of a zero leg cannot reach a squared-norm weight.
+    (r1, r2), each as the one Amplitude its two-leg Sequence walks to.
+    Keyed by the stored splitter floats, so 0.0 and -0.0 share an entry;
+    both are taken as 0.0, so the entry does not depend on which came
+    first.  The sign of a zero leg cannot reach a squared-norm weight.
     """
     T1, T2 = T1 + 0.0, T2 + 0.0  # -0.0 + 0.0 is 0.0; any other value stays
     t1, r1 = math.sqrt(T1), math.sqrt(1.0 - T1)
     t2, r2 = math.sqrt(T2), math.sqrt(1.0 - T2)
     lower_in = Amplitude(0.0, r1)
     leg_r2, leg_t2 = Amplitude(0.0, r2), Amplitude(t2, 0.0)
-    return (Amplitude(t1, 0.0), leg_r2, leg_t2,
-            SequenceNode((lower_in, leg_t2)), SequenceNode((lower_in, leg_r2)))
+    (lower_d0,) = components(SequenceNode((lower_in, leg_t2)))
+    (lower_d1,) = components(SequenceNode((lower_in, leg_r2)))
+    return Amplitude(t1, 0.0), leg_r2, leg_t2, lower_d0, lower_d1
+
+
+def _unchecked(kind, **fields):
+    """A ``kind(**fields)`` graph node built without its __post_init__."""
+    out = object.__new__(kind)
+    out.__dict__.update(fields)
+    return out
 
 
 def _simulate_amplitude(config: ExperimentConfig,
                         rule: ProbabilityRule) -> OutcomeDistribution:
+    # Every node below is built from checked parts: config.phase was checked
+    # when config was built, and the cos and sin of a finite float are finite.
     t1, r2, t2, lower_d0, lower_d1 = _fixed_parts(config.splitter1,
                                                   config.splitter2)
     recorded = config.detector_model.records_which_way
-    plate = phase(config.phase)
-    to_d0 = Branch((SequenceNode((t1, plate, r2)), lower_d0),
-                   distinguishable=recorded)
-    to_d1 = Branch((SequenceNode((t1, plate, t2)), lower_d1),
-                   distinguishable=recorded)
+    plate = _unchecked(Amplitude, re=math.cos(config.phase),
+                       im=math.sin(config.phase))
+    to_d0 = _unchecked(Branch, distinguishable=recorded, children=(
+        _unchecked(SequenceNode, children=(t1, plate, r2)), lower_d0))
+    to_d1 = _unchecked(Branch, distinguishable=recorded, children=(
+        _unchecked(SequenceNode, children=(t1, plate, t2)), lower_d1))
     return OutcomeDistribution.from_weights(
         evaluate(to_d0, rule), evaluate(to_d1, rule), 0.0)
 

@@ -54,8 +54,12 @@ def evaluate(g, rule):
 
 
 def outcome_graphs(config):
-    """The two outcome graphs (to D0, to D1), every leaf built anew."""
-    T1, T2 = config.splitter1, config.splitter2
+    """The two outcome graphs (to D0, to D1), every leaf built anew.
+
+    The bench takes a -0.0 splitter as 0.0 (see
+    ``interference._fixed_parts``), and so does the oracle.
+    """
+    T1, T2 = config.splitter1 + 0.0, config.splitter2 + 0.0
     t1, r1 = math.sqrt(T1), math.sqrt(1.0 - T1)
     t2, r2 = math.sqrt(T2), math.sqrt(1.0 - T2)
     recorded = config.detector_model.records_which_way

@@ -221,7 +221,7 @@ def test_check_context_takes_every_u64_seed(seed):
     assert CheckContext(seed=seed).seed == seed
 
 
-def test_check_context_takes_numpy_integers_and_any_integer_resolution():
+def test_check_context_takes_numpy_integers_and_a_resolution_of_one():
     # The no-go check reports a resolution below 2 as its own FAIL line.
     ctx = CheckContext(trials=np.int64(3), resolution=1)
     assert ctx.resolution == 1 and ctx.trials == 3

@@ -1,5 +1,6 @@
 """Tests for the interferometer benchmark and its reports."""
 
+import collections
 import dataclasses
 import math
 from decimal import Decimal
@@ -53,6 +54,7 @@ from fringelab.kinematics import (
     superluminal_matrix,
     velocity_addition,
 )
+from fringelab.constants import REL_TOL_ALGEBRA
 from fringelab.schemas import dump_json
 
 
@@ -351,13 +353,33 @@ def test_cached_parts_do_not_depend_on_which_zero_filled_the_entry():
     assert len(seen) == 1
 
 
+
+# Reads each component's magnitude and sign bits, so any amplitude handed to
+# it that differs from the full graph's, a zero's sign included, shows.
+_SIGN_READING = ProbabilityRule("sign-reading", lambda a: (
+    abs(a.re) + 2.0 * abs(a.im)
+    + 0.5 * (math.copysign(1.0, a.re) < 0.0 or math.copysign(1.0, a.im) < 0.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(
+    ExperimentConfig, splitter1=_CACHED_SPLITTERS, splitter2=_CACHED_SPLITTERS,
+    phase=st.floats(-1e300, 1e300),
+    detector_model=st.sampled_from(list(DetectorModel))))
+def test_rules_see_the_amplitudes_of_the_full_graph(config):
+    # The reduced lower arm and the unchecked plate and nodes hand a rule the
+    # amplitudes the oracle's full graph does, bit for bit.
+    assert (_bits(simulate(config, _SIGN_READING))
+            == _bits(oracle.simulate_amplitude(config, _SIGN_READING)))
+
 @pytest.mark.parametrize("model", [DetectorModel.NONE,
                                    DetectorModel.NON_DEMOLISHING_RECORDING])
-def test_a_graph_path_phase_builds_two_paths_and_walks_six_nodes(monkeypatch,
-                                                                 model):
-    # Each outcome is its two flat paths: the upper arm is one three-leg
-    # Sequence built per phase, the lower arm a cached one.  Walking an
-    # outcome visits its Branch and both paths; leaves are read in place.
+def test_a_graph_path_phase_builds_no_checked_node_and_walks_four_nodes(
+        monkeypatch, model):
+    # Each outcome is a Branch over the upper arm, one three-leg Sequence
+    # built per phase without its checks, and the cached lower arm, reduced
+    # to one leaf.  Walking an outcome visits its Branch and the upper arm;
+    # leaves are read in place.
     config = ExperimentConfig(splitter1=0.3, splitter2=0.6, detector_model=model)
     expected = simulate(config)  # fills the _fixed_parts entry
     counts = {"Sequence": 0, "_pairs": 0}
@@ -374,7 +396,7 @@ def test_a_graph_path_phase_builds_two_paths_and_walks_six_nodes(monkeypatch,
     monkeypatch.setattr(amplitudes.Sequence, "__post_init__", counted_build)
     monkeypatch.setattr(amplitudes, "_pairs", counted_walk)
     assert simulate(config) == expected
-    assert counts == {"Sequence": 2, "_pairs": 6}
+    assert counts == {"Sequence": 0, "_pairs": 4}
 
 
 def _members(kind):
@@ -563,6 +585,17 @@ def test_visibility_ideal_and_flat_cases():
     assert visibility(blocked_everything) == 0.0  # 0/0 case
 
 
+
+@pytest.mark.parametrize("T1, T2", [(0.3, 0.7), (0.2, 0.9)])
+def test_visibility_between_its_extremes(T1, T2):
+    # Unbalanced splitters: p_d0 swings between (sqrt(a) -+ sqrt(b))**2, so
+    # the contrast is 2*sqrt(a*b)/(a+b), neither 0 nor 1.
+    a, b = T1 * (1.0 - T2), (1.0 - T1) * T2
+    sweep = phase_sweep(ExperimentConfig(splitter1=T1, splitter2=T2),
+                        uniform_phase_grid(64))
+    expected = 2.0 * math.sqrt(a * b) / (a + b)
+    assert abs(visibility(sweep) - expected) <= REL_TOL_ALGEBRA
+
 def test_visibility_of_an_empty_sweep_is_an_error():
     with pytest.raises(ConfigError) as info:
         visibility([])
@@ -602,6 +635,25 @@ def test_no_go_search_contrast():
     assert report.passed
     assert report.classical_config_count == 11 * 3 * 4
 
+
+
+@pytest.mark.parametrize("resolution", [2, 11])
+def test_no_go_weight_grid_reaches_both_ends(monkeypatch, resolution):
+    seen = collections.Counter()
+    kernel = interference._simulate_classical
+
+    def recording(config):
+        seen[config.mixture_weights, config.phase] += 1
+        return kernel(config)
+
+    monkeypatch.setattr(interference, "_simulate_classical", recording)
+    phis = uniform_phase_grid(8)
+    no_go_search(phis, resolution)
+    steps = resolution - 1
+    weights = {(k / steps, 1.0 - k / steps) for k in range(resolution)}
+    assert {(0.0, 1.0), (1.0, 0.0)} <= weights
+    # Each weight with its 12 blocking and detector variants, at every phase.
+    assert seen == {(w, p): 12 for w in weights for p in phis}
 
 def test_no_go_search_input_guards():
     with pytest.raises(ConfigError):
