@@ -177,13 +177,14 @@ def cmd_transform(args: argparse.Namespace) -> int:
              + (f" eta={m.eta:+d}" if m.eta is not None else "")
              + f" c={format_float(m.c)}",
              "t,x,t_out,x_out,interval_in,interval_out"]
+    apply, c = m.apply, m.c
     # apply names an image past the largest float; numpy's overflow
     # warning would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         for p in events:
-            q = m.apply(p)
-            lines.append(format_row(p.t, p.x, q.t, q.x, event_interval(p, m.c),
-                                    event_interval(q, m.c)))
+            q = apply(p)
+            lines.append(format_row(p.t, p.x, q.t, q.x, event_interval(p, c),
+                                    event_interval(q, c)))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -66,7 +66,9 @@ def is_seed(value) -> bool:
 
 def finite_float(value) -> float | None:
     """float(value) for a finite real number (see is_real), else None."""
-    # A float (numpy float64 included) or an int skips the slow Real test.
+    if type(value) is float:  # an exact float is its own value
+        return value if math.isfinite(value) else None
+    # A numpy float64 or an int skips the slow Real test.
     if not (isinstance(value, float) or type(value) is int or is_real(value)):
         return None
     try:

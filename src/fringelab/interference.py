@@ -76,7 +76,12 @@ class DetectorModel(str, Enum):
 
     @property
     def records_which_way(self) -> bool:
-        return self.value.endswith("_recording")
+        return self in _RECORDING_MODELS
+
+
+# A set lookup, not the member's string: read once per graph-path phase.
+_RECORDING_MODELS = frozenset({DetectorModel.NON_DEMOLISHING_RECORDING,
+                               DetectorModel.ABSORB_AND_REEMIT_RECORDING})
 
 
 class Composition(str, Enum):

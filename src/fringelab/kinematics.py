@@ -97,20 +97,21 @@ class SpacetimePoint:
     t: float
     x: float
 
-    def __post_init__(self):
-        t, x = finite_float(self.t), finite_float(self.x)
-        if t is None or x is None:
-            if is_real(self.t) and is_real(self.x):
+    def __init__(self, t, x):
+        # Each coordinate is checked and stored once.
+        ft, fx = finite_float(t), finite_float(x)
+        if ft is None or fx is None:
+            if is_real(t) and is_real(x):
                 raise KinematicsError("event coordinates must be finite")
             raise KinematicsError("event coordinates must be numbers")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "t", ft)
+        object.__setattr__(self, "x", fx)
 
 
 def _image(p: SpacetimePoint, coords) -> SpacetimePoint:
-    # coords, a map's image of the finite event p, as an event.
+    # coords, a map's image of the finite event p, as an event of Python floats.
     try:
-        return SpacetimePoint(*coords)
+        return SpacetimePoint(*coords.tolist())
     except KinematicsError:  # p is finite, so the map overflowed
         raise KinematicsError(f"image of {p} under the map is not finite") from None
 

@@ -147,6 +147,11 @@ def test_finite_float_returns_the_float_of_a_finite_value(value, expected):
     assert type(out) is float and out == expected
 
 
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -2.5, 1.7976931348623157e308])
+def test_finite_float_returns_an_exact_float_as_itself(value):
+    assert finite_float(value) is value
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400,
                                    -10 ** 400, "nan", "-inf", np.float64("inf")])
 def test_finite_float_returns_none_for_a_nonfinite_value(value):

@@ -1,7 +1,10 @@
 """Unit tests for boosts, the faster-than-light branch, and cone classification."""
 
+import copy
+import dataclasses
 import inspect
 import math
+import pickle
 import sys
 import warnings
 from fractions import Fraction
@@ -785,6 +788,119 @@ def test_each_boost_checks_c_and_each_velocity_once(name):
     call, finite_floats = _ONE_CHECK_PER_INPUT[name]
     assert _calls_of(call, kinematics._require_light_speed,
                      constants.finite_float) == [1, finite_floats]
+
+
+def test_an_event_and_its_image_check_each_coordinate_once():
+    p = SpacetimePoint(1.0, 2.0)
+    m = FrameMap.general_linear([[2.0, 1.0], [0.5, 3.0]], [1.0, -1.0])
+    for call in (lambda: SpacetimePoint(1.0, 2.0), lambda: m.apply(p)):
+        assert _calls_of(call, constants.finite_float) == [2]
+
+
+def _old_finite_float(value):
+    # constants.finite_float before exact floats took their own path.
+    if not (isinstance(value, float) or type(value) is int
+            or constants.is_real(value)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+@dataclasses.dataclass(frozen=True)
+class _OldPoint:
+    # SpacetimePoint as a generated frozen __init__ plus this __post_init__.
+    t: float
+    x: float
+
+    def __post_init__(self):
+        t, x = _old_finite_float(self.t), _old_finite_float(self.x)
+        if t is None or x is None:
+            if constants.is_real(self.t) and constants.is_real(self.x):
+                raise KinematicsError("event coordinates must be finite")
+            raise KinematicsError("event coordinates must be numbers")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+
+
+def _built(cls, t, x):
+    # The stored coordinates as hex, or the error's class and message.
+    try:
+        p = cls(t, x)
+    except Exception as err:
+        return type(err), str(err)
+    assert type(p.t) is float and type(p.x) is float
+    return p.t.hex(), p.x.hex()
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030,
+                                1e308, -1e308, 1.7976931348623157e308,
+                                math.inf, -math.inf, math.nan])
+_COORDINATE = st.one_of(
+    st.floats(), _EDGE_FLOATS, st.integers(),
+    st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024 - 1]), st.booleans(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.fractions(), st.decimals(), st.text(max_size=3), st.none())
+
+
+@settings(max_examples=500, deadline=None)
+@given(t=_COORDINATE, x=_COORDINATE)
+def test_point_stores_what_the_old_post_init_rule_stored(t, x):
+    assert _built(SpacetimePoint, t, x) == _built(_OldPoint, t, x)
+
+
+@pytest.mark.parametrize("t, x", [(1.0, 2.0), (-0.0, 5e-324), (3, np.float32(0.5)),
+                                  (1e308, -1e308)])
+def test_point_keeps_the_dataclass_behaviours(t, x):
+    p, old = SpacetimePoint(t, x), _OldPoint(t, x)
+    assert p == SpacetimePoint(t=t, x=x) and p != (p.t, p.x)
+    assert hash(p) == hash(old)
+    assert repr(p) == repr(old).replace("_OldPoint", "SpacetimePoint")
+    moved = dataclasses.replace(p, x=7)
+    assert moved == SpacetimePoint(t, 7.0) and type(moved.x) is float
+    with pytest.raises(KinematicsError):
+        dataclasses.replace(p, t=math.nan)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.t = 0.0
+    for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert copied == p and type(copied) is SpacetimePoint
+        assert (copied.t.hex(), copied.x.hex()) == (p.t.hex(), p.x.hex())
+
+
+_ENTRY = st.floats(-1e3, 1e3)
+_BIG = st.one_of(_ENTRY, st.floats(-1.7e308, 1.7e308))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lin=st.lists(_ENTRY, min_size=4, max_size=4),
+       tr=st.lists(_ENTRY, min_size=2, max_size=2), t=_BIG, x=_BIG,
+       v=st.floats(-0.99, 0.99), w=st.floats(1.01, 100.0),
+       eta=st.sampled_from([1, -1]))
+def test_each_image_is_the_matmul_as_python_floats(lin, tr, t, x, v, w, eta):
+    try:
+        m = FrameMap.general_linear(np.array(lin).reshape(2, 2), tr)
+    except SingularMapError:
+        assume(False)
+    p = SpacetimePoint(t, x)
+    # pyproject turns numpy's overflow warning into an error; an image past
+    # the largest float must be named by the map itself.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for image, expected in [
+                (m.apply, m.linear_part @ (t, x) + m.translation),
+                (lambda q: lorentz_boost(q, v), boost_matrix(v) @ (t, x)),
+                (lambda q: superluminal_map(q, w, eta),
+                 superluminal_matrix(w, eta) @ (t, x))]:
+            if not np.all(np.isfinite(expected)):
+                with pytest.raises(KinematicsError) as info:
+                    image(p)
+                assert str(info.value) == f"image of {p} under the map is not finite"
+                continue
+            q = image(p)
+            assert type(q.t) is float and type(q.x) is float
+            assert (q.t.hex(), q.x.hex()) == tuple(e.hex() for e in expected.tolist())
 
 
 _C = st.one_of(st.floats(2.0 ** -10, 2.0 ** 10), st.integers(1, 1024),
