@@ -17,7 +17,7 @@ Two composition rules are implemented.  ``amplitude`` builds the two-path
 alternative graph and evaluates it with a probability rule; when a detector
 records which-way information the branch is marked distinguishable and the
 fringes die.  ``classical_mixture`` combines fixed per-path outcome
-distributions with convex weights; that map has no phase input at all, which
+distributions with convex weights; that map never reads the phase, which
 is the structural point the no-go search documents.
 
 Exactness notes: with one arm blocked nothing recombines, so under either
@@ -87,6 +87,12 @@ _RECORDING_MODELS = frozenset({DetectorModel.NON_DEMOLISHING_RECORDING,
 class Composition(str, Enum):
     AMPLITUDE = "amplitude"
     CLASSICAL_MIXTURE = "classical_mixture"
+
+
+# Members read once per phase, bound as globals: a global read is about a
+# tenth of the cost of an Enum class attribute's.
+_CLASSICAL_MIXTURE = Composition.CLASSICAL_MIXTURE
+_UNBLOCKED, _UPPER, _LOWER = BlockedArm.NONE, BlockedArm.UPPER, BlockedArm.LOWER
 
 
 _ENUM_FIELDS = (("blocked_arm", BlockedArm),
@@ -174,37 +180,47 @@ class OutcomeDistribution:
     p_d0_given_detected: float | None
     p_d1_given_detected: float | None
 
-    @classmethod
-    def from_weights(cls, w_d0: float, w_d1: float,
+    @staticmethod
+    def from_weights(w_d0: float, w_d1: float,
                      w_absorbed: float) -> "OutcomeDistribution":
-        total = w_d0 + w_d1 + w_absorbed
-        # A nan weight makes the total nan, and an overflowing sum makes it inf.
-        if not 0.0 <= min(w_d0, w_d1, w_absorbed) <= total < math.inf:
-            raise ConfigError("outcome weights must be nonnegative with a finite sum")
-        if total == 0.0:
-            raise DegenerateOutcomesError(
-                "all outcome weights are zero; nothing to normalize")
-        p0, p1, pa = w_d0 / total, w_d1 / total, w_absorbed / total
-        detected = p0 + p1
-        cond0, cond1 = (p0 / detected, p1 / detected) if detected > 0.0 else (None, None)
-        # The fields are checked above; skip the frozen __init__'s
-        # per-field object.__setattr__, as _at_phase does.
-        out = object.__new__(cls)
-        out.__dict__.update(p_d0=p0, p_d1=p1, p_absorbed=pa,
-                            p_d0_given_detected=cond0,
-                            p_d1_given_detected=cond1)
-        return out
+        return _outcome(_normalized(w_d0, w_d1, w_absorbed))
 
     def as_tuple(self) -> tuple:
         return (self.p_d0, self.p_d1, self.p_absorbed,
                 self.p_d0_given_detected, self.p_d1_given_detected)
 
 
+def _normalized(w_d0: float, w_d1: float, w_absorbed: float) -> tuple:
+    """(p_d0, p_d1, p_absorbed, p_d0|detected, p_d1|detected) of three
+    outcome weights: the fields of their OutcomeDistribution, in order."""
+    total = w_d0 + w_d1 + w_absorbed
+    # A nan weight makes the total nan, and an overflowing sum makes it inf.
+    if not 0.0 <= min(w_d0, w_d1, w_absorbed) <= total < math.inf:
+        raise ConfigError("outcome weights must be nonnegative with a finite sum")
+    if total == 0.0:
+        raise DegenerateOutcomesError(
+            "all outcome weights are zero; nothing to normalize")
+    p0, p1, pa = w_d0 / total, w_d1 / total, w_absorbed / total
+    detected = p0 + p1
+    cond0, cond1 = (p0 / detected, p1 / detected) if detected > 0.0 else (None, None)
+    return p0, p1, pa, cond0, cond1
+
+
+def _outcome(probabilities: tuple) -> OutcomeDistribution:
+    # The fields are checked by _normalized; skip the frozen __init__'s
+    # per-field object.__setattr__, as _at_phase does.
+    p0, p1, pa, cond0, cond1 = probabilities
+    out = object.__new__(OutcomeDistribution)
+    out.__dict__.update(p_d0=p0, p_d1=p1, p_absorbed=pa,
+                        p_d0_given_detected=cond0, p_d1_given_detected=cond1)
+    return out
+
+
 def simulate(config: ExperimentConfig,
              rule: ProbabilityRule = SQUARED_NORM) -> OutcomeDistribution:
     """Outcome distribution of one configured run."""
-    if (config.composition is Composition.CLASSICAL_MIXTURE
-            or config.blocked_arm is not BlockedArm.NONE):
+    if (config.composition is _CLASSICAL_MIXTURE
+            or config.blocked_arm is not _UNBLOCKED):
         return _simulate_classical(config)
     return _simulate_amplitude(config, rule)
 
@@ -219,25 +235,33 @@ def _per_path_splits(T2: float) -> tuple[tuple[float, float, float],
     return upper, lower
 
 
+def _classical_outcome(w_upper: float, w_lower: float, T2: float,
+                       blocked: BlockedArm, phase: float) -> tuple:
+    # _normalized convex mixture of per-path outcomes; a blocked arm sends its
+    # whole weight to the absorber, whatever the composition.  The phase comes
+    # only as this scalar, never on an object with a phase field, and the
+    # classical map never reads it: the no-go search hands it every phase of
+    # its grid, so a kernel that did read it would show there.
+    p_upper, p_lower = _per_path_splits(T2)
+    if blocked is _UPPER:
+        p_upper = (0.0, 0.0, 1.0)
+    elif blocked is _LOWER:
+        p_lower = (0.0, 0.0, 1.0)
+    u0, u1, u2 = p_upper
+    v0, v1, v2 = p_lower
+    return _normalized(w_upper * u0 + w_lower * v0,
+                       w_upper * u1 + w_lower * v1,
+                       w_upper * u2 + w_lower * v2)
+
+
 def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
-    # Convex mixture of per-path distributions.  The phase never enters:
-    # this function does not read config.phase at all.  A blocked arm sends
-    # its whole weight to the absorber, whatever the composition.
     T1 = config.splitter1
     if config.mixture_weights is not None:
         w_upper, w_lower = config.mixture_weights
     else:
         w_upper, w_lower = T1, 1.0 - T1
-    p_upper, p_lower = _per_path_splits(config.splitter2)
-    if config.blocked_arm is BlockedArm.UPPER:
-        p_upper = (0.0, 0.0, 1.0)
-    elif config.blocked_arm is BlockedArm.LOWER:
-        p_lower = (0.0, 0.0, 1.0)
-    u0, u1, u2 = p_upper
-    v0, v1, v2 = p_lower
-    return OutcomeDistribution.from_weights(w_upper * u0 + w_lower * v0,
-                                            w_upper * u1 + w_lower * v1,
-                                            w_upper * u2 + w_lower * v2)
+    return _outcome(_classical_outcome(w_upper, w_lower, config.splitter2,
+                                       config.blocked_arm, config.phase))
 
 
 @functools.lru_cache(maxsize=64)
@@ -280,8 +304,8 @@ def _simulate_amplitude(config: ExperimentConfig,
         _unchecked(SequenceNode, children=(t1, plate, r2)), lower_d0))
     to_d1 = _unchecked(Branch, distinguishable=recorded, children=(
         _unchecked(SequenceNode, children=(t1, plate, t2)), lower_d1))
-    return OutcomeDistribution.from_weights(
-        evaluate(to_d0, rule), evaluate(to_d1, rule), 0.0)
+    return _outcome(_normalized(evaluate(to_d0, rule), evaluate(to_d1, rule),
+                                0.0))
 
 
 def _at_phase(config: ExperimentConfig, p: float) -> ExperimentConfig:
@@ -377,10 +401,10 @@ def no_go_search(phis: Sequence[float],
     in classical composition; records the worst phase variation of each
     outcome probability.  Each enumerated config is validated once, when it
     is built, and the phase grid once, on entry.  Every (config, phase)
-    pair still goes through simulate, so a classical kernel that read the
-    phase would show here.  The companion number is the amplitude-mode
-    fringe visibility on the same phases, which should be maximal when the
-    grid spans a full period.
+    pair still goes through the classical kernel, which gets the phase as
+    its own argument, so a kernel that read the phase would show here.  The
+    companion number is the amplitude-mode fringe visibility on the same
+    phases, which should be maximal when the grid spans a full period.
     """
     phis = _phase_floats(phis)
     if len(phis) < 2:
@@ -403,10 +427,11 @@ def no_go_search(phis: Sequence[float],
                     blocked_arm=blocked,
                     detector_model=model)
                 count += 1
-                rows = [simulate(_at_phase(config, p)) for p in phis]
-                d0 = [r.p_d0 for r in rows]
-                d1 = [r.p_d1 for r in rows]
-                ab = [r.p_absorbed for r in rows]
+                w_upper, w_lower = config.mixture_weights
+                T2, blocked_arm = config.splitter2, config.blocked_arm
+                d0, d1, ab, _, _ = zip(*[
+                    _classical_outcome(w_upper, w_lower, T2, blocked_arm, p)
+                    for p in phis])
                 var_d0 = max(var_d0, max(d0) - min(d0))
                 var_d1 = max(var_d1, max(d1) - min(d1))
                 var_abs = max(var_abs, max(ab) - min(ab))

@@ -47,7 +47,6 @@ from fringelab.cli import main
 from fringelab.interference import (
     BlockedArm,
     ExperimentConfig,
-    OutcomeDistribution,
     no_go_search,
     simulate,
     uniform_phase_grid,
@@ -236,13 +235,13 @@ def _squared_root_splits(T2):
     return (R, T, 0.0), (T, R, 0.0)
 
 
-_classical = interference._simulate_classical
+_classical = interference._classical_outcome
 
 
-def _phase_reading_classical(config):
-    d = _classical(config)
-    return OutcomeDistribution.from_weights(
-        d.p_d0 + 1e-3 * (1.0 + math.sin(config.phase)), d.p_d1, d.p_absorbed)
+def _phase_reading_classical(w_upper, w_lower, T2, blocked, phase):
+    p_d0, p_d1, p_absorbed, _, _ = _classical(w_upper, w_lower, T2, blocked, phase)
+    return interference._normalized(
+        p_d0 + 1e-3 * (1.0 + math.sin(phase)), p_d1, p_absorbed)
 
 
 def _x_dropping_no_branching(w, m):
@@ -317,7 +316,7 @@ def _drifting_no_go_search(phis, resolution):
 
 MUTATIONS = {
     "blocked-arm-exact": (interference, "_per_path_splits", _squared_root_splits),
-    "classical-no-go": (interference, "_simulate_classical",
+    "classical-no-go": (interference, "_classical_outcome",
                         _phase_reading_classical),
     "velocity-addition-consistency": (checks, "velocity_addition",
                                       lambda V1, V2, c=1.0: V1 + V2),
@@ -593,10 +592,25 @@ def test_criterion_8_nogo_command_fails_under_the_phase_reading_mutant(
     # classical kernel: a kernel that reads the phase turns its verdict.
     assert main(["nogo", "--resolution", "11"]) == 0
     assert "no-go contrast: PASS" in capsys.readouterr().out
-    monkeypatch.setattr(interference, "_simulate_classical",
+    monkeypatch.setattr(interference, "_classical_outcome",
                         _phase_reading_classical)
     assert main(["nogo", "--resolution", "11"]) == 1
     out = capsys.readouterr().out
     assert "no-go contrast: FAIL" in out
-    print("PASS  criterion 8: mutating interference._simulate_classical "
+    print("PASS  criterion 8: mutating interference._classical_outcome "
           "makes 'nogo --resolution 11' exit 1")
+
+
+def test_nogo_command_fails_when_the_kernel_reads_the_phase_on_every_second_call(
+        monkeypatch, capsys):
+    # A search that called the classical kernel less than once per (config,
+    # phase) pair could miss a kernel that leaks the phase on alternate calls.
+    calls = itertools.count()
+
+    def alternating(*args):
+        kernel = _phase_reading_classical if next(calls) % 2 else _classical
+        return kernel(*args)
+
+    monkeypatch.setattr(interference, "_classical_outcome", alternating)
+    assert main(["nogo", "--resolution", "11"]) == 1
+    assert "no-go contrast: FAIL" in capsys.readouterr().out

@@ -22,6 +22,7 @@ from fringelab.interference import (
     ExperimentConfig,
     OutcomeDistribution,
     _at_phase,
+    _classical_outcome,
     _simulate_classical,
     check_O1_robustness,
     no_go_search,
@@ -467,8 +468,9 @@ def _reference_classical(config):
 
 
 @settings(max_examples=400, deadline=None)
-@given(valid_configs(), st.floats(allow_nan=False, allow_infinity=False))
-def test_classical_kernel_matches_the_generator_formula_bit_for_bit(config, p):
+@given(valid_configs(), st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_classical_kernel_matches_the_generator_formula_bit_for_bit(config, p, q):
     config = _at_phase(config, p)
     expected = _reference_classical(config)
     routes = [_simulate_classical(config)]
@@ -481,6 +483,15 @@ def test_classical_kernel_matches_the_generator_formula_bit_for_bit(config, p):
         # repr tells -0.0 from 0.0, which == does not.
         assert repr(got.as_tuple()) == repr(expected.as_tuple())
         assert vars(got) == vars(expected)
+    # The tuple kernel, handed the resolved scalars, at the config's phase
+    # and at an unrelated one.
+    T1 = config.splitter1
+    weights = config.mixture_weights
+    w_upper, w_lower = (T1, 1.0 - T1) if weights is None else weights
+    for phase in (config.phase, q):
+        got = _classical_outcome(w_upper, w_lower, config.splitter2,
+                                 config.blocked_arm, phase)
+        assert repr(got) == repr(expected.as_tuple())
 
 
 _BIG = 10 ** 400
@@ -640,15 +651,20 @@ def test_no_go_search_contrast():
 @pytest.mark.parametrize("resolution", [2, 11])
 def test_no_go_weight_grid_reaches_both_ends(monkeypatch, resolution):
     seen = collections.Counter()
-    kernel = interference._simulate_classical
+    phased = []
+    kernel = interference._classical_outcome
 
-    def recording(config):
-        seen[config.mixture_weights, config.phase] += 1
-        return kernel(config)
+    def recording(w_upper, w_lower, T2, blocked, phase):
+        args = (w_upper, w_lower, T2, blocked, phase)
+        # An argument with a phase field could hand the kernel a stale phase.
+        phased.extend(a for a in args if hasattr(a, "phase"))
+        seen[(w_upper, w_lower), phase] += 1
+        return kernel(*args)
 
-    monkeypatch.setattr(interference, "_simulate_classical", recording)
+    monkeypatch.setattr(interference, "_classical_outcome", recording)
     phis = uniform_phase_grid(8)
     no_go_search(phis, resolution)
+    assert phased == []
     steps = resolution - 1
     weights = {(k / steps, 1.0 - k / steps) for k in range(resolution)}
     assert {(0.0, 1.0), (1.0, 0.0)} <= weights
