@@ -9,10 +9,10 @@ mixture); and a continuous one-parameter multiplicative phase action
 
 Probability is deliberately not hard-wired to the squared norm.  Any
 functional from amplitudes to nonnegative weights can be wrapped as a
-ProbabilityRule and passed to evaluate or simulate; the squared norm is only
-the default realization, and the tests assert just the minimal requirements
-(global-phase invariance, normalization, additivity over distinguishable
-outcomes).
+ProbabilityRule and passed to evaluate or simulate, which refuse anything
+else; the squared norm is only the default realization, and the tests
+assert just the minimal requirements (global-phase invariance,
+normalization, additivity over distinguishable outcomes).
 
 carrier_minimality_check probes why two real dimensions are needed: on a
 one-dimensional real carrier the only continuous multiplicative phase
@@ -138,6 +138,14 @@ class ProbabilityRule:
 
 
 SQUARED_NORM = ProbabilityRule("squared-norm", norm_squared)
+
+
+def _require_rule(rule) -> None:
+    # Only a ProbabilityRule checks the weights it returns, so a weight
+    # enters through one or not at all.
+    if not isinstance(rule, ProbabilityRule):
+        raise AmplitudeError(
+            f"rule: must be a ProbabilityRule, got {type(rule).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +289,8 @@ def evaluate(g: AlternativeGraph, rule: ProbabilityRule = SQUARED_NORM) -> float
     names it.  Any other rule is handed an Amplitude.
     """
     _require_graph(g)
+    if rule is not SQUARED_NORM:
+        _require_rule(rule)
     weights = []
     for re, im in _pairs(g):
         w = re * re + im * im if rule is SQUARED_NORM else math.inf
@@ -316,6 +326,8 @@ def check_global_phase_invariance(rule: ProbabilityRule, trials: int, rng) -> bo
 
     ``rng``, a ``numpy.random.Generator``, draws each trial's A and phi.
     """
+    if rule is not SQUARED_NORM:
+        _require_rule(rule)
     if not is_count(trials):
         raise AmplitudeError("trials must be an integer")
     if trials < 1:

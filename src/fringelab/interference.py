@@ -45,7 +45,7 @@ from .amplitudes import (
     ProbabilityRule,
     SQUARED_NORM,
     Sequence as SequenceNode,
-    components,
+    concat,
     evaluate,
 )
 from .constants import (
@@ -180,11 +180,6 @@ class OutcomeDistribution:
     p_d0_given_detected: float | None
     p_d1_given_detected: float | None
 
-    @staticmethod
-    def from_weights(w_d0: float, w_d1: float,
-                     w_absorbed: float) -> "OutcomeDistribution":
-        return _outcome(_normalized(w_d0, w_d1, w_absorbed))
-
     def as_tuple(self) -> tuple:
         return (self.p_d0, self.p_d1, self.p_absorbed,
                 self.p_d0_given_detected, self.p_d1_given_detected)
@@ -194,8 +189,10 @@ def _normalized(w_d0: float, w_d1: float, w_absorbed: float) -> tuple:
     """(p_d0, p_d1, p_absorbed, p_d0|detected, p_d1|detected) of three
     outcome weights: the fields of their OutcomeDistribution, in order."""
     total = w_d0 + w_d1 + w_absorbed
-    # A nan weight makes the total nan, and an overflowing sum makes it inf.
-    if not 0.0 <= min(w_d0, w_d1, w_absorbed) <= total < math.inf:
+    # Each weight is a finite float >= 0: a sum of weights a ProbabilityRule
+    # checked, or a product of checked transmissivities.  Only their sum can
+    # fail, by passing the largest float.
+    if total == math.inf:
         raise ConfigError("outcome weights must be nonnegative with a finite sum")
     if total == 0.0:
         raise DegenerateOutcomesError(
@@ -225,30 +222,18 @@ def simulate(config: ExperimentConfig,
     return _simulate_amplitude(config, rule)
 
 
-def _per_path_splits(T2: float) -> tuple[tuple[float, float, float],
-                                         tuple[float, float, float]]:
-    # (d0, d1, absorbed) weights for a photon known to ride one arm alone:
-    # fixed entirely by the second splitter.  Upper reaches D0 by reflection.
-    R2 = 1.0 - T2
-    upper = (R2, T2, 0.0)
-    lower = (T2, R2, 0.0)
-    return upper, lower
-
-
 def _classical_outcome(w_upper: float, w_lower: float, T2: float,
                        blocked: BlockedArm, phase: float) -> tuple:
-    # _normalized convex mixture of per-path outcomes; a blocked arm sends its
-    # whole weight to the absorber, whatever the composition.  The phase comes
-    # only as this scalar, never on an object with a phase field, and the
-    # classical map never reads it: the no-go search hands it every phase of
-    # its grid, so a kernel that did read it would show there.
-    p_upper, p_lower = _per_path_splits(T2)
-    if blocked is _UPPER:
-        p_upper = (0.0, 0.0, 1.0)
-    elif blocked is _LOWER:
-        p_lower = (0.0, 0.0, 1.0)
-    u0, u1, u2 = p_upper
-    v0, v1, v2 = p_lower
+    # _normalized convex mixture of per-path outcomes.  An arm's (d0, d1,
+    # absorbed) weights are fixed by the second splitter (upper reaches D0 by
+    # reflection), and a blocked arm sends its whole weight to the absorber,
+    # whatever the composition.  The phase comes only as this scalar, never
+    # on an object with a phase field, and the classical map never reads it:
+    # the no-go search hands it every phase of its grid, so a kernel that did
+    # read it would show there.
+    R2 = 1.0 - T2
+    u0, u1, u2 = (0.0, 0.0, 1.0) if blocked is _UPPER else (R2, T2, 0.0)
+    v0, v1, v2 = (0.0, 0.0, 1.0) if blocked is _LOWER else (T2, R2, 0.0)
     return _normalized(w_upper * u0 + w_lower * v0,
                        w_upper * u1 + w_lower * v1,
                        w_upper * u2 + w_lower * v2)
@@ -269,7 +254,8 @@ def _fixed_parts(T1: float, T2: float) -> tuple[Amplitude, ...]:
     """The parts of both outcome graphs that no phase changes.
 
     The legs t1, r2 and t2, then the lower arm to D0 (r1, t2) and to D1
-    (r1, r2), each as the one Amplitude its two-leg Sequence walks to.
+    (r1, r2), each as the carrier product of its two legs: the one
+    Amplitude its two-leg Sequence walks to.
     Keyed by the stored splitter floats, so 0.0 and -0.0 share an entry;
     both are taken as 0.0, so the entry does not depend on which came
     first.  The sign of a zero leg cannot reach a squared-norm weight.
@@ -279,9 +265,8 @@ def _fixed_parts(T1: float, T2: float) -> tuple[Amplitude, ...]:
     t2, r2 = math.sqrt(T2), math.sqrt(1.0 - T2)
     lower_in = Amplitude(0.0, r1)
     leg_r2, leg_t2 = Amplitude(0.0, r2), Amplitude(t2, 0.0)
-    (lower_d0,) = components(SequenceNode((lower_in, leg_t2)))
-    (lower_d1,) = components(SequenceNode((lower_in, leg_r2)))
-    return Amplitude(t1, 0.0), leg_r2, leg_t2, lower_d0, lower_d1
+    return (Amplitude(t1, 0.0), leg_r2, leg_t2,
+            concat(lower_in, leg_t2), concat(lower_in, leg_r2))
 
 
 def _unchecked(kind, **fields):

@@ -4,8 +4,9 @@
 for every product and sum, with ``functools.reduce(concat, ...)`` over each
 ``itertools.product`` combination and ``sum_alternatives`` from ``ZERO``.
 ``simulate_amplitude`` builds both Mach-Zehnder outcome graphs from scratch,
-every leaf included, and weighs them through the oracle.  The package's
-pair walker and fixed-leg cache must agree with these bit for bit.
+every leaf included, weighs them through the oracle and normalizes the
+weights itself.  The package's pair walker, fixed-leg cache and normalizer
+must agree with these bit for bit.
 """
 
 import functools
@@ -75,6 +76,15 @@ def outcome_graphs(config):
 
 
 def simulate_amplitude(config, rule):
+    # Normalized with the expressions of test_interference's
+    # _reference_classical, not by the bench's own normalizer.
     to_d0, to_d1 = outcome_graphs(config)
-    return OutcomeDistribution.from_weights(
-        evaluate(to_d0, rule), evaluate(to_d1, rule), 0.0)
+    w_d0, w_d1, w_absorbed = evaluate(to_d0, rule), evaluate(to_d1, rule), 0.0
+    total = w_d0 + w_d1 + w_absorbed
+    p0, p1, pa = w_d0 / total, w_d1 / total, w_absorbed / total
+    detected = p0 + p1
+    if detected > 0.0:
+        cond0, cond1 = p0 / detected, p1 / detected
+    else:
+        cond0 = cond1 = None
+    return OutcomeDistribution(p0, p1, pa, cond0, cond1)

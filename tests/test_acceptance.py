@@ -229,13 +229,12 @@ def test_criterion_8_flip_suite_catches_sign_mutation(monkeypatch):
 # Mutation table, keyed by check id: the module and the name of the function
 # the check guards, and a mutant of it under which the check must FAIL.
 
-def _squared_root_splits(T2):
-    # Each split as the square of its square root: 0.5 -> 0.5000000000000001.
-    T, R = math.sqrt(T2) ** 2, math.sqrt(1.0 - T2) ** 2
-    return (R, T, 0.0), (T, R, 0.0)
-
-
 _classical = interference._classical_outcome
+
+
+def _squared_root_classical(w_upper, w_lower, T2, blocked, phase):
+    # The kernel fed T2 as the square of its square root: 0.5 -> 0.5000000000000001.
+    return _classical(w_upper, w_lower, math.sqrt(T2) ** 2, blocked, phase)
 
 
 def _phase_reading_classical(w_upper, w_lower, T2, blocked, phase):
@@ -315,7 +314,8 @@ def _drifting_no_go_search(phis, resolution):
 
 
 MUTATIONS = {
-    "blocked-arm-exact": (interference, "_per_path_splits", _squared_root_splits),
+    "blocked-arm-exact": (interference, "_classical_outcome",
+                          _squared_root_classical),
     "classical-no-go": (interference, "_classical_outcome",
                         _phase_reading_classical),
     "velocity-addition-consistency": (checks, "velocity_addition",

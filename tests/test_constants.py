@@ -137,6 +137,24 @@ def test_only_is_real_decides_what_a_number_is():
     assert found == [("constants.py", "is_real")]
 
 
+def _rule_tests(path: Path) -> list[tuple[str, str]]:
+    # (file, function) of each isinstance(..., ProbabilityRule).
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = _scopes(tree)
+    return [(path.name, _scope_of(scopes, node.lineno)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and any((n.id if isinstance(n, ast.Name) else
+                     n.attr if isinstance(n, ast.Attribute) else None)
+                    == "ProbabilityRule" for n in ast.walk(node.args[1]))]
+
+
+def test_only_require_rule_decides_what_a_rule_is():
+    found = sorted(site for path in sorted(SRC.glob("*.py"))
+                   for site in _rule_tests(path))
+    assert found == [("amplitudes.py", "_require_rule")]
+
+
 @pytest.mark.parametrize("value, expected", [
     (0, 0.0), (-2, -2.0), (1.5, 1.5), (Fraction(1, 4), 0.25),
     (np.float32(0.5), 0.5), (10 ** 300, 1e300),

@@ -33,11 +33,16 @@ from fringelab.interference import (
 )
 from fringelab.checks import check_O3_frame_invariance, interferometer_events
 from fringelab.amplitudes import (
+    UNIT,
     Amplitude,
     AmplitudeError,
+    DegenerateOutcomesError,
     ProbabilityRule,
     SQUARED_NORM,
     carrier_minimality_check,
+    check_global_phase_invariance,
+    evaluate,
+    evaluate_outcomes,
     norm_squared,
     phase,
 )
@@ -267,31 +272,44 @@ def test_conditionals_none_when_everything_is_absorbed():
     assert d.p_d1_given_detected is None
 
 
-def test_outcome_distribution_normalizes_and_guards():
-    d = OutcomeDistribution.from_weights(1.0, 1.0, 2.0)
-    assert d.p_d0 == 0.25 and d.p_absorbed == 0.5
-    with pytest.raises(ConfigError):
-        OutcomeDistribution.from_weights(-0.1, 0.5, 0.6)
-    from fringelab.amplitudes import DegenerateOutcomesError
-    with pytest.raises(DegenerateOutcomesError):
-        OutcomeDistribution.from_weights(0.0, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("weights", [
-    (math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (0.0, 0.0, math.nan),
-    (math.inf, 1.0, 0.0), (1e308, 1e308, 0.0), (-0.1, 0.5, 0.6)],
-    ids=["nan-first", "nan-second", "nan-absorbed", "inf", "sum-overflows",
-         "negative"])
-def test_outcome_weights_must_be_nonnegative_with_a_finite_sum(weights):
+def test_simulate_refuses_rule_weights_whose_sum_overflows():
+    big = ProbabilityRule("big", lambda a: 1e308)
     with pytest.raises(ConfigError) as info:
-        OutcomeDistribution.from_weights(*weights)
+        simulate(ExperimentConfig(), big)
     assert str(info.value) == "outcome weights must be nonnegative with a finite sum"
 
 
-def test_simulate_refuses_rule_weights_whose_sum_overflows():
-    big = ProbabilityRule("big", lambda a: 1e308)
-    with pytest.raises(ConfigError, match="with a finite sum"):
-        simulate(ExperimentConfig(), big)
+def test_simulate_refuses_a_rule_that_weighs_every_amplitude_zero():
+    zero = ProbabilityRule("zero", lambda a: 0.0)
+    with pytest.raises(DegenerateOutcomesError) as info:
+        simulate(ExperimentConfig(), zero)
+    assert str(info.value) == "all outcome weights are zero; nothing to normalize"
+
+
+# Every entry point that weighs an amplitude takes a rule; none takes a bare
+# callable, whose weights nothing would check.
+_RULE_ENTRY_POINTS = {
+    "evaluate": lambda rule: evaluate(UNIT, rule),
+    "evaluate_outcomes": lambda rule: evaluate_outcomes(
+        {"a": UNIT, "b": Amplitude(0.0, 2.0)}, rule),
+    "simulate": lambda rule: simulate(ExperimentConfig(), rule),
+    "phase_sweep": lambda rule: phase_sweep(ExperimentConfig(), [0.0, 1.0], rule),
+    "check_global_phase_invariance": lambda rule: check_global_phase_invariance(
+        rule, 5, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_RULE_ENTRY_POINTS))
+@pytest.mark.parametrize("rule, kind", [
+    (lambda a: -1.0, "function"), (lambda a: math.nan, "function"),
+    (None, "NoneType"), ("squared-norm", "str")],
+    ids=["negative", "nan", "none", "name"])
+def test_entry_points_refuse_a_rule_that_is_not_a_probability_rule(
+        entry, rule, kind):
+    with pytest.raises(AmplitudeError) as info:
+        _RULE_ENTRY_POINTS[entry](rule)
+    assert type(info.value) is AmplitudeError
+    assert str(info.value) == f"rule: must be a ProbabilityRule, got {kind}"
 
 
 def test_custom_probability_rule_is_used_by_simulate():
@@ -492,6 +510,32 @@ def test_classical_kernel_matches_the_generator_formula_bit_for_bit(config, p, q
         got = _classical_outcome(w_upper, w_lower, config.splitter2,
                                  config.blocked_arm, phase)
         assert repr(got) == repr(expected.as_tuple())
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs(), st.one_of(st.none(), st.floats(1e-3, 1e300)),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=2, max_size=5))
+def test_normalized_is_handed_only_finite_nonnegative_floats(config, scale, phis):
+    # Why _normalized tests only the sum: every weight it is handed, on
+    # either path, under the default rule or a scaled one, in a sweep and in
+    # a no-go search, is already a finite float >= 0.
+    rule = SQUARED_NORM if scale is None else ProbabilityRule(
+        "scaled", lambda a: scale * norm_squared(a))
+    normalized, seen = interference._normalized, []
+
+    def recording(*weights):
+        seen.append(weights)
+        return normalized(*weights)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(interference, "_normalized", recording)
+        simulate(config, rule)
+        phase_sweep(config, phis, rule)
+        no_go_search(phis, 2)
+    assert len(seen) == 1 + len(phis) + 25 * len(phis)
+    assert all(type(w) is float and 0.0 <= w < math.inf
+               for weights in seen for w in weights)
 
 
 _BIG = 10 ** 400
