@@ -106,13 +106,23 @@ class ProbabilityRule:
     Rules are passed as objects wherever a weight is needed.  They are
     expected to be invariant under a global phase and to produce weights
     that normalize additively over distinguishable outcomes;
-    check_global_phase_invariance tests the first property.  Every weight a
-    rule returns is checked to be finite and nonnegative, and an arithmetic
-    error its function raises becomes an AmplitudeError naming the rule.
+    check_global_phase_invariance tests the first property.  ``name`` must
+    be a str and ``weight`` callable, or construction raises AmplitudeError.
+    Every weight a rule returns is checked to be finite and nonnegative, and
+    an arithmetic error its function raises becomes an AmplitudeError naming
+    the rule.
     """
 
     name: str
     weight: Callable[[Amplitude], float]
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise AmplitudeError(
+                f"name: must be a str, got {type(self.name).__name__}")
+        if not callable(self.weight):
+            raise AmplitudeError(
+                f"weight: must be callable, got {type(self.weight).__name__}")
 
     def __call__(self, a: Amplitude) -> float:
         try:
@@ -322,9 +332,11 @@ def evaluate_outcomes(outcomes: Mapping[str, AlternativeGraph],
 
 
 def check_global_phase_invariance(rule: ProbabilityRule, trials: int, rng) -> bool:
-    """True iff P(u(phi) A) == P(A) within REL_TOL_ALGEBRA over random trials.
+    """True iff P(u(phi) A) == P(A) over random trials.
 
-    ``rng``, a ``numpy.random.Generator``, draws each trial's A and phi.
+    The two weights may differ by REL_TOL_ALGEBRA times the larger one, so
+    the verdict does not depend on the rule's units.  ``rng``, a
+    ``numpy.random.Generator``, draws each trial's A and phi.
     """
     if rule is not SQUARED_NORM:
         _require_rule(rule)
@@ -335,7 +347,8 @@ def check_global_phase_invariance(rule: ProbabilityRule, trials: int, rng) -> bo
     for _ in range(trials):
         a = Amplitude(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        if abs(rule(concat(phase(phi), a)) - rule(a)) > REL_TOL_ALGEBRA:
+        w_turned, w_a = rule(concat(phase(phi), a)), rule(a)
+        if abs(w_turned - w_a) > REL_TOL_ALGEBRA * max(w_turned, w_a):
             return False
     return True
 

@@ -51,6 +51,11 @@ DEFAULT_RESOLUTION = 101
 
 def is_real(value) -> bool:
     """True for a real number: a numbers.Real that is not a bool."""
+    # An exact float or int answers without the ABC walk; a bool, a subclass
+    # and a numpy scalar take the numbers.Real test.
+    kind = type(value)
+    if kind is float or kind is int:
+        return True
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
@@ -68,8 +73,9 @@ def finite_float(value) -> float | None:
     """float(value) for a finite real number (see is_real), else None."""
     if type(value) is float:  # an exact float is its own value
         return value if math.isfinite(value) else None
-    # A numpy float64 or an int skips the slow Real test.
-    if not (isinstance(value, float) or type(value) is int or is_real(value)):
+    # A numpy float64 skips the slow Real test, and is_real answers an int
+    # by its type.
+    if not (isinstance(value, float) or is_real(value)):
         return None
     try:
         value = float(value)

@@ -137,8 +137,8 @@ class ExperimentConfig:
             problems.append(_PHASE_NOT_FINITE)
         for name, kind in _ENUM_FIELDS:
             value = getattr(self, name)
-            try:
-                fields[name] = kind(value)
+            try:  # only a non-member pays for the Enum lookup
+                fields[name] = value if type(value) is kind else kind(value)
             except ValueError:
                 allowed = ", ".join(m.value for m in kind)
                 problems.append(f"{name}: {value!r} is not one of [{allowed}]")

@@ -268,8 +268,8 @@ class FrameMap:
         branch, V, eta, lin, tr, c = (self.branch, self.V, self.eta,
                                       self.linear_part, self.translation, self.c)
         problems = []
-        try:
-            branch = BranchKind(branch)
+        try:  # only a non-member pays for the Enum lookup
+            branch = branch if type(branch) is BranchKind else BranchKind(branch)
         except ValueError:
             allowed = ", ".join(m.value for m in BranchKind)
             problems.append(f"branch: {branch!r} is not one of [{allowed}]")
@@ -595,7 +595,8 @@ def polyline_is_simple(points: np.ndarray) -> bool:
                 & (uv < 0.0)).any():
             return False
         # Segments i and j >= i + 2 are P_i + s d_i and P_j + t d_j, s, t in [0, 1].
-        i, j = np.triu_indices(n - 1, 2)
+        # np.triu_indices(n - 1, 2)'s pairs, in its order, from one np.nonzero.
+        i, j = np.nonzero(np.tri(n - 1, k=-2, dtype=bool).T)
         d1, d2, r = d[i], d[j], pts[i] - pts[j]
         a, e = sq[i], sq[j]
         f, cc, b = _rowdot(d2, r), _rowdot(d1, r), _rowdot(d1, d2)

@@ -1,5 +1,6 @@
 """Unit tests for the planar amplitude carrier, graphs, and probability rules."""
 
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from fringelab.amplitudes import (
     phase,
     sum_alternatives,
 )
+from fringelab.constants import REL_TOL_ALGEBRA
 from fringelab.interference import ExperimentConfig, simulate
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
@@ -309,6 +311,36 @@ def test_rule_returns_a_float_for_a_valid_weight():
         assert type(value) is float and value == float(weight)
 
 
+@pytest.mark.parametrize("name, weight, message", [
+    (None, norm_squared, "name: must be a str, got NoneType"),
+    (3, norm_squared, "name: must be a str, got int"),
+    (b"x", norm_squared, "name: must be a str, got bytes"),
+    ("x", None, "weight: must be callable, got NoneType"),
+    ("x", 2.0, "weight: must be callable, got float"),
+    ("x", "norm_squared", "weight: must be callable, got str"),
+])
+def test_rule_refuses_a_name_or_weight_of_the_wrong_kind(name, weight, message):
+    with pytest.raises(AmplitudeError) as info:
+        ProbabilityRule(name, weight)
+    assert type(info.value) is AmplitudeError and str(info.value) == message
+
+
+def test_a_rule_without_a_callable_weight_never_reaches_evaluate():
+    # The rule is refused where it is built, so evaluate never calls None.
+    with pytest.raises(AmplitudeError,
+                       match="^weight: must be callable, got NoneType$"):
+        evaluate(UNIT, ProbabilityRule("x", None))
+
+
+def test_rule_takes_any_callable_weight():
+    class Scaled:
+        def __call__(self, a):
+            return 2.0 * norm_squared(a)
+
+    assert ProbabilityRule("scaled", Scaled())(UNIT) == 2.0
+    assert ProbabilityRule("method", Scaled().__call__)(UNIT) == 2.0
+
+
 def test_global_phase_invariance_of_default_rule():
     assert check_global_phase_invariance(SQUARED_NORM, 1000,
                                          np.random.default_rng(0))
@@ -323,6 +355,37 @@ def test_real_part_squared_rule_is_not_phase_invariant():
     rule = ProbabilityRule("test-re2", lambda a: a.re * a.re)
     assert not check_global_phase_invariance(rule, 500,
                                              np.random.default_rng(2))
+
+
+def test_global_phase_invariance_fails_a_phase_reading_rule_at_any_scale():
+    # The weight difference is bounded relative to the weights, so a rule
+    # whose weights are all below REL_TOL_ALGEBRA is still judged.
+    tiny = ProbabilityRule("re-squared-tiny", lambda a: 1e-13 * a.re * a.re)
+    assert not check_global_phase_invariance(tiny, 1000,
+                                             np.random.default_rng(0))
+
+
+def test_global_phase_invariance_passes_an_invariant_rule_at_any_scale():
+    big = ProbabilityRule("norm-squared-big", lambda a: 1e6 * norm_squared(a))
+    assert check_global_phase_invariance(big, 1000, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+@pytest.mark.parametrize("turned_heavier", [True, False])
+def test_global_phase_invariance_bound_is_relative_to_the_larger_weight(
+        scale, turned_heavier):
+    # The check weighs the turned amplitude, then the original, so a rule
+    # that alternates between two weights hands it one of each per trial.
+    # They may differ by REL_TOL_ALGEBRA times the larger, at any scale.
+    for d, expected in ((REL_TOL_ALGEBRA / 2, True),
+                        (2 * REL_TOL_ALGEBRA, False)):
+        pair = (scale * (1.0 + d), scale)
+        if not turned_heavier:
+            pair = pair[::-1]
+        calls = itertools.count()
+        rule = ProbabilityRule("alternating", lambda a: pair[next(calls) % 2])
+        assert check_global_phase_invariance(
+            rule, 20, np.random.default_rng(0)) is expected
 
 
 def test_carrier_minimality_report():

@@ -1,7 +1,9 @@
 """Tests for the shared numerical policy: the one number and finiteness rule."""
 
 import ast
+import enum
 import math
+import numbers
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -197,3 +199,54 @@ def test_is_real_accepts_ints_floats_fractions_and_numpy_scalars(value):
     (Fraction(4, 2), False), ("5", False), (None, False)])
 def test_is_count_takes_ints_and_numpy_integers_but_not_bools(value, expected):
     assert is_count(value) is expected
+
+
+def _old_is_real(value) -> bool:
+    # constants.is_real before exact floats and ints took their own path.
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_IS_REAL_INPUTS = [
+    0.0, -0.0, 1.5, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+    -5e-324, 2.0 ** -1030, 1.7976931348623157e308,
+    0, -7, 10 ** 400, -10 ** 400, 2 ** 1024 - 1,
+    True, False, _Level.LOW, _Float(0.5), _Float(math.nan), _Int(3),
+    np.float64(0.5), np.float64(math.nan), np.float32(0.5), np.int64(3),
+    np.bool_(True), np.bool_(False), Fraction(1, 3), Decimal("0.5"),
+    complex(1.0, 0.0), 1j, "0.5", "nan", None, [1.0], (1.0,)]
+
+
+@pytest.mark.parametrize("value", _IS_REAL_INPUTS, ids=repr)
+def test_is_real_answers_as_the_numbers_real_rule(value):
+    assert is_real(value) is _old_is_real(value)
+
+
+def test_is_real_answers_exact_floats_and_ints_by_type_alone(monkeypatch):
+    # An exact float or int never reaches the numbers.Real test; everything
+    # else still does.
+    seen = []
+
+    def recording_isinstance(value, kinds):
+        seen.append(value)
+        return isinstance(value, kinds)
+
+    monkeypatch.setitem(is_real.__globals__, "isinstance", recording_isinstance)
+    for value in (0.0, -0.0, math.nan, math.inf, 5e-324, 0, 10 ** 400):
+        assert is_real(value)
+    assert seen == []
+    for value in (True, _Float(0.5), _Int(3), np.float64(0.5), Fraction(1, 3)):
+        seen.clear()
+        assert is_real(value) is _old_is_real(value)
+        assert seen and seen[0] is value

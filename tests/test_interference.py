@@ -111,6 +111,49 @@ def test_config_accepts_enum_values_as_plain_strings():
     assert "blocked_arm" in str(err.value)
 
 
+def _old_enum_field(name, kind, value):
+    # ExperimentConfig's rule for an enum field before a member kept itself:
+    # the stored member, or the problem the field reports.
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in kind)
+        return f"{name}: {value!r} is not one of [{allowed}]"
+
+
+class _Text(str):
+    pass
+
+
+_ENUM_FIELDS = [("blocked_arm", BlockedArm), ("detector_model", DetectorModel),
+                ("composition", Composition)]
+_ENUM_FIELD_VALUES = (
+    [m for _, kind in _ENUM_FIELDS for m in kind]
+    + [m.value for _, kind in _ENUM_FIELDS for m in kind]
+    + [_Text(m.value) for _, kind in _ENUM_FIELDS for m in kind]
+    + ["", "NONE", "Upper", " none", "none ", "sideways", "quantum",
+       "BlockedArm.NONE", "non-demolishing-silent"]
+    + [None, 0, 1, 1.5, True, b"none", ("none",), ["none"], {"none": 1},
+       IntervalKind.NULL, np.str_("upper")])
+
+
+@pytest.mark.parametrize("name, kind", _ENUM_FIELDS)
+@pytest.mark.parametrize("value", _ENUM_FIELD_VALUES, ids=repr)
+def test_enum_fields_store_what_the_old_lookup_stored(name, kind, value):
+    # A member (of this enum or another str enum whose value names one), a
+    # value string, a bad string and a non-string: the same stored member,
+    # or the same message.
+    old = _old_enum_field(name, kind, value)
+    try:
+        new = getattr(ExperimentConfig(**{name: value}), name)
+    except ConfigError as err:
+        new = str(err)
+    if isinstance(old, kind):
+        assert new is old
+    else:
+        assert type(new) is str and new == old
+
+
 def test_config_rejects_bad_fields_with_field_names():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(splitter1=1.5, phase=math.nan)

@@ -6,8 +6,10 @@ import inspect
 import math
 import pickle
 import sys
+import tokenize
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -936,3 +938,58 @@ def test_both_superluminal_builders_are_the_closed_form_bit_for_bit(
     assert type(m.V) is float and m.V == v and type(m.eta) is int
     assert m.linear_part.tobytes() == closed.tobytes()
     assert superluminal_matrix(V, eta, c).tobytes() == closed.tobytes()
+
+
+def _old_branch(value):
+    # FrameMap's rule for its branch before a member kept itself: the
+    # member, or the problem the field reports.
+    try:
+        return BranchKind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in BranchKind)
+        return f"branch: {value!r} is not one of [{allowed}]"
+
+
+class _Text(str):
+    pass
+
+
+# Fields that make a valid map of each branch.
+_BRANCH_FIELDS = {BranchKind.SUBLUMINAL: {"V": 0.5},
+                  BranchKind.SUPERLUMINAL: {"V": 2.0, "eta": -1},
+                  BranchKind.GENERAL_LINEAR: {"linear_part": [[2.0, 1.0],
+                                                              [0.5, 3.0]]}}
+
+
+@pytest.mark.parametrize("value", (
+    list(BranchKind) + [m.value for m in BranchKind]
+    + [_Text(m.value) for m in BranchKind] + [np.str_("subluminal")]
+    + ["", "SUBLUMINAL", "general_linear", " superluminal", "lorentz"]
+    + [None, 0, 1.5, True, b"subluminal", ["subluminal"], {"a": 1},
+       IntervalKind.NULL, ConeClass.SIGN_FLIP]), ids=repr)
+def test_branch_stores_what_the_old_lookup_stored(value):
+    # A member, a value string, a bad string and a non-string: the same
+    # stored member, or the same message.
+    old = _old_branch(value)
+    try:
+        new = FrameMap(value, **_BRANCH_FIELDS.get(old, {})).branch
+    except KinematicsError as err:
+        new = str(err)
+    if isinstance(old, BranchKind):
+        assert new is old
+    else:
+        assert type(new) is str and new == old
+
+
+def test_kinematics_stays_under_4096_parser_tokens():
+    # Perfbench compiles src/ from source in every worker, and compile()'s
+    # peak memory steps up past 4096 parser tokens, by more than the
+    # peak_rss_mb bound.  Parser tokens: tokenize's, less comments and
+    # blank lines.
+    with tokenize.open(Path(kinematics.__file__)) as f:
+        count = sum(1 for tok in tokenize.generate_tokens(f.readline)
+                    if tok.type not in (tokenize.COMMENT, tokenize.NL))
+    assert count < 4096, (
+        f"kinematics.py has {count} parser tokens, at or past 4096; "
+        "shrink it, or land ROADMAP item 15 (perfbench compiles src/ once "
+        "into a bytecode cache), which deletes this guard")

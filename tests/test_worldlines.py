@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fringelab.kinematics as kinematics
 from fringelab.kinematics import (
     FrameMap,
     KinematicsError,
@@ -344,6 +345,37 @@ def lattice_polylines(draw):
                  lattice_polylines()))
 def test_polyline_is_simple_matches_the_scalar_loops(points):
     assert polyline_is_simple(points) == _reference_is_simple(points)
+
+
+class _NonzeroRecorder:
+    # numpy as kinematics sees it, with every np.nonzero result recorded.
+    def __init__(self):
+        self.results = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def nonzero(self, a):
+        out = np.nonzero(a)
+        self.results.append(out)
+        return out
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_segment_pairs_are_the_upper_triangle_above_the_first_diagonal(
+        n, monkeypatch):
+    # The pair indices polyline_is_simple tests equal
+    # np.triu_indices(n - 1, 2): values, order, shape and dtype (empty for
+    # n = 2).  The vertices lie on a parabola, so the polyline is simple and
+    # the pair test is reached.
+    recorder = _NonzeroRecorder()
+    monkeypatch.setattr(kinematics, "np", recorder)
+    k = np.arange(n, dtype=float)
+    assert polyline_is_simple(np.column_stack([k, k * k]))
+    (got,) = recorder.results
+    for g, e in zip(got, np.triu_indices(n - 1, 2), strict=True):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        assert np.array_equal(g, e)
 
 
 # Fixtures whose closest approach is exactly the tolerance.  Both have the
