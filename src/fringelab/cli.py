@@ -82,8 +82,12 @@ def _parse_phis(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("phase grid needs at least one step")
     if steps == 1:
         return (start,)
-    with np.errstate(all="ignore"):
-        grid = np.linspace(start, stop, steps)
+    try:
+        with np.errstate(all="ignore"):
+            grid = np.linspace(start, stop, steps)
+    except MemoryError:
+        raise argparse.ArgumentTypeError(
+            f"phase grid {text!r} is too large to build")
     if not np.all(np.isfinite(grid)):
         raise argparse.ArgumentTypeError(
             f"phase grid {text!r} has points that overflow a float")

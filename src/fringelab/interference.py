@@ -414,9 +414,13 @@ def no_go_search(phis: Sequence[float],
                 count += 1
                 w_upper, w_lower = config.mixture_weights
                 T2, blocked_arm = config.splitter2, config.blocked_arm
-                d0, d1, ab, _, _ = zip(*[
-                    _classical_outcome(w_upper, w_lower, T2, blocked_arm, p)
-                    for p in phis])
+                row = [_classical_outcome(w_upper, w_lower, T2, blocked_arm, p)
+                       for p in phis]
+                # A row of equal tuples varies by 0.0 in every column, which
+                # leaves each running maximum as it is.
+                if row.count(row[0]) == len(row):
+                    continue
+                d0, d1, ab, _, _ = zip(*row)
                 var_d0 = max(var_d0, max(d0) - min(d0))
                 var_d1 = max(var_d1, max(d1) - min(d1))
                 var_abs = max(var_abs, max(ab) - min(ab))

@@ -349,7 +349,7 @@ class FrameMap:
     # -- behaviour ----------------------------------------------------------
 
     def apply(self, p: SpacetimePoint) -> SpacetimePoint:
-        return _image(p, self.linear_part @ (p.t, p.x) + self.translation)
+        return _image(p, self.linear_part.dot((p.t, p.x)) + self.translation)
 
     __call__ = apply
 

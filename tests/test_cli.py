@@ -474,6 +474,18 @@ def test_overflowing_phase_grid_is_a_usage_error(command, capsys):
     assert "'-1e308:1e308:3'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["interfere", "nogo"])
+def test_phase_grid_too_large_to_build_is_a_usage_error(command, capsys):
+    # 10**15 float64 points are 7.1 PiB, which numpy refuses before it
+    # allocates anything; exit 1 is kept for a failed check or contrast.
+    grid = f"0:1:{10 ** 15}"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--phis", grid])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --phis: phase grid {grid!r} is too large to build\n")
+
+
 @pytest.mark.parametrize("flag", ["--tol-sampled", "--tol-algebra"])
 def test_check_has_no_sampled_tolerance_flag(flag):
     with pytest.raises(SystemExit) as exc:

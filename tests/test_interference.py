@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amplitude_oracle as oracle
+from test_acceptance import _phase_reading_classical
 import fringelab.amplitudes as amplitudes
 import fringelab.interference as interference
 from fringelab.interference import (
@@ -757,6 +758,110 @@ def test_no_go_weight_grid_reaches_both_ends(monkeypatch, resolution):
     assert {(0.0, 1.0), (1.0, 0.0)} <= weights
     # Each weight with its 12 blocking and detector variants, at every phase.
     assert seen == {(w, p): 12 for w in weights for p in phis}
+
+
+def _old_no_go_search(phis, resolution):
+    # no_go_search as it ran before rows were compared: every configuration's
+    # row of kernel tuples goes through zip and max - min, column by column.
+    phis = [float(p) for p in phis]
+    steps = resolution - 1
+    var_d0 = var_d1 = var_abs = 0.0
+    count = 0
+    for k in range(resolution):
+        w = k / steps
+        for blocked in BlockedArm:
+            for model in DetectorModel:
+                config = ExperimentConfig(
+                    composition=Composition.CLASSICAL_MIXTURE,
+                    mixture_weights=(w, 1.0 - w), blocked_arm=blocked,
+                    detector_model=model)
+                count += 1
+                w_upper, w_lower = config.mixture_weights
+                d0, d1, ab, _, _ = zip(*[
+                    interference._classical_outcome(
+                        w_upper, w_lower, config.splitter2, config.blocked_arm, p)
+                    for p in phis])
+                var_d0 = max(var_d0, max(d0) - min(d0))
+                var_d1 = max(var_d1, max(d1) - min(d1))
+                var_abs = max(var_abs, max(ab) - min(ab))
+    overall = max(var_d0, var_d1, var_abs)
+    vis = visibility(phase_sweep(ExperimentConfig(), phis))
+    independent = overall == 0.0
+    return interference.NoGoReport(
+        resolution=resolution, phase_count=len(phis),
+        classical_config_count=count, max_variation_d0=var_d0,
+        max_variation_d1=var_d1, max_variation_absorbed=var_abs,
+        max_classical_variation=overall, amplitude_visibility=vis,
+        classical_phase_independent=independent,
+        passed=independent and vis >= 1.0 - REL_TOL_ALGEBRA)
+
+
+_NOGO_PHIS = uniform_phase_grid(32)
+
+
+def _nudged_at(where):
+    # The real kernel, with p_d0 moved by one part in 2**30 at one phase only.
+    def kernel(w_upper, w_lower, T2, blocked, phase):
+        p0, p1, pa, c0, c1 = _classical_outcome(w_upper, w_lower, T2, blocked, phase)
+        return (p0 + 2.0 ** -30 if phase == where else p0), p1, pa, c0, c1
+    return kernel
+
+
+def _conditionals_reading(w_upper, w_lower, T2, blocked, phase):
+    # Only the two conditional columns, which the search does not reduce,
+    # follow the phase.
+    p0, p1, pa, _, _ = _classical_outcome(w_upper, w_lower, T2, blocked, phase)
+    return p0, p1, pa, phase, -phase
+
+
+def _absorbed_as(make, where=None):
+    # The real kernel, with p_absorbed replaced by make() at one phase, or at
+    # every phase when where is None.
+    def kernel(w_upper, w_lower, T2, blocked, phase):
+        p0, p1, pa, c0, c1 = _classical_outcome(w_upper, w_lower, T2, blocked, phase)
+        return p0, p1, (make() if where in (None, phase) else pa), c0, c1
+    return kernel
+
+
+_SPECIALS = {"shared-nan": lambda: math.nan, "fresh-nan": lambda: float("nan"),
+             "inf": lambda: math.inf, "-inf": lambda: -math.inf,
+             "-0.0": lambda: -0.0}
+_NOGO_KERNELS = {
+    "real": _classical_outcome,
+    "phase-reading": _phase_reading_classical,
+    "last-phase": _nudged_at(_NOGO_PHIS[-1]),
+    "middle-phase": _nudged_at(_NOGO_PHIS[16]),
+    "conditionals": _conditionals_reading,
+    **{f"absorbed-{name}-everywhere": _absorbed_as(make)
+       for name, make in _SPECIALS.items()},
+    **{f"absorbed-{name}-at-middle": _absorbed_as(make, _NOGO_PHIS[16])
+       for name, make in _SPECIALS.items()},
+}
+
+
+def _fields(report):
+    # repr tells -0.0 from 0.0 and shows nan.
+    return {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+@pytest.mark.parametrize("kernel, resolution",
+                         [("real", 2), ("real", 11), ("real", 101)]
+                         + [(name, 11) for name in _NOGO_KERNELS if name != "real"])
+def test_no_go_report_is_the_old_row_reduction(monkeypatch, kernel, resolution):
+    monkeypatch.setattr(interference, "_classical_outcome", _NOGO_KERNELS[kernel])
+    assert (_fields(no_go_search(_NOGO_PHIS, resolution))
+            == _fields(_old_no_go_search(_NOGO_PHIS, resolution)))
+
+
+@pytest.mark.parametrize("kernel", ["last-phase", "middle-phase"])
+def test_no_go_search_sees_a_phase_leak_in_any_tuple_of_a_row(monkeypatch, kernel):
+    # The old reduction finds these one-phase leaks too, so the report above
+    # cannot match it by reading 0.0 for both.
+    monkeypatch.setattr(interference, "_classical_outcome", _NOGO_KERNELS[kernel])
+    report = no_go_search(_NOGO_PHIS, 11)
+    assert report.max_variation_d0 > 0.0
+    assert not report.classical_phase_independent and not report.passed
+
 
 def test_no_go_search_input_guards():
     with pytest.raises(ConfigError):

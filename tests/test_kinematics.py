@@ -4,7 +4,9 @@ import copy
 import dataclasses
 import inspect
 import math
+import os
 import pickle
+import subprocess
 import sys
 import tokenize
 import warnings
@@ -903,6 +905,65 @@ def test_each_image_is_the_matmul_as_python_floats(lin, tr, t, x, v, w, eta):
             q = image(p)
             assert type(q.t) is float and type(q.x) is float
             assert (q.t.hex(), q.x.hex()) == tuple(e.hex() for e in expected.tolist())
+
+
+# Run in a child process under one OpenBLAS kernel: FrameMap.apply maps an
+# event with ndarray.dot, and every image must be the matmul's to the bit,
+# before and after the translation, on random maps and on signed-zero,
+# subnormal and near-overflow coordinates.  Prints the mismatches.
+_DOT_IS_MATMUL = """
+import numpy as np
+from fringelab.kinematics import FrameMap, SingularMapError, SpacetimePoint
+
+rng = np.random.default_rng(5)
+edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+         8.9e307, 1.7e308, -1.7e308]
+corners = [(t, x) for t in edges for x in edges]
+bad = []
+with np.errstate(all="ignore"):
+    for k in range(2000):
+        lin = rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 3, 4)
+        try:
+            m = FrameMap.general_linear(lin.reshape(2, 2),
+                                        rng.standard_normal(2))
+        except SingularMapError:
+            continue
+        scale = 10.0 ** rng.uniform(-300, 300, 2)
+        events = [tuple((rng.standard_normal(2) * scale).tolist())]
+        for t, x in events + (corners if k % 50 == 0 else []):
+            v = (t, x)
+            if m.linear_part.dot(v).tobytes() != (m.linear_part @ v).tobytes():
+                bad.append(("dot", lin.tolist(), v))
+            want = m.linear_part @ v + m.translation
+            if np.all(np.isfinite(want)):
+                q = m.apply(SpacetimePoint(t, x))
+                if (q.t.hex(), q.x.hex()) != tuple(w.hex() for w in want.tolist()):
+                    bad.append(("apply", lin.tolist(), v))
+print(bad)
+"""
+
+
+def _dynamic_arch_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its build config
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy does not report a DYNAMIC_ARCH OpenBLAS, "
+                           "so OPENBLAS_CORETYPE cannot choose its kernel")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_mapped_events_are_the_matmul_under_each_blas_kernel(coretype):
+    src = str(Path(kinematics.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _DOT_IS_MATMUL],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 _C = st.one_of(st.floats(2.0 ** -10, 2.0 ** 10), st.integers(1, 1024),
