@@ -594,7 +594,7 @@ def check_O3_frame_invariance(config: ExperimentConfig,
             classify_interval(moved[a], moved[b], c) is baseline_kinds[a, b]
             for a, b in pairs)
         again = simulate(config)
-        stats_ok = again.as_tuple() == baseline.as_tuple()
+        stats_ok = again == baseline
         entries.append(FrameInvarianceEntry(m.V, kinds_ok, stats_ok))
     return FrameInvarianceReport(
         baseline=baseline,
@@ -624,13 +624,10 @@ def _check_repeatability(ctx: CheckContext, rng) -> tuple[bool, str]:
     if not np.array_equal(rng.normal(size=64), expected):
         return False, "this check was not seeded by its registry position"
     grid = uniform_phase_grid(8)
-    first = no_go_search(grid, 11)
-    second = no_go_search(grid, 11)
-    if first != second:
+    if no_go_search(grid, 11) != no_go_search(grid, 11):
         return False, "re-running the search changed its report"
-    one = [d.as_tuple() for _, d in phase_sweep(ExperimentConfig(), grid)]
-    two = [d.as_tuple() for _, d in phase_sweep(ExperimentConfig(), grid)]
-    if one != two:
+    if (phase_sweep(ExperimentConfig(), grid)
+            != phase_sweep(ExperimentConfig(), grid)):
         return False, "re-running a sweep changed its numbers"
     return True, "seeded streams, sweeps, and search reports repeat bit-identically"
 

@@ -19,7 +19,7 @@ computes with the float finite_float returns, so a float32 input is
 computed in float64, and raises its own named error for a non-number, nan,
 ±inf or an int too large for a float.  is_count is the matching test for
 an integer count (trials, grid sizes): an int or numpy integer, not a bool.
-is_seed adds the one range of a seed, [0, 2**64).
+is_seed adds the one range of a seed, [0, 2**64).  enum_member reads an enum.
 """
 
 import math
@@ -82,3 +82,15 @@ def finite_float(value) -> float | None:
     except OverflowError:  # an int too large for a float
         return None
     return value if math.isfinite(value) else None
+
+
+def enum_member(kind, value, name: str, problems: list):
+    """``value`` as a member of the Enum ``kind``; else None, after appending
+    the problem of field ``name`` to ``problems``."""
+    if type(value) is kind:  # only a non-member pays for the Enum lookup
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in kind)
+        problems.append(f"{name}: {value!r} is not one of [{allowed}]")

@@ -36,7 +36,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .amplitudes import (
     Amplitude,
@@ -52,6 +52,7 @@ from .constants import (
     DEFAULT_RESOLUTION,
     REL_TOL_ALGEBRA,
     REL_TOL_SAMPLED,
+    enum_member,
     finite_float,
     is_count,
     is_real,
@@ -136,12 +137,7 @@ class ExperimentConfig:
         elif fields["phase"] is None:
             problems.append(_PHASE_NOT_FINITE)
         for name, kind in _ENUM_FIELDS:
-            value = getattr(self, name)
-            try:  # only a non-member pays for the Enum lookup
-                fields[name] = value if type(value) is kind else kind(value)
-            except ValueError:
-                allowed = ", ".join(m.value for m in kind)
-                problems.append(f"{name}: {value!r} is not one of [{allowed}]")
+            fields[name] = enum_member(kind, getattr(self, name), name, problems)
         w = self.mixture_weights
         if w is not None:
             if (not isinstance(w, (tuple, list)) or len(w) != 2
@@ -157,7 +153,7 @@ class ExperimentConfig:
                     total = upper + lower
                     if abs(total - 1.0) > REL_TOL_ALGEBRA:
                         problems.append(f"mixture_weights: must sum to 1, got {total!r}")
-            if fields.get("composition") is Composition.AMPLITUDE:
+            if fields["composition"] is Composition.AMPLITUDE:
                 problems.append("mixture_weights: only meaningful for "
                                 "classical_mixture composition")
         if problems:
@@ -166,8 +162,7 @@ class ExperimentConfig:
         self.__dict__.update(fields)
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(NamedTuple):
     """Probabilities of the three exclusive outcomes plus port conditionals.
 
     Conditionals are defined only when some photon reaches a detector
@@ -179,10 +174,6 @@ class OutcomeDistribution:
     p_absorbed: float
     p_d0_given_detected: float | None
     p_d1_given_detected: float | None
-
-    def as_tuple(self) -> tuple:
-        return (self.p_d0, self.p_d1, self.p_absorbed,
-                self.p_d0_given_detected, self.p_d1_given_detected)
 
 
 def _normalized(w_d0: float, w_d1: float, w_absorbed: float) -> tuple:
@@ -201,16 +192,6 @@ def _normalized(w_d0: float, w_d1: float, w_absorbed: float) -> tuple:
     detected = p0 + p1
     cond0, cond1 = (p0 / detected, p1 / detected) if detected > 0.0 else (None, None)
     return p0, p1, pa, cond0, cond1
-
-
-def _outcome(probabilities: tuple) -> OutcomeDistribution:
-    # The fields are checked by _normalized; skip the frozen __init__'s
-    # per-field object.__setattr__, as _at_phase does.
-    p0, p1, pa, cond0, cond1 = probabilities
-    out = object.__new__(OutcomeDistribution)
-    out.__dict__.update(p_d0=p0, p_d1=p1, p_absorbed=pa,
-                        p_d0_given_detected=cond0, p_d1_given_detected=cond1)
-    return out
 
 
 def simulate(config: ExperimentConfig,
@@ -241,12 +222,9 @@ def _classical_outcome(w_upper: float, w_lower: float, T2: float,
 
 def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
     T1 = config.splitter1
-    if config.mixture_weights is not None:
-        w_upper, w_lower = config.mixture_weights
-    else:
-        w_upper, w_lower = T1, 1.0 - T1
-    return _outcome(_classical_outcome(w_upper, w_lower, config.splitter2,
-                                       config.blocked_arm, config.phase))
+    w_upper, w_lower = config.mixture_weights or (T1, 1.0 - T1)
+    return OutcomeDistribution._make(_classical_outcome(
+        w_upper, w_lower, config.splitter2, config.blocked_arm, config.phase))
 
 
 @functools.lru_cache(maxsize=64)
@@ -289,8 +267,8 @@ def _simulate_amplitude(config: ExperimentConfig,
         _unchecked(SequenceNode, children=(t1, plate, r2)), lower_d0))
     to_d1 = _unchecked(Branch, distinguishable=recorded, children=(
         _unchecked(SequenceNode, children=(t1, plate, t2)), lower_d1))
-    return _outcome(_normalized(evaluate(to_d0, rule), evaluate(to_d1, rule),
-                                0.0))
+    return OutcomeDistribution._make(_normalized(
+        evaluate(to_d0, rule), evaluate(to_d1, rule), 0.0))
 
 
 def _at_phase(config: ExperimentConfig, p: float) -> ExperimentConfig:

@@ -39,6 +39,7 @@ from .constants import (
     REL_TOL_ALGEBRA,
     REL_TOL_SAMPLED,
     SPEED_GUARD_BAND,
+    enum_member,
     finite_float,
     is_count,
     is_real,
@@ -268,12 +269,7 @@ class FrameMap:
         branch, V, eta, lin, tr, c = (self.branch, self.V, self.eta,
                                       self.linear_part, self.translation, self.c)
         problems = []
-        try:  # only a non-member pays for the Enum lookup
-            branch = branch if type(branch) is BranchKind else BranchKind(branch)
-        except ValueError:
-            allowed = ", ".join(m.value for m in BranchKind)
-            problems.append(f"branch: {branch!r} is not one of [{allowed}]")
-            branch = None
+        branch = enum_member(BranchKind, branch, "branch", problems)
         boost = branch in (BranchKind.SUBLUMINAL, BranchKind.SUPERLUMINAL)
         if V is None:
             if boost:
@@ -410,6 +406,12 @@ class ConeClassification:
     scale: float | None  # |multiplier| of the quadratic form, if cone-preserving
 
 
+def _unit_scaled(lin: np.ndarray) -> tuple[np.ndarray, int]:
+    # lin / 2**e, exact, with 2**e the power of two of its largest entry.
+    _, e = math.frexp(float(np.max(np.abs(lin))))
+    return np.ldexp(lin, -e), e
+
+
 def classify_cone_preserver(linear_part, c: float = DEFAULT_C) -> ConeClassification:
     """Classify a 2x2 (1+1) or 4x4 (1+3) matrix by its pullback of the interval.
 
@@ -433,12 +435,10 @@ def classify_cone_preserver(linear_part, c: float = DEFAULT_C) -> ConeClassifica
                               "matrix of finite numbers")
     c = _require_light_speed(c)
     _require_invertible(lin, c)
-    _, e0 = math.frexp(float(np.max(np.abs(lin))))
-    lin = np.ldexp(lin, -e0)
+    lin, e0 = _unit_scaled(lin)
     lin[0, 1:] *= c
     lin[1:, 0] /= c
-    _, e1 = math.frexp(float(np.max(np.abs(lin))))
-    lin = np.ldexp(lin, -e1)
+    lin, e1 = _unit_scaled(lin)
     e = e0 + e1
     g = np.eye(len(lin))
     g[0, 0] = -1.0
@@ -461,13 +461,14 @@ def preserves_null_lines(m: FrameMap) -> bool:
 
     Independent of classify_cone_preserver: the 1+1 cone is the rays (1, c)
     and (1, -c), so each is mapped once and its image tested against the
-    null band at the sampled tolerance.  The image is divided by the power
-    of two of its larger entry first, so its squares neither over- nor
-    underflow.
+    null band at the sampled tolerance.  The linear part, then each image,
+    is divided by the power of two of its largest entry first, so no image
+    overflows and no square over- or underflows.
     """
     c = m.c
+    lin, _ = _unit_scaled(m.linear_part)
     for u in (1.0, -1.0):
-        t, x = (m.linear_part @ np.array((1.0, c * u))).tolist()
+        t, x = (lin @ np.array((1.0, c * u))).tolist()
         ct = c * t
         _, e = math.frexp(max(abs(ct), abs(x)))
         ct, x = math.ldexp(ct, -e), math.ldexp(x, -e)
@@ -487,9 +488,11 @@ class Worldline:
 
     Vertices must be pairwise distinct and the polyline must not touch or
     cross itself (injectivity).  Construction enforces this unless
-    ``check_simple=False``, which builds a deliberately broken fixture: the
-    crossing polyline that the worldline-no-branching check and the tests
-    must see flagged.  ``taus`` defaults to the vertex indices.
+    ``check_simple=False``, which builds a prefix of a checked worldline
+    (past_worldline_segment; a prefix of a simple polyline is simple) or a
+    deliberately broken fixture: the crossing polyline that the
+    worldline-no-branching check and the tests must see flagged.
+    ``taus`` defaults to the vertex indices.
     """
 
     vertices: tuple[SpacetimePoint, ...]
@@ -510,8 +513,7 @@ class Worldline:
             raise KinematicsError("tau labels must be finite")
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise KinematicsError("tau labels must strictly increase")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "taus", taus)
+        self.__dict__.update(vertices=verts, taus=taus)
         if check_simple and not polyline_is_simple(self.points_array()):
             raise KinematicsError("worldline polyline is not simple")
 
@@ -533,11 +535,7 @@ def past_worldline_segment(w: Worldline, e_index: int) -> Worldline:
         raise KinematicsError(f"e_index: must be an integer, got {e_index!r}")
     if not 0 <= e_index < len(w):
         raise IndexError(f"vertex index {e_index} out of range")
-    # A prefix of checked vertices and labels passes every test of
-    # __post_init__, so it is built without re-running them.
-    out = object.__new__(Worldline)
-    out.__dict__.update(vertices=w.vertices[:e_index], taus=w.taus[:e_index])
-    return out
+    return Worldline(w.vertices[:e_index], w.taus[:e_index], check_simple=False)
 
 
 # -- polyline geometry ------------------------------------------------------
@@ -626,4 +624,6 @@ def check_no_branching(w: Worldline, m: FrameMap) -> bool:
     contact between non-adjacent segments), and that test rejects each.
     """
     pts = w.points_array() @ m.linear_part.T + m.translation
+    if not np.isfinite(pts).all():  # w is finite, so the map overflowed
+        raise KinematicsError("image of the worldline under the map is not finite")
     return polyline_is_simple(pts)

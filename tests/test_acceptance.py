@@ -474,7 +474,7 @@ def _zeros_evaluate_outcomes(outcomes, rule=SQUARED_NORM):
 def _skewed_conditional_simulate(config, rule=SQUARED_NORM):
     # The D0 conditional one ulp above its exact value.
     d = interference.simulate(config, rule)
-    return dataclasses.replace(d, p_d0_given_detected=math.nextafter(
+    return d._replace(p_d0_given_detected=math.nextafter(
         d.p_d0_given_detected, 1.0))
 
 

@@ -157,6 +157,41 @@ def test_only_require_rule_decides_what_a_rule_is():
     assert found == [("amplitudes.py", "_require_rule")]
 
 
+# The only functions that build a value with object.__new__, skipping its
+# class's checks: both are on the measured per-phase path.
+BYPASSES = [("interference.py", "_at_phase"), ("interference.py", "_unchecked")]
+
+
+def _sites(path: Path, matches) -> list[tuple[str, str]]:
+    # (file, function) of each AST node that ``matches``.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = _scopes(tree)
+    return [(path.name, _scope_of(scopes, node.lineno))
+            for node in ast.walk(tree) if matches(node)]
+
+
+def _is_object_new(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def test_only_the_per_phase_builders_bypass_a_constructor():
+    found = sorted(site for path in sorted(SRC.glob("*.py"))
+                   for site in _sites(path, _is_object_new))
+    assert found == BYPASSES
+
+
+def _names_a_non_member(node) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "is not one of [" in node.value)
+
+
+def test_only_enum_member_names_a_value_outside_an_enum():
+    found = sorted(site for path in sorted(SRC.glob("*.py"))
+                   for site in _sites(path, _names_a_non_member))
+    assert found == [("constants.py", "enum_member")]
+
+
 @pytest.mark.parametrize("value, expected", [
     (0, 0.0), (-2, -2.0), (1.5, 1.5), (Fraction(1, 4), 0.25),
     (np.float32(0.5), 0.5), (10 ** 300, 1e300),

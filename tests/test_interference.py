@@ -1,8 +1,11 @@
 """Tests for the interferometer benchmark and its reports."""
 
 import collections
+import copy
 import dataclasses
 import math
+import pickle
+import struct
 from decimal import Decimal
 from fractions import Fraction
 
@@ -286,7 +289,7 @@ def test_silent_detector_keeps_full_contrast():
 def test_classical_mode_never_reads_phase():
     config = ExperimentConfig(composition=Composition.CLASSICAL_MIXTURE,
                               mixture_weights=(0.3, 0.7))
-    rows = [simulate(dataclasses.replace(config, phase=p)).as_tuple()
+    rows = [tuple(simulate(dataclasses.replace(config, phase=p)))
             for p in (0.0, 1.7, math.pi, 5.1)]
     assert all(row == rows[0] for row in rows)
 
@@ -304,7 +307,7 @@ def test_classical_blocked_arm_matches_amplitude_numbers():
         composition=Composition.CLASSICAL_MIXTURE,
         blocked_arm=BlockedArm.UPPER))
     amplitude = simulate(ExperimentConfig(blocked_arm=BlockedArm.UPPER))
-    assert classical.as_tuple() == amplitude.as_tuple()
+    assert tuple(classical) == tuple(amplitude)
 
 
 def test_conditionals_none_when_everything_is_absorbed():
@@ -371,13 +374,13 @@ def test_phase_sweep_shape_and_empty_guard():
     sweep = phase_sweep(ExperimentConfig(), [0.0])
     assert len(sweep) == 1
     assert sweep[0][0] == 0.0
-    assert sweep[0][1].as_tuple() == simulate(ExperimentConfig()).as_tuple()
+    assert tuple(sweep[0][1]) == tuple(simulate(ExperimentConfig()))
     with pytest.raises(ConfigError):
         phase_sweep(ExperimentConfig(), [])
 
 
 def _bits(dist):
-    return [None if v is None else v.hex() for v in dist.as_tuple()]
+    return [None if v is None else v.hex() for v in tuple(dist)]
 
 
 # The phase-free graph parts are cached by the stored splitter floats: 0.0
@@ -499,7 +502,7 @@ def test_at_phase_equals_replace_field_for_field(config, p):
         assert type(a) is type(b)
         if isinstance(a, tuple):
             assert [type(v) for v in a] == [type(v) for v in b]
-    assert simulate(fast).as_tuple() == simulate(slow).as_tuple()
+    assert tuple(simulate(fast)) == tuple(simulate(slow))
 
 
 def _reference_classical(config):
@@ -543,8 +546,7 @@ def test_classical_kernel_matches_the_generator_formula_bit_for_bit(config, p, q
         assert type(got) is OutcomeDistribution
         assert got == expected
         # repr tells -0.0 from 0.0, which == does not.
-        assert repr(got.as_tuple()) == repr(expected.as_tuple())
-        assert vars(got) == vars(expected)
+        assert repr(tuple(got)) == repr(tuple(expected))
     # The tuple kernel, handed the resolved scalars, at the config's phase
     # and at an unrelated one.
     T1 = config.splitter1
@@ -553,7 +555,73 @@ def test_classical_kernel_matches_the_generator_formula_bit_for_bit(config, p, q
     for phase in (config.phase, q):
         got = _classical_outcome(w_upper, w_lower, config.splitter2,
                                  config.blocked_arm, phase)
-        assert repr(got) == repr(expected.as_tuple())
+        assert repr(got) == repr(tuple(expected))
+
+
+@dataclasses.dataclass(frozen=True)
+class _OldOutcome:
+    # OutcomeDistribution as the frozen dataclass it was before it became
+    # the named tuple its kernels return.
+    p_d0: float
+    p_d1: float
+    p_absorbed: float
+    p_d0_given_detected: float | None
+    p_d1_given_detected: float | None
+
+
+def _every_bit(values) -> list:
+    # Each field's eight bytes, so a nan keeps its sign and payload.
+    return [None if v is None else struct.pack("<d", v) for v in values]
+
+
+_PROBABILITY = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan]))
+_CONDITIONAL = st.one_of(st.none(), _PROBABILITY)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_PROBABILITY, _PROBABILITY, _PROBABILITY, _CONDITIONAL,
+                 _CONDITIONAL))
+def test_outcome_keeps_the_dataclass_behaviours(fields):
+    names = [f.name for f in dataclasses.fields(_OldOutcome)]
+    assert list(OutcomeDistribution._fields) == names
+    d, old = OutcomeDistribution(*fields), _OldOutcome(*fields)
+    by_name = OutcomeDistribution(**dict(zip(names, fields)))
+    assert _every_bit(by_name) == _every_bit(d) == _every_bit(fields)
+    # A nan equals itself only as the same object, in both types.
+    fresh = tuple(None if v is None else v + 0.0 for v in fields)
+    assert (d == by_name) is (old == _OldOutcome(*fields)) is True
+    assert (d == OutcomeDistribution(*fresh)) is (old == _OldOutcome(*fresh))
+    assert hash(d) == hash(old)
+    assert repr(d) == repr(old).replace("_OldOutcome", "OutcomeDistribution")
+    with pytest.raises(AttributeError):
+        d.p_d0 = 0.5
+    for copied in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert type(copied) is OutcomeDistribution
+        assert _every_bit(copied) == _every_bit(d)
+    with pytest.raises(TypeError):
+        OutcomeDistribution._make(fields[:4])
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_simulate_returns_the_kernel_tuple_it_wraps(config):
+    # On either path the outcome is the kernel's own tuple, field for field.
+    kernels = ("_classical_outcome", "_normalized")
+    returned = []
+
+    def recording(kernel):
+        def wrapper(*args):
+            returned.append(kernel(*args))
+            return returned[-1]
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in kernels:
+            patch.setattr(interference, name,
+                          recording(getattr(interference, name)))
+        got = simulate(config)
+    assert type(got) is OutcomeDistribution
+    assert type(returned[-1]) is tuple and _bits(got) == _bits(returned[-1])
 
 
 @settings(max_examples=200, deadline=None)

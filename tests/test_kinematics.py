@@ -704,6 +704,70 @@ def test_preserves_null_lines_at_the_edges_of_the_float_range():
             FrameMap.general_linear(s * boost_matrix(0.6)))
 
 
+def test_preserves_null_lines_refuses_a_map_whose_rays_overflow():
+    # Mapped as given, each ray's image is inf and its null test reads nan,
+    # which no comparison fails.
+    m = FrameMap.general_linear([[1e308, 1e308], [1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not preserves_null_lines(m)
+    kind = classify_cone_preserver(m.linear_part).kind
+    assert kind is ConeClass.NOT_CONE_PRESERVING
+
+
+def _ray_images(m: FrameMap) -> list:
+    # The images of the null rays (1, c) and (1, -c) under the unscaled
+    # linear part.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [(m.linear_part @ np.array((1.0, m.c * u))).tolist()
+                for u in (1.0, -1.0)]
+
+
+def _unscaled_preserves_null_lines(m: FrameMap) -> bool:
+    # preserves_null_lines before its linear part was scaled: each ray is
+    # mapped as given, and only its image is scaled.
+    for t, x in _ray_images(m):
+        ct = m.c * t
+        _, e = math.frexp(max(abs(ct), abs(x)))
+        ct, x = math.ldexp(ct, -e), math.ldexp(x, -e)
+        if abs(x * x - ct * ct) > REL_TOL_SAMPLED * (x * x + ct * ct):
+            return False
+    return True
+
+
+_NORMAL = st.floats(2.0 ** -300, 2.0 ** 300)
+_SIGNED = st.one_of(st.just(0.0), _NORMAL, _NORMAL.map(lambda v: -v))
+
+
+@settings(max_examples=500, deadline=None)
+@given(k=st.integers(-199, 199), j=st.integers(-400, 400),
+       shape=st.sampled_from(["random", "boost", "flip", "nudged"]),
+       entries=st.lists(_SIGNED, min_size=4, max_size=4),
+       v=st.floats(1e-3, 0.99), w=st.floats(1.01, 100.0),
+       eta=st.sampled_from([1, -1]), nudge=st.floats(-1e-8, 1e-8))
+def test_preserves_null_lines_keeps_the_unscaled_verdict(k, j, shape, entries,
+                                                         v, w, eta, nudge):
+    # Scaling by a power of two commutes with rounding, so wherever the
+    # unscaled images are finite (and no entry is subnormal) the verdict is
+    # the unscaled one: on random maps, on scaled boosts and interval flips,
+    # and on flips nudged across the null band.
+    c = math.ldexp(1.0, k)
+    if shape == "random":
+        lin = np.array(entries).reshape(2, 2)
+    else:
+        lin = (boost_matrix(v * c, c) if shape == "boost"
+               else superluminal_matrix(w * c, eta, c))
+        if shape == "nudged":
+            lin[1, 1] *= 1.0 + nudge
+        lin = np.ldexp(lin, j)
+    try:
+        m = FrameMap.general_linear(lin, c=c)
+    except SingularMapError:
+        assume(False)
+    assume(np.isfinite(_ray_images(m)).all())
+    assert preserves_null_lines(m) is _unscaled_preserves_null_lines(m)
+
+
 def test_classify_cone_preserver_scales_by_c_without_overflow():
     # c*L would overflow here; the verdict must not come from a nan.  With
     # time measured as c*t the Hadamard ratio is about 1e-150: singular.

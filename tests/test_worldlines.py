@@ -223,6 +223,25 @@ def test_a_diagonal_that_is_not_a_finite_float_raises(call):
                                "finite float")
 
 
+def test_an_image_past_the_largest_float_is_named_as_the_image():
+    # The worldline is finite; only the map overflows.  numpy's overflow
+    # warning is not what is tested here.
+    w = Worldline(_pts((0.0, 0.0), (2.0, 3.0)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(KinematicsError) as info:
+            check_no_branching(w, FrameMap.general_linear([[1e308, 0], [0, 1e308]]))
+    assert type(info.value) is KinematicsError
+    assert str(info.value) == "image of the worldline under the map is not finite"
+
+
+def test_a_past_segment_is_built_without_a_simplicity_test(monkeypatch):
+    w = Worldline([SpacetimePoint(float(i), 0.5 * i) for i in range(5)])
+    calls = []
+    monkeypatch.setattr(kinematics, "polyline_is_simple",
+                        lambda pts: calls.append(pts) or True)
+    assert len(past_worldline_segment(w, 4)) == 4 and calls == []
+
+
 def test_a_large_finite_diagonal_keeps_its_verdict():
     assert len(Worldline(_pts((0.0, 0.0), (1e150, 0.0), (2e150, 1e150)))) == 3
     assert not polyline_is_simple(np.array([[0.0, 0.0], [1e150, 0.0], [0.0, 0.0]]))
