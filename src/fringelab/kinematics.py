@@ -70,16 +70,20 @@ def _finite_array(value) -> np.ndarray | None:
     return np.array(floats).reshape(entries.shape)
 
 
+def _unit_scaled(a: np.ndarray, axis: int | None = None):
+    # a / 2**e, exact, with 2**e the power of two of its largest entry (of each
+    # row's for axis=1; a zero row stays as it is), so every |entry| is < 1.
+    _, e = np.frexp(np.abs(a).max(axis, keepdims=axis is not None))
+    return np.ldexp(a, -e), e
+
+
 def _require_invertible(lin: np.ndarray, c: float):
     # |det L| over the product of its row lengths (Hadamard's bound) lies in
-    # [0, 1] and is unchanged when a row is scaled; it is taken with time as
-    # c*t (the time column divided by c), each row divided by its largest
-    # entry before and after, so nothing over- or underflows and c = 1 is exact.
-    peaks = np.max(np.abs(lin), axis=1, keepdims=True)
-    rows = lin / np.where(peaks > 0.0, peaks, 1.0)
+    # [0, 1] and is unchanged by row scaling.  It is taken with time as c*t,
+    # each row unit-scaled before and after: nothing overflows, c = 1 is exact.
+    rows, _ = _unit_scaled(lin, 1)
     rows[:, 0] /= c
-    peaks = np.max(np.abs(rows), axis=1, keepdims=True)
-    rows /= np.where(peaks > 0.0, peaks, 1.0)
+    rows, _ = _unit_scaled(rows, 1)
     lengths = np.linalg.norm(rows, axis=1)
     if abs(np.linalg.det(rows)) <= REL_TOL_ALGEBRA * np.prod(lengths):
         raise SingularMapError("linear_part: singular within tolerance, "
@@ -357,13 +361,15 @@ class FrameMap:
 
 def lorentz_boost(p: SpacetimePoint, V: float, c: float = DEFAULT_C) -> SpacetimePoint:
     """Boost an event along the x axis; preserves every pair interval."""
-    return _image(p, boost_matrix(V, c) @ (p.t, p.x))
+    with np.errstate(over="ignore", invalid="ignore"):  # _image names it
+        return _image(p, boost_matrix(V, c) @ (p.t, p.x))
 
 
 def superluminal_map(p: SpacetimePoint, V: float, eta: int,
                      c: float = DEFAULT_C) -> SpacetimePoint:
     """Apply the formal |V| > c map; negates every interval."""
-    return _image(p, superluminal_matrix(V, eta, c) @ (p.t, p.x))
+    with np.errstate(over="ignore", invalid="ignore"):  # _image names it
+        return _image(p, superluminal_matrix(V, eta, c) @ (p.t, p.x))
 
 
 def velocity_addition(V1: float, V2: float, c: float = DEFAULT_C) -> float:
@@ -380,13 +386,16 @@ def compose(f: FrameMap, g: FrameMap) -> FrameMap:
     velocity, even when an operand is the identity.  Its interval
     behaviour is left to classify_cone_preserver (two boosts compose to a
     boost, two interval-flipping maps to an interval preserver, and a mixed
-    pair flips).
+    pair flips).  A product that is not finite raises KinematicsError.
     """
     if f.c != g.c:
         raise KinematicsError("cannot compose maps with different c")
-    return FrameMap.general_linear(f.linear_part @ g.linear_part,
-                                   f.linear_part @ g.translation + f.translation,
-                                   f.c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lin = f.linear_part @ g.linear_part
+        tr = f.linear_part @ g.translation + f.translation
+    if not (np.isfinite(lin).all() and np.isfinite(tr).all()):
+        raise KinematicsError("composition of the two maps is not finite")
+    return FrameMap.general_linear(lin, tr, f.c)
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +413,6 @@ class ConeClass(str, Enum):
 class ConeClassification:
     kind: ConeClass
     scale: float | None  # |multiplier| of the quadratic form, if cone-preserving
-
-
-def _unit_scaled(lin: np.ndarray) -> tuple[np.ndarray, int]:
-    # lin / 2**e, exact, with 2**e the power of two of its largest entry.
-    _, e = math.frexp(float(np.max(np.abs(lin))))
-    return np.ldexp(lin, -e), e
 
 
 def classify_cone_preserver(linear_part, c: float = DEFAULT_C) -> ConeClassification:
@@ -439,7 +442,7 @@ def classify_cone_preserver(linear_part, c: float = DEFAULT_C) -> ConeClassifica
     lin[0, 1:] *= c
     lin[1:, 0] /= c
     lin, e1 = _unit_scaled(lin)
-    e = e0 + e1
+    e = int(e0 + e1)
     g = np.eye(len(lin))
     g[0, 0] = -1.0
     pulled = lin.T @ g @ lin
@@ -556,14 +559,13 @@ def polyline_is_simple(points: np.ndarray) -> bool:
     """True iff the open polyline through ``points`` is injective.
 
     ``points`` is an (n, 2) array of 1+1 ``(t, x)`` finite numbers; any
-    other shape or entry raises KinematicsError.  Checks, at REL_TOL_SAMPLED
-    relative to the bounding-box diagonal: no repeated vertices, no
-    collinear backtracking between consecutive segments, and no contact
-    between non-adjacent segments.  The last two tests each take one numpy
-    pass over all their segment pairs.  Contact is the distance between the
-    closest points of two segments, found by the clamped construction of
-    Ericson (Real-Time Collision Detection, 5.1.9) with each of its branches
-    selected by np.where.  A diagonal that is not a finite float raises too.
+    other shape or entry raises KinematicsError.  The points are divided
+    first, exactly, by the power of two of their largest entry, so the
+    verdict is free of scale.  Checks, at REL_TOL_SAMPLED relative to the
+    bounding-box diagonal: no repeated vertices, no collinear backtracking
+    between consecutive segments, and no contact between non-adjacent
+    segments, the last two in one numpy pass each.  Contact is the distance
+    of Ericson's clamped closest points (Real-Time Collision Detection 5.1.9).
     """
     if (pts := _finite_array(points)) is None:
         raise KinematicsError("polyline: points must be finite numbers")
@@ -572,12 +574,10 @@ def polyline_is_simple(points: np.ndarray) -> bool:
     n = len(pts)
     if n < 2:
         return True
+    pts, _ = _unit_scaled(pts)
     rows = pts.tolist()
     dt, dx = (max(v) - min(v) for v in pts.T.tolist())
-    diag = math.sqrt(dt * dt + dx * dx)
-    if not math.isfinite(diag):
-        raise KinematicsError("polyline: bounding-box diagonal is not a finite float")
-    tol = REL_TOL_SAMPLED * diag
+    tol = REL_TOL_SAMPLED * math.sqrt(dt * dt + dx * dx)
     for i in range(n):
         for j in range(i + 1, n):
             if math.dist(rows[i], rows[j]) <= tol:
@@ -601,16 +601,11 @@ def polyline_is_simple(points: np.ndarray) -> bool:
         denom = a * e - b * b
         s = np.where(denom > 0.0, _clamp01((b * f - cc * e) / denom), 0.0)
         t = (b * s + f) / e
-        # A point segment (a or e zero) pins its own parameter at 0.
-        a0, e0 = a == 0.0, e == 0.0
-        s = np.where(a0, 0.0,
-                     np.where(e0 | (t < 0.0), _clamp01(-cc / a),
-                              np.where(t > 1.0, _clamp01((b - cc) / a), s)))
-        # maximum and minimum keep a nan t, which neither clamp test moves.
-        t = np.where(a0, _clamp01(f / e),
-                     np.where(e0, 0.0, np.minimum(np.maximum(t, 0.0), 1.0)))
+        s = np.where(t < 0.0, _clamp01(-cc / a),
+                     np.where(t > 1.0, _clamp01((b - cc) / a), s))
+        t = _clamp01(t)
         gap = (pts[i] + s[:, None] * d1) - (pts[j] + t[:, None] * d2)
-        dist = np.sqrt(np.where(a0 & e0, _rowdot(r, r), _rowdot(gap, gap)))
+        dist = np.sqrt(_rowdot(gap, gap))
     return not (dist <= tol).any()
 
 
@@ -623,7 +618,8 @@ def check_no_branching(w: Worldline, m: FrameMap) -> bool:
     touch itself (two vertices within tolerance, a collinear fold-back or
     contact between non-adjacent segments), and that test rejects each.
     """
-    pts = w.points_array() @ m.linear_part.T + m.translation
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = w.points_array() @ m.linear_part.T + m.translation
     if not np.isfinite(pts).all():  # w is finite, so the map overflowed
         raise KinematicsError("image of the worldline under the map is not finite")
     return polyline_is_simple(pts)

@@ -25,7 +25,7 @@ from fringelab.checks import (
     random_conformal_lorentz_4d,
     random_invertible_frame_map,
 )
-from fringelab.constants import REL_TOL_SAMPLED
+from fringelab.constants import REL_TOL_ALGEBRA, REL_TOL_SAMPLED
 from fringelab.kinematics import (
     BranchKind,
     ConeClass,
@@ -35,7 +35,9 @@ from fringelab.kinematics import (
     SingularMapError,
     SpacetimePoint,
     SpeedDomainError,
+    Worldline,
     boost_matrix,
+    check_no_branching,
     classify_cone_preserver,
     classify_interval,
     compose,
@@ -290,6 +292,57 @@ def test_singularity_test_is_scale_invariant(scale):
         FrameMap.general_linear(scale * np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def _peak_division_verdict(lin, c):
+    # The singularity test as first written: each row divided by its largest
+    # entry, before and after the time column is divided by c.  Returns the
+    # verdict and the Hadamard ratio |det| / (product of row lengths).
+    peaks = np.max(np.abs(lin), axis=1, keepdims=True)
+    rows = lin / np.where(peaks > 0.0, peaks, 1.0)
+    rows[:, 0] /= c
+    peaks = np.max(np.abs(rows), axis=1, keepdims=True)
+    rows /= np.where(peaks > 0.0, peaks, 1.0)
+    det = abs(np.linalg.det(rows))
+    lengths = np.prod(np.linalg.norm(rows, axis=1))
+    return det <= REL_TOL_ALGEBRA * lengths, det / lengths if lengths else 0.0
+
+
+@st.composite
+def _near_singular_matrices(draw):
+    # 2x2 or 4x4 entries in [-1, 1]; the last row is often a combination of
+    # the others nudged 1e-14 to 1e-10 off it, and each row gets its own
+    # scale, a power of two or log-uniform.
+    n = draw(st.sampled_from([2, 4]))
+    lin = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                                 max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n - 1,
+                                         max_size=n - 1)))
+        nudge = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                       max_size=n)))
+        lin[-1] = weights @ lin[:-1] + 10.0 ** draw(st.floats(-14.0, -10.0)) * nudge
+    scales = draw(st.lists(st.integers(-200, 200).map(lambda k: 2.0 ** k)
+                           | st.floats(-150.0, 150.0).map(lambda u: 10.0 ** u),
+                           min_size=n, max_size=n))
+    return lin * np.array(scales)[:, None]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_near_singular_matrices(),
+       st.integers(-100, 100).map(lambda k: 2.0 ** k)
+       | st.floats(-100.0, 100.0).map(lambda u: 10.0 ** u))
+def test_the_singularity_verdict_is_the_peak_division_one(lin, c):
+    # Unit-scaling each row by a power of two moves the Hadamard ratio by
+    # rounding alone, so only ratios this close to the bound may differ.
+    expected, ratio = _peak_division_verdict(lin, c)
+    assume(abs(ratio - REL_TOL_ALGEBRA) > 1e-9 * REL_TOL_ALGEBRA)
+    try:
+        kinematics._require_invertible(lin, c)
+    except SingularMapError:
+        assert expected
+    else:
+        assert not expected
+
+
 def test_frame_map_gathers_every_field_problem():
     with pytest.raises(KinematicsError) as err:
         FrameMap("superluminal", "fast", None, None, [1.0, "a"], -1.0)
@@ -448,6 +501,40 @@ def test_compose_mixed_branches_flips_the_interval():
     assert h.branch is BranchKind.GENERAL_LINEAR
     cls = classify_cone_preserver(h.linear_part)
     assert cls.kind is ConeClass.SIGN_FLIP
+
+
+@pytest.mark.parametrize("f, g", [
+    ([[1e308, 0], [0, 1e308]], [[1e308, 0], [0, 1e308]]),
+    ([[2, 0], [0, 2]], [[1, 0], [0, 1]]),
+], ids=["linear-part", "translation"])
+def test_compose_names_a_product_that_is_not_finite(f, g):
+    # Both operands are finite maps; only their product overflows.
+    f = FrameMap.general_linear(f, [1e308, 0.0])
+    g = FrameMap.general_linear(g, [1e308, 0.0])
+    with pytest.raises(KinematicsError) as info:
+        compose(f, g)
+    assert type(info.value) is KinematicsError
+    assert str(info.value) == "composition of the two maps is not finite"
+
+
+_OVERFLOWING = FrameMap.general_linear([[1e308, 0], [0, 1e308]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compose(_OVERFLOWING, _OVERFLOWING),
+    lambda: check_no_branching(Worldline([SpacetimePoint(0.0, 0.0),
+                                          SpacetimePoint(2.0, 3.0)]),
+                               _OVERFLOWING),
+    lambda: lorentz_boost(SpacetimePoint(1e308, -1e308), 0.9),
+    lambda: superluminal_map(SpacetimePoint(1e308, -1e308), 1.5, 1),
+], ids=["compose", "check_no_branching", "lorentz_boost", "superluminal_map"])
+def test_an_overflowing_product_is_reported_by_its_own_error_alone(call):
+    # With every warning an error, numpy's overflow warning would be raised
+    # in place of the function's own KinematicsError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KinematicsError):
+            call()
 
 
 def test_compose_rejects_mismatched_c():
