@@ -71,8 +71,9 @@ def _finite_array(value) -> np.ndarray | None:
 
 
 def _unit_scaled(a: np.ndarray, axis: int | None = None):
-    # a / 2**e, exact, with 2**e the power of two of its largest entry (of each
-    # row's for axis=1; a zero row stays as it is), so every |entry| is < 1.
+    # a / 2**e, with 2**e the power of two of its largest entry (of each row's
+    # for axis=1; a zero row stays as it is), so every |entry| is < 1.  Exact
+    # but for an entry that lands below the normal range and is rounded.
     _, e = np.frexp(np.abs(a).max(axis, keepdims=axis is not None))
     return np.ldexp(a, -e), e
 
@@ -81,11 +82,15 @@ def _require_invertible(lin: np.ndarray, c: float):
     # |det L| over the product of its row lengths (Hadamard's bound) lies in
     # [0, 1] and is unchanged by row scaling.  It is taken with time as c*t,
     # each row unit-scaled before and after: nothing overflows, c = 1 is exact.
+    # A pivot below the normal range makes LAPACK flag a division and may
+    # leave a det that is not finite; that det is below 2**-1000, so singular.
     rows, _ = _unit_scaled(lin, 1)
     rows[:, 0] /= c
     rows, _ = _unit_scaled(rows, 1)
     lengths = np.linalg.norm(rows, axis=1)
-    if abs(np.linalg.det(rows)) <= REL_TOL_ALGEBRA * np.prod(lengths):
+    with np.errstate(all="ignore"):
+        det = abs(np.linalg.det(rows))
+    if not REL_TOL_ALGEBRA * np.prod(lengths) < det < math.inf:
         raise SingularMapError("linear_part: singular within tolerance, "
                                "relative to its row lengths")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fringelab.constants as constants
@@ -282,6 +282,10 @@ def test_frame_map_rejects_matrix_that_contradicts_its_branch_tag():
 def test_frame_map_rejects_singular_linear_part():
     with pytest.raises(SingularMapError):
         FrameMap.general_linear([[1.0, 1.0], [1.0, 1.0]])
+    # A zero row beside a row whose pivot unit scaling makes subnormal.
+    for tiny in (2.0 ** -1023, 1e-310, 5e-324):
+        with pytest.raises(SingularMapError):
+            FrameMap.general_linear([[0.0, 0.0], [tiny, 1.0]])
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e-5, 1e-3, 1.0, 1e3, 1e5, 1e7])
@@ -301,9 +305,11 @@ def _peak_division_verdict(lin, c):
     rows[:, 0] /= c
     peaks = np.max(np.abs(rows), axis=1, keepdims=True)
     rows /= np.where(peaks > 0.0, peaks, 1.0)
-    det = abs(np.linalg.det(rows))
+    with np.errstate(all="ignore"):  # a subnormal pivot: the det is ~0 anyway
+        det = abs(np.linalg.det(rows))
     lengths = np.prod(np.linalg.norm(rows, axis=1))
-    return det <= REL_TOL_ALGEBRA * lengths, det / lengths if lengths else 0.0
+    ratio = det / lengths if lengths else 0.0
+    return not REL_TOL_ALGEBRA * lengths < det < math.inf, ratio
 
 
 @st.composite
@@ -330,6 +336,10 @@ def _near_singular_matrices(draw):
 @given(_near_singular_matrices(),
        st.integers(-100, 100).map(lambda k: 2.0 ** k)
        | st.floats(-100.0, 100.0).map(lambda u: 10.0 ** u))
+# Unit scaling halves 2**-1023 to a subnormal pivot, whose det LAPACK flags.
+@example(np.array([[0.0, 0.0], [2.0 ** -1023, 1.0]]), 1.0)
+@example(np.array([[0.0, 0.0], [1e-310, 1.0]]), 1.0)
+@example(np.array([[3e-323, 0.5], [1e-323, 0.7]]), 1.0)
 def test_the_singularity_verdict_is_the_peak_division_one(lin, c):
     # Unit-scaling each row by a power of two moves the Hadamard ratio by
     # rounding alone, so only ratios this close to the bound may differ.
@@ -1034,6 +1044,8 @@ _BIG = st.one_of(_ENTRY, st.floats(-1.7e308, 1.7e308))
        tr=st.lists(_ENTRY, min_size=2, max_size=2), t=_BIG, x=_BIG,
        v=st.floats(-0.99, 0.99), w=st.floats(1.01, 100.0),
        eta=st.sampled_from([1, -1]))
+@example(lin=[0.0, 0.0, 2.0 ** -1023, 1.0], tr=[0.0, 0.0], t=0.0, x=0.0,
+         v=0.0, w=2.0, eta=1)
 def test_each_image_is_the_matmul_as_python_floats(lin, tr, t, x, v, w, eta):
     try:
         m = FrameMap.general_linear(np.array(lin).reshape(2, 2), tr)
