@@ -46,10 +46,10 @@ from .schemas import (
     dump_json,
     experiment_config_from_dict,
     format_float,
-    format_row,
     frame_map_from_dict,
     load_json,
     parse_events_csv,
+    row_format,
 )
 
 _CONVENTION_NOTE = ("symmetric splitters: transmission sqrt(T), reflection "
@@ -181,14 +181,14 @@ def cmd_transform(args: argparse.Namespace) -> int:
              + (f" eta={m.eta:+d}" if m.eta is not None else "")
              + f" c={format_float(m.c)}",
              "t,x,t_out,x_out,interval_in,interval_out"]
-    apply, c = m.apply, m.c
+    apply, c, row = m.apply, m.c, row_format(6)
     # apply names an image past the largest float; numpy's overflow
     # warning would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         for p in events:
             q = apply(p)
-            lines.append(format_row(p.t, p.x, q.t, q.x, event_interval(p, c),
-                                    event_interval(q, c)))
+            lines.append(row % (p.t, p.x, q.t, q.x, event_interval(p, c),
+                                event_interval(q, c)))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -201,11 +201,12 @@ def cmd_interfere(args: argparse.Namespace) -> int:
     lines = [f"# {_CONVENTION_NOTE}",
              f"# visibility = {format_float(vis)}",
              "phi,p_d0,p_d1,p_absorbed,p_d0_given_detected,p_d1_given_detected"]
+    row = row_format(6)
     for phi, d in sweep:  # an undefined conditional prints as nan
         c0, c1 = d.p_d0_given_detected, d.p_d1_given_detected
-        lines.append(format_row(phi, d.p_d0, d.p_d1, d.p_absorbed,
-                                math.nan if c0 is None else c0,
-                                math.nan if c1 is None else c1))
+        lines.append(row % (phi, d.p_d0, d.p_d1, d.p_absorbed,
+                            math.nan if c0 is None else c0,
+                            math.nan if c1 is None else c1))
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.out is not None:
         print(f"visibility = {format_float(vis)}")

@@ -87,10 +87,9 @@ def _require_invertible(lin: np.ndarray, c: float):
     rows, _ = _unit_scaled(lin, 1)
     rows[:, 0] /= c
     rows, _ = _unit_scaled(rows, 1)
-    lengths = np.linalg.norm(rows, axis=1)
     with np.errstate(all="ignore"):
         det = abs(np.linalg.det(rows))
-    if not REL_TOL_ALGEBRA * np.prod(lengths) < det < math.inf:
+    if not REL_TOL_ALGEBRA * np.prod(np.linalg.norm(rows, axis=1)) < det < math.inf:
         raise SingularMapError("linear_part: singular within tolerance, "
                                "relative to its row lengths")
 
@@ -119,9 +118,9 @@ class SpacetimePoint:
 
 
 def _image(p: SpacetimePoint, coords) -> SpacetimePoint:
-    # coords, a map's image of the finite event p, as an event of Python floats.
+    # coords, a map's image of the finite event p, as a pair of Python floats.
     try:
-        return SpacetimePoint(*coords.tolist())
+        return SpacetimePoint(*coords)
     except KinematicsError:  # p is finite, so the map overflowed
         raise KinematicsError(f"image of {p} under the map is not finite") from None
 
@@ -326,7 +325,7 @@ class FrameMap:
         lin.setflags(write=False)
         tr.setflags(write=False)
         self.__dict__.update(branch=branch, V=V, eta=eta, linear_part=lin,
-                             translation=tr, c=light)
+                             translation=tr, c=light, _shift=tr.tolist())
 
     # -- constructors -------------------------------------------------------
 
@@ -354,7 +353,9 @@ class FrameMap:
     # -- behaviour ----------------------------------------------------------
 
     def apply(self, p: SpacetimePoint) -> SpacetimePoint:
-        return _image(p, self.linear_part.dot((p.t, p.x)) + self.translation)
+        t, x = self.linear_part.dot((p.t, p.x)).tolist()
+        dt, dx = self._shift  # the translation as Python floats
+        return _image(p, (t + dt, x + dx))
 
     __call__ = apply
 
@@ -367,14 +368,14 @@ class FrameMap:
 def lorentz_boost(p: SpacetimePoint, V: float, c: float = DEFAULT_C) -> SpacetimePoint:
     """Boost an event along the x axis; preserves every pair interval."""
     with np.errstate(over="ignore", invalid="ignore"):  # _image names it
-        return _image(p, boost_matrix(V, c) @ (p.t, p.x))
+        return _image(p, (boost_matrix(V, c) @ (p.t, p.x)).tolist())
 
 
 def superluminal_map(p: SpacetimePoint, V: float, eta: int,
                      c: float = DEFAULT_C) -> SpacetimePoint:
     """Apply the formal |V| > c map; negates every interval."""
     with np.errstate(over="ignore", invalid="ignore"):  # _image names it
-        return _image(p, superluminal_matrix(V, eta, c) @ (p.t, p.x))
+        return _image(p, (superluminal_matrix(V, eta, c) @ (p.t, p.x)).tolist())
 
 
 def velocity_addition(V1: float, V2: float, c: float = DEFAULT_C) -> float:
@@ -398,7 +399,7 @@ def compose(f: FrameMap, g: FrameMap) -> FrameMap:
     with np.errstate(over="ignore", invalid="ignore"):
         lin = f.linear_part @ g.linear_part
         tr = f.linear_part @ g.translation + f.translation
-    if not (np.isfinite(lin).all() and np.isfinite(tr).all()):
+    if not np.isfinite(np.append(lin, tr)).all():
         raise KinematicsError("composition of the two maps is not finite")
     return FrameMap.general_linear(lin, tr, f.c)
 

@@ -98,10 +98,16 @@ def parse_events_csv(text: str) -> list[SpacetimePoint]:
     return events
 
 
+def row_format(width: int) -> str:
+    """The ``%`` format of a row of ``width`` floats, comma-joined, each in
+    the 17 significant digits that parse back to its bits (nan, inf and
+    -0.0 included).  Build it once and apply it to each row's tuple."""
+    return ",".join(["%.17g"] * width)
+
+
 def format_row(*values: float) -> str:
-    """Float ``values``, comma-joined, each in the 17 significant digits
-    that parse back to its bits (nan, inf and -0.0 included)."""
-    return ",".join(["%.17g"] * len(values)) % values
+    """Float ``values`` as one row_format row."""
+    return row_format(len(values)) % values
 
 
 def format_float(x: float) -> str:

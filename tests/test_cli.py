@@ -268,7 +268,8 @@ def test_interfere_classical_flat_with_summary(tmp_path, capsys):
 @example(2.2250738585072009e-308)
 @example(1e16)
 def test_interfere_row_format_is_format_float(x):
-    # cmd_interfere prints each row with format_row, '%.17g' per value.
+    # cmd_interfere prints each row with row_format(6), '%.17g' per value,
+    # the format format_float applies to one value.
     assert "%.17g" % x == format_float(x)
 
 

@@ -64,7 +64,7 @@ def test_overflow_is_caught_only_by_finite_float_and_result_checks():
 # The one place a 17-significant-digit format is written, in code, string or
 # comment, and the one function that is cached.  A second row format, or a
 # second cache, must be added here on purpose.
-FLOAT_FORMATS = [("schemas.py", "format_row")]
+FLOAT_FORMATS = [("schemas.py", "row_format")]
 CACHES = [("interference.py", "_fixed_parts")]
 _CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
 

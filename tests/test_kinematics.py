@@ -547,6 +547,19 @@ def test_an_overflowing_product_is_reported_by_its_own_error_alone(call):
             call()
 
 
+def test_an_overflowing_translation_is_named_with_no_numpy_warning():
+    # The translation is added on Python floats, so only the map's own
+    # KinematicsError reports an image it carries past the largest float.
+    m = FrameMap.general_linear([[1, 0], [0, 1]], [1e308, 0])
+    p = SpacetimePoint(1e308, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KinematicsError) as info:
+            m.apply(p)
+    assert type(info.value) is KinematicsError
+    assert str(info.value) == f"image of {p} under the map is not finite"
+
+
 def test_compose_rejects_mismatched_c():
     f = FrameMap.boost(0.5)
     h = FrameMap.boost(0.5, c=2.0)
@@ -1068,6 +1081,53 @@ def test_each_image_is_the_matmul_as_python_floats(lin, tr, t, x, v, w, eta):
             q = image(p)
             assert type(q.t) is float and type(q.x) is float
             assert (q.t.hex(), q.x.hex()) == tuple(e.hex() for e in expected.tolist())
+
+
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), _BIG)
+
+
+@st.composite
+def _translated_maps(draw):
+    # A map of each branch, its translation often holding a signed zero.
+    tr = draw(st.one_of(st.none(), st.lists(_SIGNED, min_size=2, max_size=2)))
+    branch = draw(st.sampled_from(BranchKind))
+    if branch is BranchKind.SUBLUMINAL:
+        return FrameMap.boost(draw(st.floats(-0.99, 0.99)), translation=tr)
+    if branch is BranchKind.SUPERLUMINAL:
+        V = draw(st.floats(1.01, 100.0)) * draw(st.sampled_from([1, -1]))
+        return FrameMap.superluminal(V, draw(st.sampled_from([1, -1])),
+                                     translation=tr)
+    try:
+        return FrameMap.general_linear(
+            np.array(draw(st.lists(_ENTRY, min_size=4, max_size=4))).reshape(2, 2), tr)
+    except SingularMapError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_translated_maps(), new_tr=st.lists(_SIGNED, min_size=2, max_size=2),
+       t=_SIGNED, x=_SIGNED)
+@example(m=FrameMap.general_linear([[1, 0], [0, 1]], [-0.0, -0.0]),
+         new_tr=[0.0, -0.0], t=-0.0, x=-0.0)
+@example(m=FrameMap.boost(0.0, translation=[-0.0, 0.0]), new_tr=[0.0, 0.0],
+         t=-0.0, x=-0.0)
+def test_apply_adds_the_stored_translation_bit_for_bit(m, new_tr, t, x):
+    # apply adds the translation as a pair of Python floats stored when the
+    # map is built; every copy, and a replaced map, must add its own.
+    maps = [m, copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
+    if m.branch is BranchKind.GENERAL_LINEAR:
+        maps.append(dataclasses.replace(m, translation=new_tr))
+    p = SpacetimePoint(t, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in maps:
+            want = (k.linear_part.dot((t, x)) + k.translation).tolist()
+            if not all(map(math.isfinite, want)):
+                with pytest.raises(KinematicsError) as info:
+                    k.apply(p)
+                assert str(info.value) == f"image of {p} under the map is not finite"
+                continue
+            q = k.apply(p)
+            assert (q.t.hex(), q.x.hex()) == tuple(w.hex() for w in want)
 
 
 # Run in a child process under one OpenBLAS kernel: FrameMap.apply maps an

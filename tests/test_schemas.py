@@ -18,6 +18,7 @@ from fringelab.schemas import (
     frame_map_from_dict,
     load_json,
     parse_events_csv,
+    row_format,
 )
 
 
@@ -266,6 +267,10 @@ _EDGE_FLOATS = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf,
 def test_format_row_is_the_per_value_join(values):
     assert format_row(*values) == _per_value_join(values)
     assert format_float(values[0]) == _per_value_join(values[:1])
+    # A row format built once, as the CLI writers build it, for every width.
+    for n in range(1, 9):
+        row = tuple((values * 8)[:n])
+        assert row_format(n) % row == _per_value_join(row)
 
 
 def test_dump_json_is_canonical():
