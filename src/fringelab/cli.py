@@ -91,7 +91,7 @@ def _parse_phis(text: str) -> tuple[float, ...]:
     if not np.all(np.isfinite(grid)):
         raise argparse.ArgumentTypeError(
             f"phase grid {text!r} has points that overflow a float")
-    return tuple(float(v) for v in grid)
+    return tuple(grid.tolist())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,6 +45,7 @@ from .amplitudes import (
     ProbabilityRule,
     SQUARED_NORM,
     Sequence as SequenceNode,
+    _require_rule,
     concat,
     evaluate,
 )
@@ -197,9 +198,14 @@ def _normalized(w_d0: float, w_d1: float, w_absorbed: float) -> tuple:
 def simulate(config: ExperimentConfig,
              rule: ProbabilityRule = SQUARED_NORM) -> OutcomeDistribution:
     """Outcome distribution of one configured run."""
+    if rule is not SQUARED_NORM:
+        _require_rule(rule)
     if (config.composition is _CLASSICAL_MIXTURE
             or config.blocked_arm is not _UNBLOCKED):
-        return _simulate_classical(config)
+        T1 = config.splitter1
+        w_upper, w_lower = config.mixture_weights or (T1, 1.0 - T1)
+        return OutcomeDistribution._make(_classical_outcome(
+            w_upper, w_lower, config.splitter2, config.blocked_arm, config.phase))
     return _simulate_amplitude(config, rule)
 
 
@@ -218,13 +224,6 @@ def _classical_outcome(w_upper: float, w_lower: float, T2: float,
     return _normalized(w_upper * u0 + w_lower * v0,
                        w_upper * u1 + w_lower * v1,
                        w_upper * u2 + w_lower * v2)
-
-
-def _simulate_classical(config: ExperimentConfig) -> OutcomeDistribution:
-    T1 = config.splitter1
-    w_upper, w_lower = config.mixture_weights or (T1, 1.0 - T1)
-    return OutcomeDistribution._make(_classical_outcome(
-        w_upper, w_lower, config.splitter2, config.blocked_arm, config.phase))
 
 
 @functools.lru_cache(maxsize=64)

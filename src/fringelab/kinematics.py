@@ -254,7 +254,7 @@ class BranchKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class FrameMap:
-    """An affine map of 1+1 events: a 2x2 linear part and a 2-vector offset.
+    """An affine map of 1+1 events: a 2x2 float array plus a float pair.
 
     ``branch`` (a BranchKind or its value) records how the map was built.
     The two boost branches are built from their velocity ``V`` (and, for
@@ -269,8 +269,8 @@ class FrameMap:
     branch: BranchKind
     V: float | None = None
     eta: int | None = None
-    linear_part: np.ndarray | None = None
-    translation: np.ndarray | None = None
+    linear_part: np.ndarray | None = None  # stored read-only
+    translation: tuple[float, float] | None = None  # the pair apply adds
     c: float = DEFAULT_C
 
     def __post_init__(self):
@@ -323,9 +323,8 @@ class FrameMap:
             V, entries = _boost_entries(V, eta, light)
             lin = np.array(entries).reshape(2, 2)
         lin.setflags(write=False)
-        tr.setflags(write=False)
         self.__dict__.update(branch=branch, V=V, eta=eta, linear_part=lin,
-                             translation=tr, c=light, _shift=tr.tolist())
+                             translation=tuple(tr.tolist()), c=light)
 
     # -- constructors -------------------------------------------------------
 
@@ -354,7 +353,7 @@ class FrameMap:
 
     def apply(self, p: SpacetimePoint) -> SpacetimePoint:
         t, x = self.linear_part.dot((p.t, p.x)).tolist()
-        dt, dx = self._shift  # the translation as Python floats
+        dt, dx = self.translation
         return _image(p, (t + dt, x + dx))
 
     __call__ = apply

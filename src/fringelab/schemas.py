@@ -101,18 +101,13 @@ def parse_events_csv(text: str) -> list[SpacetimePoint]:
 def row_format(width: int) -> str:
     """The ``%`` format of a row of ``width`` floats, comma-joined, each in
     the 17 significant digits that parse back to its bits (nan, inf and
-    -0.0 included).  Build it once and apply it to each row's tuple."""
+    -0.0 included).  Both CSV writers build ``row_format(6)`` once."""
     return ",".join(["%.17g"] * width)
 
 
-def format_row(*values: float) -> str:
-    """Float ``values`` as one row_format row."""
-    return row_format(len(values)) % values
-
-
 def format_float(x: float) -> str:
-    """17-significant-digit decimal form; parses back to the same bits."""
-    return format_row(float(x))
+    """``row_format(1) % float(x)``: 17 digits that parse back to its bits."""
+    return row_format(1) % float(x)
 
 
 def dump_json(doc) -> str:

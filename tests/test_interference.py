@@ -27,7 +27,6 @@ from fringelab.interference import (
     OutcomeDistribution,
     _at_phase,
     _classical_outcome,
-    _simulate_classical,
     check_O1_robustness,
     no_go_search,
     phase_sweep,
@@ -341,6 +340,15 @@ _RULE_ENTRY_POINTS = {
         {"a": UNIT, "b": Amplitude(0.0, 2.0)}, rule),
     "simulate": lambda rule: simulate(ExperimentConfig(), rule),
     "phase_sweep": lambda rule: phase_sweep(ExperimentConfig(), [0.0, 1.0], rule),
+    # The classical path weighs no amplitude, yet it takes a rule too.
+    "simulate-blocked-upper": lambda rule: simulate(
+        ExperimentConfig(blocked_arm="upper"), rule),
+    "simulate-blocked-lower": lambda rule: simulate(
+        ExperimentConfig(blocked_arm="lower"), rule),
+    "simulate-classical-mixture": lambda rule: simulate(
+        ExperimentConfig(composition="classical_mixture"), rule),
+    "phase_sweep-classical-mixture": lambda rule: phase_sweep(
+        ExperimentConfig(composition="classical_mixture"), [0.0, 1.0], rule),
     "check_global_phase_invariance": lambda rule: check_global_phase_invariance(
         rule, 5, np.random.default_rng(0)),
 }
@@ -368,6 +376,9 @@ def test_custom_probability_rule_is_used_by_simulate():
         simulate(config, negative)
     with pytest.raises(AmplitudeError):
         phase_sweep(config, [0.0, 1.0], negative)
+    # The classical path weighs no amplitude, so a rule it accepts goes unused.
+    blocked = ExperimentConfig(blocked_arm="upper")
+    assert simulate(blocked, negative) == simulate(blocked)
 
 
 def test_phase_sweep_shape_and_empty_guard():
@@ -506,7 +517,7 @@ def test_at_phase_equals_replace_field_for_field(config, p):
 
 
 def _reference_classical(config):
-    # The classical kernel _simulate_classical replaced: a generator over
+    # The classical path before its tuple kernel: a generator over
     # the zipped per-path splits, normalized into the frozen dataclass
     # through its own constructor.
     T1, T2 = config.splitter1, config.splitter2
@@ -538,11 +549,9 @@ def _reference_classical(config):
 def test_classical_kernel_matches_the_generator_formula_bit_for_bit(config, p, q):
     config = _at_phase(config, p)
     expected = _reference_classical(config)
-    routes = [_simulate_classical(config)]
     if (config.composition is Composition.CLASSICAL_MIXTURE
             or config.blocked_arm is not BlockedArm.NONE):
-        routes.append(simulate(config))
-    for got in routes:
+        got = simulate(config)
         assert type(got) is OutcomeDistribution
         assert got == expected
         # repr tells -0.0 from 0.0, which == does not.

@@ -1130,6 +1130,33 @@ def test_apply_adds_the_stored_translation_bit_for_bit(m, new_tr, t, x):
             assert (q.t.hex(), q.x.hex()) == tuple(w.hex() for w in want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(branch=st.sampled_from(BranchKind),
+       tr=st.one_of(st.none(), st.lists(_SIGNED, min_size=2, max_size=2)),
+       new_tr=st.lists(_SIGNED, min_size=2, max_size=2))
+@example(branch=BranchKind.SUPERLUMINAL, tr=[-0.0, 0.0], new_tr=[0.0, -0.0])
+def test_a_map_holds_its_fields_once_and_its_translation_as_a_float_pair(
+        branch, tr, new_tr):
+    # One stored form per field: a map's attributes are its dataclass
+    # fields, so no second copy of the translation can fall out of step with
+    # the pair apply adds.  Copies and a replaced map hold the same forms.
+    m = {BranchKind.SUBLUMINAL: lambda: FrameMap.boost(0.6, translation=tr),
+         BranchKind.SUPERLUMINAL: lambda: FrameMap.superluminal(2.5, -1, translation=tr),
+         BranchKind.GENERAL_LINEAR: lambda: FrameMap.general_linear(
+             [[2.0, 1.0], [1.0, 3.0]], tr)}[branch]()
+    given_tr = [0.0, 0.0] if tr is None else tr
+    maps = [(m, given_tr), (copy.copy(m), given_tr), (copy.deepcopy(m), given_tr),
+            (pickle.loads(pickle.dumps(m)), given_tr)]
+    if branch is BranchKind.GENERAL_LINEAR:
+        maps.append((dataclasses.replace(m, translation=new_tr), new_tr))
+    fields = {f.name for f in dataclasses.fields(FrameMap)}
+    for k, want in maps:
+        assert set(vars(k)) == fields
+        assert type(k.translation) is tuple
+        assert [type(v) for v in k.translation] == [float, float]
+        assert [v.hex() for v in k.translation] == [float(v).hex() for v in want]
+
+
 # Run in a child process under one OpenBLAS kernel: FrameMap.apply maps an
 # event with ndarray.dot, and every image must be the matmul's to the bit,
 # before and after the translation, on random maps and on signed-zero,
