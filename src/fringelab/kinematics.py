@@ -71,9 +71,10 @@ def _finite_array(value) -> np.ndarray | None:
 
 
 def _unit_scaled(a: np.ndarray, axis: int | None = None):
-    # a / 2**e, with 2**e the power of two of its largest entry (of each row's
-    # for axis=1; a zero row stays as it is), so every |entry| is < 1.  Exact
-    # but for an entry that lands below the normal range and is rounded.
+    # a / 2**e, with 2**e the power of two of its largest entry (of each
+    # column's for axis=0, of each row's for axis=1; a zero line stays as it
+    # is), so every |entry| is < 1.  Exact but for an entry that lands below
+    # the normal range and is rounded.
     _, e = np.frexp(np.abs(a).max(axis, keepdims=axis is not None))
     return np.ldexp(a, -e), e
 
@@ -468,21 +469,17 @@ def preserves_null_lines(m: FrameMap) -> bool:
     """Cross-check that the linear part maps both null rays to null rays.
 
     Independent of classify_cone_preserver: the 1+1 cone is the rays (1, c)
-    and (1, -c), so each is mapped once and its image tested against the
-    null band at the sampled tolerance.  The linear part, then each image,
-    is divided by the power of two of its largest entry first, so no image
-    overflows and no square over- or underflows.
+    and (1, -c), the columns of ((1, 1), (c, -c)), so one product maps both,
+    and each image (c t, x) is tested against the null band at the sampled
+    tolerance.  The linear part, then each image, is divided by the power of
+    two of its largest entry first, so no image overflows and no square
+    over- or underflows.
     """
-    c = m.c
     lin, _ = _unit_scaled(m.linear_part)
-    for u in (1.0, -1.0):
-        t, x = (lin @ np.array((1.0, c * u))).tolist()
-        ct = c * t
-        _, e = math.frexp(max(abs(ct), abs(x)))
-        ct, x = math.ldexp(ct, -e), math.ldexp(x, -e)
-        if abs(x * x - ct * ct) > REL_TOL_SAMPLED * (x * x + ct * ct):
-            return False
-    return True
+    img = lin @ ((1.0, 1.0), (m.c, -m.c))
+    img[0] *= m.c
+    ct, x = _unit_scaled(img, 0)[0]
+    return not (abs(x * x - ct * ct) > REL_TOL_SAMPLED * (x * x + ct * ct)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +561,13 @@ def polyline_is_simple(points: np.ndarray) -> bool:
     """True iff the open polyline through ``points`` is injective.
 
     ``points`` is an (n, 2) array of 1+1 ``(t, x)`` finite numbers; any
-    other shape or entry raises KinematicsError.  The points are divided
-    first, exactly, by the power of two of their largest entry, so the
-    verdict is free of scale.  Checks, at REL_TOL_SAMPLED relative to the
-    bounding-box diagonal: no repeated vertices, no collinear backtracking
-    between consecutive segments, and no contact between non-adjacent
+    other shape or entry raises KinematicsError.  The points are divided by
+    the power of two of their largest entry, moved so the first is the
+    origin and divided again, so they are in units of their extent: nothing
+    over- or underflows, and the verdict is free of scale.  Checks, at
+    REL_TOL_SAMPLED relative to the bounding-box diagonal: no repeated
+    vertices, no turn that reverses direction with its sine (from the turn's
+    2x2 determinant) within tolerance, and no contact between non-adjacent
     segments, the last two in one numpy pass each.  Contact is the distance
     of Ericson's clamped closest points (Real-Time Collision Detection 5.1.9).
     """
@@ -580,6 +579,7 @@ def polyline_is_simple(points: np.ndarray) -> bool:
     if n < 2:
         return True
     pts, _ = _unit_scaled(pts)
+    pts, _ = _unit_scaled(pts - pts[0])
     rows = pts.tolist()
     dt, dx = (max(v) - min(v) for v in pts.T.tolist())
     tol = REL_TOL_SAMPLED * math.sqrt(dt * dt + dx * dx)
@@ -591,11 +591,10 @@ def polyline_is_simple(points: np.ndarray) -> bool:
         d = pts[1:] - pts[:-1]
         sq = _rowdot(d, d)
         # Collinear turn that reverses direction retraces the previous segment.
-        uu, vv = sq[:-1], sq[1:]
-        uv = _rowdot(d[:-1], d[1:])
-        area_sq = np.fmax(uu * vv - uv * uv, 0.0)
-        if ((area_sq <= (REL_TOL_SAMPLED * REL_TOL_SAMPLED) * uu * vv)
-                & (uv < 0.0)).any():
+        u, v = d[:-1], d[1:]
+        det = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        if ((det * det <= (REL_TOL_SAMPLED * REL_TOL_SAMPLED) * sq[:-1] * sq[1:])
+                & (_rowdot(u, v) < 0.0)).any():
             return False
         # Segments i and j >= i + 2 are P_i + s d_i and P_j + t d_j, s, t in [0, 1].
         # np.triu_indices(n - 1, 2)'s pairs, in its order, from one np.nonzero.

@@ -192,6 +192,22 @@ def test_only_enum_member_names_a_value_outside_an_enum():
     assert found == [("constants.py", "enum_member")]
 
 
+def _calls_frexp(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        node.func.id if isinstance(node.func, ast.Name) else
+        node.func.attr if isinstance(node.func, ast.Attribute) else None) == "frexp"
+
+
+def test_frexp_is_called_only_by_the_unit_scaling_and_its_undoing():
+    # _unit_scaled is the one rescaler by a power of two; the other frexp
+    # un-scales classify_cone_preserver's multiplier lambda.  A second copy
+    # of the rescale must be added here on purpose.
+    found = sorted(site for path in sorted(SRC.glob("*.py"))
+                   for site in _sites(path, _calls_frexp))
+    assert found == [("kinematics.py", "_unit_scaled"),
+                     ("kinematics.py", "classify_cone_preserver")]
+
+
 @pytest.mark.parametrize("value, expected", [
     (0, 0.0), (-2, -2.0), (1.5, 1.5), (Fraction(1, 4), 0.25),
     (np.float32(0.5), 0.5), (10 ** 300, 1e300),

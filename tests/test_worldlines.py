@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fringelab.kinematics as kinematics
@@ -88,6 +88,61 @@ def test_backtracking_along_the_same_line_is_rejected():
     verts = _pts((0.0, 0.0), (2.0, 2.0), (1.0, 1.0))
     with pytest.raises(KinematicsError):
         Worldline(verts)
+
+
+def test_a_fold_back_at_the_last_turn_is_rejected():
+    # No non-adjacent segment touches the retraced part, so only the turn
+    # test sees it.  uu*vv - uv*uv rounds by about 2**-52 uu*vv, far above
+    # the 1e-18 uu*vv band; the 2x2 determinant does not cancel that way.
+    with pytest.raises(KinematicsError, match="not simple"):
+        Worldline(_pts((0.0, 0.0), (1.3, 0.0), (1.2, 0.0)))
+    assert not polyline_is_simple(np.array([[0.0, 0.0], [0.0, 1.3], [0.0, 1.2]]))
+
+
+@pytest.mark.parametrize("t", [0.5, 0.0])
+def test_a_fold_back_of_tiny_extent_is_rejected(t):
+    # At t = 0.5 the extent is 3e-200 of the largest coordinate, so in units
+    # of the largest coordinate the squared lengths underflow to zero.
+    assert not polyline_is_simple(np.array([[t, 0.0], [t, 3e-200], [t, 1e-200]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(0.0, 2.0 * math.pi), st.floats(1e-3, 1e3), st.floats(1e-3, 0.999),
+       st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), max_size=3),
+       st.integers(-1000, 1000))
+def test_a_fold_back_along_the_same_line_is_never_simple(angle, a, r, lead_in, k):
+    # [0, a u, (a - b) u] with b = r a runs back along its last segment,
+    # alone or after a lead-in (in units of a), at any exact power-of-two
+    # scale.
+    u = np.array([math.cos(angle), math.sin(angle)])
+    points = np.vstack([a * np.array(lead_in).reshape(-1, 2), np.zeros(2),
+                        a * u, (a - r * a) * u])
+    scaled = np.ldexp(points, k)
+    assume(np.isfinite(scaled).all())
+    assume(np.array_equal(np.ldexp(scaled, -k), points))
+    assert not polyline_is_simple(points)
+    assert not polyline_is_simple(scaled)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([0.0, 0.5, 0.75, 1.0, 3.0]), st.integers(0, 1),
+       st.integers(-290, -140),
+       st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-12.0, 1.0)),
+                min_size=1, max_size=8))
+def test_a_tiny_axis_walk_is_simple_iff_it_is_monotone(level, axis, s, steps):
+    # A walk along one axis, at a fixed other coordinate up to about 1e300
+    # times its extent, is simple iff it is strictly monotone with every
+    # step above the tolerance.  Steps are normal floats, so the unit-scaling is
+    # exact; steps within a factor of 2 of the tolerance are left out.
+    walk = np.cumsum([0.0] + [sign * 10.0 ** (s + p) for sign, p in steps])
+    gaps = np.diff(walk)
+    tol = REL_TOL_SAMPLED * (walk.max() - walk.min())
+    monotone = (gaps > 0.0).all() or (gaps < 0.0).all()
+    assume(not (monotone and ((0.5 * tol < abs(gaps)) & (abs(gaps) < 2.0 * tol)).any()))
+    points = np.column_stack([walk, np.full_like(walk, level)])
+    if axis:
+        points = points[:, ::-1]
+    assert polyline_is_simple(points) == (monotone and (abs(gaps) > tol).all())
 
 
 def test_polyline_is_simple_direct_calls():
@@ -290,9 +345,13 @@ def _reference_is_simple(points) -> bool:
     n = len(pts)
     if n < 2:
         return True
-    # Divided by the power of two of the largest entry, which is exact.
+    # In units of the extent: divided by the power of two of the largest
+    # entry, moved so the first point is the origin, and divided again.
     _, k = math.frexp(float(np.max(np.abs(pts))))
-    pts = [tuple(row) for row in np.ldexp(pts, -k).tolist()]
+    rows = [[math.ldexp(v, -k) for v in row] for row in pts.tolist()]
+    rows = [[v - o for v, o in zip(row, rows[0])] for row in rows]
+    _, k = math.frexp(max(abs(v) for row in rows for v in row))
+    pts = [tuple(math.ldexp(v, -k) for v in row) for row in rows]
     dt, dx = (max(p[k] for p in pts) - min(p[k] for p in pts) for k in (0, 1))
     diag = math.sqrt(dt * dt + dx * dx)
     tol = REL_TOL_SAMPLED * diag
@@ -306,8 +365,8 @@ def _reference_is_simple(points) -> bool:
         uu = sum(a * a for a in u)
         vv = sum(a * a for a in v)
         uv = sum(a * b for a, b in zip(u, v))
-        area_sq = max(0.0, uu * vv - uv * uv)
-        if area_sq <= (REL_TOL_SAMPLED * REL_TOL_SAMPLED) * uu * vv and uv < 0.0:
+        det = u[0] * v[1] - u[1] * v[0]  # the turn's sine times |u| |v|
+        if det * det <= (REL_TOL_SAMPLED * REL_TOL_SAMPLED) * uu * vv and uv < 0.0:
             return False
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
@@ -362,6 +421,9 @@ def lattice_polylines(draw):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(random_walks(), time_ordered_walks(), self_crossing_walks(),
                  lattice_polylines()))
+# A last-turn fold-back that uu*vv - uv*uv, rounding, calls simple.
+@example(np.array([[-1e-165, 0.0], [-2e-165, 0.0], [-3e-165, 0.0],
+                   [-2.9e-165, 0.0]]))
 def test_polyline_is_simple_matches_the_scalar_loops(points):
     assert polyline_is_simple(points) == _reference_is_simple(points)
 
