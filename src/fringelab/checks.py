@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .amplitudes import (
     Amplitude,
     Branch,
@@ -48,6 +46,7 @@ from .constants import (
     REL_TOL_SAMPLED,
     is_count,
     is_seed,
+    np,
 )
 from .interference import (
     BlockedArm,

@@ -24,14 +24,12 @@ import io
 import math
 import sys
 
-import numpy as np
-
 from .checks import (
     CheckContext,
     NoMatchingChecksError,
     run_checks,
 )
-from .constants import DEFAULT_RESOLUTION, DEFAULT_SEED, DEFAULT_TRIALS
+from .constants import DEFAULT_RESOLUTION, DEFAULT_SEED, DEFAULT_TRIALS, np
 from .interference import (
     ConfigError,
     ExperimentConfig,
@@ -82,16 +80,26 @@ def _parse_phis(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("phase grid needs at least one step")
     if steps == 1:
         return (start,)
+    too_large = f"phase grid {text!r} is too large to build"
+    if steps > sys.maxsize:  # longer than any list
+        raise argparse.ArgumentTypeError(too_large)
     try:
-        with np.errstate(all="ignore"):
-            grid = np.linspace(start, stop, steps)
+        grid = [start] * steps  # memory runs out here, before any point
     except MemoryError:
-        raise argparse.ArgumentTypeError(
-            f"phase grid {text!r} is too large to build")
-    if not np.all(np.isfinite(grid)):
+        raise argparse.ArgumentTypeError(too_large)
+    # np.linspace's points, bit for bit, then stop as the last one.
+    div, delta = steps - 1, stop - start
+    if step := delta / div:
+        for k in range(div):
+            grid[k] = k * step + start
+    else:  # numpy's branch for a step that underflows to zero
+        for k in range(div):
+            grid[k] = k / div * delta + start
+    grid[div] = stop
+    if not all(map(math.isfinite, grid)):
         raise argparse.ArgumentTypeError(
             f"phase grid {text!r} has points that overflow a float")
-    return tuple(grid.tolist())
+    return tuple(grid)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,8 +20,14 @@ computed in float64, and raises its own named error for a non-number, nan,
 ±inf or an int too large for a float.  is_count is the matching test for
 an integer count (trials, grid sizes): an int or numpy integer, not a bool.
 is_seed adds the one range of a seed, [0, 2**64).  enum_member reads an enum.
+
+np is the one binding of numpy: kinematics, checks and cli take it from here.
+numpy is imported at the first attribute read, so a command that computes on
+plain floats (interfere, nogo) never loads it.  import_module holds numpy's
+import lock, so two threads that read first both get the loaded module.
 """
 
+import importlib
 import math
 import numbers
 
@@ -47,6 +53,18 @@ DEFAULT_TRIALS = 1000
 
 # Default path-weight grid resolution of the classical no-go search.
 DEFAULT_RESOLUTION = 101
+
+
+class _Numpy:
+    """numpy, imported at the first attribute read; each read is kept."""
+
+    def __getattr__(self, name):
+        value = getattr(importlib.import_module("numpy"), name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 
 def is_real(value) -> bool:

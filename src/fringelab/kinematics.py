@@ -32,8 +32,6 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .constants import (
     DEFAULT_C,
     REL_TOL_ALGEBRA,
@@ -43,6 +41,7 @@ from .constants import (
     finite_float,
     is_count,
     is_real,
+    np,
 )
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import amplitude_oracle as oracle
 import fringelab.amplitudes as amplitudes
 import fringelab.interference as interference
-from fringelab.cli import build_parser, main
+from fringelab.cli import _parse_phis, build_parser, main
 from fringelab.interference import BlockedArm, Composition, DetectorModel
 from fringelab.kinematics import BranchKind, event_interval
 from fringelab.schemas import (
@@ -477,14 +477,64 @@ def test_overflowing_phase_grid_is_a_usage_error(command, capsys):
 
 @pytest.mark.parametrize("command", ["interfere", "nogo"])
 def test_phase_grid_too_large_to_build_is_a_usage_error(command, capsys):
-    # 10**15 float64 points are 7.1 PiB, which numpy refuses before it
-    # allocates anything; exit 1 is kept for a failed check or contrast.
+    # A list of 10**15 points needs 7.1 PiB, which the allocator refuses
+    # before any point is computed; exit 1 is kept for a failed check or
+    # contrast.
     grid = f"0:1:{10 ** 15}"
     with pytest.raises(SystemExit) as exc:
         main([command, "--phis", grid])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         f"error: argument --phis: phase grid {grid!r} is too large to build\n")
+
+
+@pytest.mark.parametrize("command", ["interfere", "nogo"])
+@pytest.mark.parametrize("steps", [2 ** 63, 10 ** 20])
+def test_a_grid_longer_than_any_list_is_too_large_to_build(command, steps,
+                                                           capsys):
+    # Past sys.maxsize a list repeat raises OverflowError, which argparse
+    # does not turn into a usage error.
+    grid = f"0:1:{steps}"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--phis", grid])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --phis: phase grid {grid!r} is too large to build\n")
+
+
+def _linspace_hex(start, stop, steps):
+    # One step is start alone; more are np.linspace's points.
+    if steps == 1:
+        return [start.hex()]
+    with np.errstate(all="ignore"):
+        return [float(v).hex() for v in np.linspace(start, stop, steps)]
+
+
+_grid_ends = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(start=_grid_ends, stop=_grid_ends, steps=st.integers(1, 300))
+@example(start=0.0, stop=5e-324, steps=7)  # numpy's zero-step branch
+@example(start=-1.5, stop=-1.5, steps=4)
+@example(start=-0.0, stop=-0.0, steps=3)
+@example(start=3.0, stop=-2.0, steps=9)
+@example(start=-0.0, stop=1.0, steps=1)
+@example(start=-0.0, stop=1.0, steps=2)
+@example(start=-1e308, stop=1e308, steps=3)  # the span overflows
+@example(start=1.7976931348623157e308, stop=-1e308, steps=2)
+@settings(max_examples=300, deadline=None)
+def test_phase_grid_is_np_linspace_bit_for_bit(start, stop, steps):
+    text = f"{start!r}:{stop!r}:{steps}"
+    want = _linspace_hex(start, stop, steps)
+    if all(math.isfinite(float.fromhex(v)) for v in want):
+        assert [v.hex() for v in _parse_phis(text)] == want
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["interfere", f"--phis={text}"])
+    assert exc.value.code == 2
+    assert err.getvalue().endswith(
+        f"phase grid {text!r} has points that overflow a float\n")
 
 
 @pytest.mark.parametrize("flag", ["--tol-sampled", "--tol-algebra"])
@@ -688,6 +738,41 @@ def test_check_writes_utf8_on_any_locale(encoding):
     assert want.returncode == 0 and "\u2218".encode() in want.stdout
     assert got.returncode == 0, got.stderr.decode(errors="replace")
     assert got.stdout == want.stdout
+
+
+def _loads_numpy(code):
+    """Whether a fresh interpreter has imported numpy after running ``code``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\n{code}\nprint('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def _command_loads_numpy(*argv):
+    return _loads_numpy(
+        f"from fringelab.cli import main\nassert main({list(argv)!r}) == 0")
+
+
+def test_only_the_commands_with_arrays_load_numpy(tmp_path):
+    # interfere and nogo compute on floats; numpy is imported on first use,
+    # by transform and check.
+    config = write(tmp_path / "config.json", dump_json(
+        {"schema": 1, "splitter1": 0.3, "phase": 0.5}))
+    events = write(tmp_path / "events.csv", EVENTS)
+    frame = write(tmp_path / "map.json", SUBLUMINAL_MAP)
+    assert not _command_loads_numpy("interfere")
+    assert not _command_loads_numpy("interfere", "--config", config,
+                                    "--phis", "0:3:7")
+    assert not _command_loads_numpy("nogo", "--resolution", "11")
+    assert not _loads_numpy("from fringelab import ExperimentConfig, simulate\n"
+                            "simulate(ExperimentConfig())")
+    assert _command_loads_numpy("transform", "--events", events,
+                                "--config", frame)
+    assert _command_loads_numpy("check", "--suite", "seed")
 
 
 def _exit_status(argv):

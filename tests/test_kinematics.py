@@ -1292,6 +1292,45 @@ def test_branch_stores_what_the_old_lookup_stored(value):
         assert type(new) is str and new == old
 
 
+_FIRST_USE_FROM_TWO_THREADS = """
+import sys
+import threading
+from fringelab.kinematics import classify_cone_preserver, polyline_is_simple
+assert "numpy" not in sys.modules
+calls = [(classify_cone_preserver, [[2.0, 1.0], [1.0, 2.0]]),
+         (polyline_is_simple, [[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])]
+barrier = threading.Barrier(len(calls))
+verdicts = [None] * len(calls)
+
+def first_use(k):
+    fn, arg = calls[k]
+    barrier.wait()
+    verdicts[k] = fn(arg)
+
+threads = [threading.Thread(target=first_use, args=(k,)) for k in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(verdicts)
+print([fn(arg) for fn, arg in calls])
+"""
+
+
+def test_first_numpy_use_from_two_threads_gives_the_one_thread_verdicts():
+    # numpy is imported at the first array operation; two threads that
+    # both start there must each see the loaded module.
+    src = str(Path(kinematics.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _FIRST_USE_FROM_TWO_THREADS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    threaded, single = run.stdout.splitlines()
+    assert threaded == single
+    assert "CONFORMAL_LORENTZ" in single and single.endswith("False]")
+
+
 def test_kinematics_stays_under_4096_parser_tokens():
     # Perfbench compiles src/ from source in every worker, and compile()'s
     # peak memory steps up past 4096 parser tokens, by more than the

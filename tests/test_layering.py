@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fringelab"
 
-# Module -> (in-package modules it imports, whether it imports numpy).
+# Module -> (in-package modules it imports, whether it uses numpy).
 # checks, cli and __init__ join the layers and are not restricted.
 LAYERS = {
     "constants": (set(), False),
@@ -32,6 +35,9 @@ def _imports(module: str) -> tuple[set[str], bool]:
             if node.level:  # from .x import y, or from . import x
                 package.update([node.module] if node.module
                                else [alias.name for alias in node.names])
+                # constants binds numpy, imported on first use, as np
+                numpy |= node.module == "constants" and any(
+                    alias.name == "np" for alias in node.names)
                 continue
             names = [node.module]
         else:
@@ -50,6 +56,30 @@ def test_every_module_has_a_layer_rule():
 
 def test_each_layer_imports_only_what_lies_below_it():
     assert {m: _imports(m) for m in LAYERS} == LAYERS
+
+
+_TRACE_AFTER_THE_CLI = """
+import sys
+import fringelab.cli
+sys.path.insert(0, sys.argv[1])
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+tracer.uninstall()
+"""
+
+
+def test_perfbench_tracer_installs_after_importing_only_the_cli():
+    # Tracer.install looks each traced module up in sys.modules and imports
+    # none, so `import fringelab.cli` must load every one of them.
+    perfbench = SRC.parent.parent / "perfbench"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", _TRACE_AFTER_THE_CLI, str(perfbench)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def _annotated(module) -> list:
