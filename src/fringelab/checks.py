@@ -50,7 +50,9 @@ from .constants import (
 )
 from .interference import (
     BlockedArm,
+    Composition,
     ConfigError,
+    DetectorModel,
     ExperimentConfig,
     OutcomeDistribution,
     check_O1_robustness,
@@ -349,6 +351,7 @@ def _check_no_branching(ctx: CheckContext, rng) -> tuple[bool, str]:
 
 
 def _check_past_segment(ctx: CheckContext, rng) -> tuple[bool, str]:
+    flip = FrameMap.superluminal(2.0, 1)
     for _ in range(max(10, ctx.trials // 10)):
         w = random_simple_worldline(rng)
         idx = int(rng.integers(0, len(w)))
@@ -357,6 +360,15 @@ def _check_past_segment(ctx: CheckContext, rng) -> tuple[bool, str]:
         # strictly before the event's label.
         if past.vertices != w.vertices[:idx] or past.taus != w.taus[:idx]:
             return False, "past segment is not the strict prefix before the event"
+        # Every chord of a drawn worldline is timelike, so the prefix is also
+        # the causal past along it; the formal branch negates every interval,
+        # so along the image no other vertex is in the causal past.
+        e, others = w.vertices[idx], w.vertices[:idx] + w.vertices[idx + 1:]
+        if tuple(v for v in others if in_causal_past(e, v)) != past.vertices:
+            return False, "the causal past along a worldline is not its proper-time prefix"
+        image = flip.apply(e)
+        if any(in_causal_past(image, flip.apply(v)) for v in others):
+            return False, "a vertex keeps a causal past along its superluminal image"
     return True, "past worldline segments are strict proper-time prefixes"
 
 
@@ -525,6 +537,25 @@ def _check_detector_robustness(ctx: CheckContext, rng) -> tuple[bool, str]:
 
 def _check_classical_no_go(ctx: CheckContext, rng) -> tuple[bool, str]:
     report = no_go_search(uniform_phase_grid(32), ctx.resolution)
+    # Read backwards: where nothing recombines, under a recording detector
+    # or with the second splitter at 0 or 1, the bench is the mixture with
+    # weights (T1, 1 - T1).  The two sides round differently, so not ==.
+    # A failed search keeps its own line, so the draws follow only a pass.
+    for _ in range(max(10, ctx.trials // 10) if report.passed else 0):
+        T1, T2 = (float(t) for t in rng.uniform(0.0, 1.0, 2))
+        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        recording = [(m.value, T2, m)
+                     for m in (DetectorModel.NON_DEMOLISHING_RECORDING,
+                               DetectorModel.ABSORB_AND_REEMIT_RECORDING)]
+        open_loops = [(f"T2={t2:g}", t2, DetectorModel.NONE) for t2 in (0.0, 1.0)]
+        for label, t2, model in recording + open_loops:
+            bench = simulate(ExperimentConfig(T1, t2, phi, detector_model=model))
+            mixture = simulate(ExperimentConfig(
+                T1, t2, phi, composition=Composition.CLASSICAL_MIXTURE))
+            gap = max(abs(a - b) for a, b in zip(bench[:3], mixture[:3]))
+            if gap > REL_TOL_ALGEBRA:
+                return False, (f"without recombination ({label}) the bench is "
+                               f"{format_float(gap)} from the classical mixture")
     return report.passed, (
         f"max classical variation {format_float(report.max_classical_variation)} "
         f"across {report.classical_config_count} configurations; amplitude "

@@ -362,9 +362,11 @@ def no_go_search(phis: Sequence[float],
     resolution, crossed with every blocking and detector-model variant, all
     in classical composition; records the worst phase variation of each
     outcome probability.  Each enumerated config is validated once, when it
-    is built, and the phase grid once, on entry.  Every (config, phase)
-    pair still goes through the classical kernel, which gets the phase as
-    its own argument, so a kernel that read the phase would show here.  The
+    is built, and the phase grid once, on entry.  Every distinct kernel
+    input is evaluated at every phase, which the kernel gets as its own
+    argument, so a kernel that read the phase would show here.  The
+    detector-model variants of one (weights, blocking) pair share a row,
+    because the classical kernel is not handed the model.  The
     companion number is the amplitude-mode fringe visibility on the same
     phases, which should be maximal when the grid spans a full period.
     """
@@ -378,6 +380,7 @@ def no_go_search(phis: Sequence[float],
     steps = weight_grid_resolution - 1
     var_d0 = var_d1 = var_abs = 0.0
     count = 0
+    last_key = None
     for k in range(weight_grid_resolution):
         w = k / steps
         weights = (w, 1.0 - w)
@@ -389,10 +392,15 @@ def no_go_search(phis: Sequence[float],
                     blocked_arm=blocked,
                     detector_model=model)
                 count += 1
-                w_upper, w_lower = config.mixture_weights
-                T2, blocked_arm = config.splitter2, config.blocked_arm
-                row = [_classical_outcome(w_upper, w_lower, T2, blocked_arm, p)
-                       for p in phis]
+                # The kernel's own arguments, bar the phase.  The detector
+                # model is not one of them, so the model variants, innermost,
+                # repeat the row just reduced and leave every maximum as is.
+                key = (*config.mixture_weights, config.splitter2,
+                       config.blocked_arm)
+                if key == last_key:
+                    continue
+                last_key = key
+                row = [_classical_outcome(*key, p) for p in phis]
                 # A row of equal tuples varies by 0.0 in every column, which
                 # leaves each running maximum as it is.
                 if row.count(row[0]) == len(row):

@@ -445,7 +445,8 @@ def test_fail_details_name_what_broke(monkeypatch, check_id, passed, failed):
 
 # FAIL detail table: each row reaches one ``return False, <detail>`` site of
 # ``checks`` that no row above reaches.  A row is the check id, the name
-# patched in ``checks``, its mutant, and the exact detail the check reports.
+# patched in ``checks`` (or ``module.name`` for a name in another fringelab
+# module), its mutant, and the exact detail the check reports.
 
 def _inexact_velocity_addition(V1, V2, c=1.0):
     # Exact except at the 0.8 anchor, where it is one ulp high.
@@ -499,6 +500,42 @@ def _a_boost(rng):
     return FrameMap.boost(0.5)
 
 
+def _upper_ports_swapped_classical(w_upper, w_lower, T2, blocked, phase):
+    # The upper arm sent to D0 by transmission: (R2, T2, 0) -> (T2, R2, 0).
+    R2 = 1.0 - T2
+    u0, u1, u2 = (0.0, 0.0, 1.0) if blocked is BlockedArm.UPPER else (T2, R2, 0.0)
+    v0, v1, v2 = (0.0, 0.0, 1.0) if blocked is BlockedArm.LOWER else (T2, R2, 0.0)
+    return interference._normalized(w_upper * u0 + w_lower * v0,
+                                    w_upper * u1 + w_lower * v1,
+                                    w_upper * u2 + w_lower * v2)
+
+
+def _half_weights_classical(w_upper, w_lower, T2, blocked, phase):
+    # The mixture weights forced to (1/2, 1/2).
+    return _classical(0.5, 0.5, T2, blocked, phase)
+
+
+def _never_in_causal_past(e, candidate, c=1.0):
+    return False
+
+
+def _future_cone(e, candidate, c=1.0):
+    # The causal future in place of the past.
+    return (kinematics.classify_interval(e, candidate, c)
+            is not kinematics.IntervalKind.SPACELIKE and candidate.t >= e.t)
+
+
+def _spacelike_set(e, candidate, c=1.0):
+    return (kinematics.classify_interval(e, candidate, c)
+            is kinematics.IntervalKind.SPACELIKE)
+
+
+def _time_order_past(e, candidate, c=1.0):
+    # Coordinate-time order alone, blind to the interval: right along a
+    # timelike worldline, wrong along its superluminal image.
+    return candidate.t <= e.t
+
+
 FAIL_DETAIL_MUTATIONS = [
     ("velocity-addition-consistency", "velocity_addition",
      _inexact_velocity_addition,
@@ -529,22 +566,46 @@ FAIL_DETAIL_MUTATIONS = [
      "fringe moved faster than its slope bound"),
     ("seed-repeatability", "phase_sweep", _rotating_sweep,
      "re-running a sweep changed its numbers"),
+    ("classical-no-go", "interference._classical_outcome",
+     _upper_ports_swapped_classical,
+     "without recombination (non_demolishing_recording) the bench is "
+     "0.47233739113648587 from the classical mixture"),
+    ("classical-no-go", "interference._classical_outcome",
+     _half_weights_classical,
+     "without recombination (non_demolishing_recording) the bench is "
+     "0.20112967759330447 from the classical mixture"),
+    ("past-segment-prefix", "in_causal_past", _never_in_causal_past,
+     "the causal past along a worldline is not its proper-time prefix"),
+    ("past-segment-prefix", "in_causal_past", _future_cone,
+     "the causal past along a worldline is not its proper-time prefix"),
+    ("past-segment-prefix", "in_causal_past", _spacelike_set,
+     "the causal past along a worldline is not its proper-time prefix"),
+    ("past-segment-prefix", "in_causal_past", _time_order_past,
+     "a vertex keeps a causal past along its superluminal image"),
 ]
+
+
+def _fail_detail_id(check_id, target, mutant):
+    # A (check, target) pair with more than one row adds the mutant's name.
+    pairs = [row[:2] for row in FAIL_DETAIL_MUTATIONS]
+    shared = pairs.count((check_id, target)) > 1
+    return f"{check_id}/{target}" + (f"/{mutant.__name__}" if shared else "")
 
 
 @pytest.mark.parametrize("check_id, target, mutant, detail",
                          FAIL_DETAIL_MUTATIONS,
-                         ids=[f"{row[0]}/{row[1]}" for row in FAIL_DETAIL_MUTATIONS])
+                         ids=[_fail_detail_id(*row[:3])
+                              for row in FAIL_DETAIL_MUTATIONS])
 def test_fail_details_are_reached_under_their_mutations(monkeypatch, check_id,
                                                         target, mutant, detail):
     ctx = CheckContext(seed=8, trials=20, resolution=11)
     [baseline] = run_checks(ctx, check_id)
     assert baseline.id == check_id and baseline.passed
-    monkeypatch.setattr(checks, target, mutant)
+    where = target if "." in target else f"checks.{target}"
+    monkeypatch.setattr(f"fringelab.{where}", mutant)
     [mutated] = run_checks(ctx, check_id)
     assert not mutated.passed and mutated.detail == detail
-    print(f"PASS  FAIL detail: mutating checks.{target} fails {check_id}: "
-          f"{detail}")
+    print(f"PASS  FAIL detail: mutating {where} fails {check_id}: {detail}")
 
 
 def _fail_site_patterns() -> dict[int, str]:
@@ -588,8 +649,9 @@ def test_every_fail_site_in_checks_is_reached_by_a_mutation(monkeypatch):
 
 def test_criterion_8_nogo_command_fails_under_the_phase_reading_mutant(
         monkeypatch, capsys):
-    # The nogo command must send every (config, phase) pair through the
-    # classical kernel: a kernel that reads the phase turns its verdict.
+    # The nogo command must send every distinct kernel input through the
+    # classical kernel at every phase: a kernel that reads the phase turns
+    # its verdict.
     assert main(["nogo", "--resolution", "11"]) == 0
     assert "no-go contrast: PASS" in capsys.readouterr().out
     monkeypatch.setattr(interference, "_classical_outcome",
@@ -603,8 +665,10 @@ def test_criterion_8_nogo_command_fails_under_the_phase_reading_mutant(
 
 def test_nogo_command_fails_when_the_kernel_reads_the_phase_on_every_second_call(
         monkeypatch, capsys):
-    # A search that called the classical kernel less than once per (config,
-    # phase) pair could miss a kernel that leaks the phase on alternate calls.
+    # A search that skipped phases of a kernel input could miss a kernel that
+    # leaks the phase on alternate calls.  Detector-model variants share a
+    # row, but each row is still 32 consecutive calls, one per phase, so a
+    # kernel that leaks the phase on some of its calls still shows.
     calls = itertools.count()
 
     def alternating(*args):

@@ -654,7 +654,7 @@ def test_normalized_is_handed_only_finite_nonnegative_floats(config, scale, phis
         simulate(config, rule)
         phase_sweep(config, phis, rule)
         no_go_search(phis, 2)
-    assert len(seen) == 1 + len(phis) + 25 * len(phis)
+    assert len(seen) == 1 + len(phis) + 7 * len(phis)
     assert all(type(w) is float and 0.0 <= w < math.inf
                for weights in seen for w in weights)
 
@@ -828,13 +828,31 @@ def test_no_go_weight_grid_reaches_both_ends(monkeypatch, resolution):
 
     monkeypatch.setattr(interference, "_classical_outcome", recording)
     phis = uniform_phase_grid(8)
-    no_go_search(phis, resolution)
+    report = no_go_search(phis, resolution)
     assert phased == []
+    assert report.classical_config_count == 12 * resolution
     steps = resolution - 1
     weights = {(k / steps, 1.0 - k / steps) for k in range(resolution)}
     assert {(0.0, 1.0), (1.0, 0.0)} <= weights
-    # Each weight with its 12 blocking and detector variants, at every phase.
-    assert seen == {(w, p): 12 for w in weights for p in phis}
+    # Each weight at every phase once per blocking variant: the kernel is not
+    # handed the detector model, so the four model variants share one row.
+    assert seen == {(w, p): 3 for w in weights for p in phis}
+
+
+@pytest.mark.parametrize("resolution", [2, 11, 101])
+def test_no_go_search_validates_every_configuration(monkeypatch, resolution):
+    # Rows are shared, configurations are not: each of the 12 per weight is
+    # built through __init__, and so is the amplitude sweep's default.
+    init, built = ExperimentConfig.__init__, []
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExperimentConfig, "__init__", counting)
+    report = no_go_search(uniform_phase_grid(8), resolution)
+    assert len(built) == 12 * resolution + 1
+    assert report.classical_config_count == 12 * resolution
 
 
 def _old_no_go_search(phis, resolution):
@@ -928,6 +946,27 @@ def test_no_go_report_is_the_old_row_reduction(monkeypatch, kernel, resolution):
     monkeypatch.setattr(interference, "_classical_outcome", _NOGO_KERNELS[kernel])
     assert (_fields(no_go_search(_NOGO_PHIS, resolution))
             == _fields(_old_no_go_search(_NOGO_PHIS, resolution)))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_phase_lists = st.one_of(
+    st.lists(_finite, min_size=2, max_size=12),
+    # Repeated entries, drawn from a pool of at most three phases.
+    st.lists(_finite, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=12)),
+    # One phase, repeated.
+    st.tuples(_finite, st.integers(2, 12)).map(lambda pn: [pn[0]] * pn[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), _phase_lists, st.sampled_from(sorted(_NOGO_KERNELS)))
+def test_no_go_report_is_the_old_search_on_any_grid(resolution, phis, kernel):
+    # The old search calls the kernel for every one of the 12 configurations
+    # of a weight, at every phase; the shared rows must give its report.
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(interference, "_classical_outcome", _NOGO_KERNELS[kernel])
+        assert (_fields(no_go_search(phis, resolution))
+                == _fields(_old_no_go_search(phis, resolution)))
 
 
 @pytest.mark.parametrize("kernel", ["last-phase", "middle-phase"])
