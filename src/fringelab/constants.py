@@ -17,7 +17,10 @@ a number is a real (int, float, Fraction or numpy scalar) that is not a
 bool, so a str, a bool, None or a Decimal is not one.  Every entry point
 computes with the float finite_float returns, so a float32 input is
 computed in float64, and raises its own named error for a non-number, nan,
-±inf or an int too large for a float.  is_count is the matching test for
+±inf or an int too large for a float.  kinematics' _finite_array tests a
+float64 numpy array whole, with one np.isfinite, which gives finite_float's
+verdict on every entry at once; any other array-like is walked entry by
+entry through finite_float.  is_count is the matching test for
 an integer count (trials, grid sizes): an int or numpy integer, not a bool.
 is_seed adds the one range of a seed, [0, 2**64).  enum_member reads an enum.
 

@@ -59,6 +59,11 @@ class SingularMapError(KinematicsError):
 
 def _finite_array(value) -> np.ndarray | None:
     """``value`` as a float array, or None unless every entry is a finite number."""
+    # A float64 array is tested whole, by one np.isfinite (all() over its
+    # flat booleans spares a numpy reduction's set-up), and copied, so the
+    # caller's array is neither made read-only (FrameMap) nor scaled in place.
+    if type(value) is np.ndarray and value.dtype == float:
+        return value.copy() if all(np.isfinite(value).flat) else None
     try:
         entries = np.array(value, dtype=object)
         floats = [finite_float(v) for v in entries.flat]
@@ -85,11 +90,16 @@ def _require_invertible(lin: np.ndarray, c: float):
     # A pivot below the normal range makes LAPACK flag a division and may
     # leave a det that is not finite; that det is below 2**-1000, so singular.
     rows, _ = _unit_scaled(lin, 1)
-    rows[:, 0] /= c
-    rows, _ = _unit_scaled(rows, 1)
+    # At c = 1 the division is by 1 and every nonzero row already peaks in
+    # [0.5, 1) (a zero row stays zero), so _unit_scaled would divide each row
+    # by 2**0: skipping both steps leaves every bit of rows as it is.
+    if c != 1.0:
+        rows[:, 0] /= c
+        rows, _ = _unit_scaled(rows, 1)
     with np.errstate(all="ignore"):
         det = abs(np.linalg.det(rows))
-    if not REL_TOL_ALGEBRA * np.prod(np.linalg.norm(rows, axis=1)) < det < math.inf:
+    # The row lengths as np.linalg.norm(rows, axis=1) computes them.
+    if not REL_TOL_ALGEBRA * np.sqrt((rows * rows).sum(1)).prod() < det < math.inf:
         raise SingularMapError("linear_part: singular within tolerance, "
                                "relative to its row lengths")
 
@@ -364,17 +374,21 @@ class FrameMap:
 # ---------------------------------------------------------------------------
 
 
+def _mapped(p: SpacetimePoint, lin: np.ndarray) -> SpacetimePoint:
+    # The image of p under the 2x2 matrix lin (of a boost), as _image gives it.
+    with np.errstate(over="ignore", invalid="ignore"):  # _image names it
+        return _image(p, (lin @ (p.t, p.x)).tolist())
+
+
 def lorentz_boost(p: SpacetimePoint, V: float, c: float = DEFAULT_C) -> SpacetimePoint:
     """Boost an event along the x axis; preserves every pair interval."""
-    with np.errstate(over="ignore", invalid="ignore"):  # _image names it
-        return _image(p, (boost_matrix(V, c) @ (p.t, p.x)).tolist())
+    return _mapped(p, boost_matrix(V, c))
 
 
 def superluminal_map(p: SpacetimePoint, V: float, eta: int,
                      c: float = DEFAULT_C) -> SpacetimePoint:
     """Apply the formal |V| > c map; negates every interval."""
-    with np.errstate(over="ignore", invalid="ignore"):  # _image names it
-        return _image(p, (superluminal_matrix(V, eta, c) @ (p.t, p.x)).tolist())
+    return _mapped(p, superluminal_matrix(V, eta, c))
 
 
 def velocity_addition(V1: float, V2: float, c: float = DEFAULT_C) -> float:
@@ -443,21 +457,27 @@ def classify_cone_preserver(linear_part, c: float = DEFAULT_C) -> ConeClassifica
                               "matrix of finite numbers")
     c = _require_light_speed(c)
     _require_invertible(lin, c)
-    lin, e0 = _unit_scaled(lin)
-    lin[0, 1:] *= c
-    lin[1:, 0] /= c
-    lin, e1 = _unit_scaled(lin)
-    e = int(e0 + e1)
-    g = np.eye(len(lin))
+    lin, e = _unit_scaled(lin)
+    # At c = 1 the two c-steps multiply and divide by 1, and the largest
+    # |entry| is already in [0.5, 1), so _unit_scaled would divide by 2**0:
+    # skipping all three leaves every bit of lin and e as they are.
+    if c != 1.0:
+        lin[0, 1:] *= c
+        lin[1:, 0] /= c
+        lin, e1 = _unit_scaled(lin)
+        e += e1
+    g = np.eye(n := len(lin))
     g[0, 0] = -1.0
     pulled = lin.T @ g @ lin
-    lam = float(np.sum(pulled * g) / np.sum(g * g))
+    # g has n entries of +-1, so the sum of g * g is n and ||G|| is sqrt(n).
+    lam = float((pulled * g).sum() / n)
     residual = float(np.linalg.norm(pulled - lam * g))
-    bound = float(np.linalg.norm(lin)) ** 2 * float(np.linalg.norm(g))
+    bound = float(np.linalg.norm(lin)) ** 2 * math.sqrt(n)
     if not residual <= REL_TOL_ALGEBRA * bound:
         return ConeClassification(ConeClass.NOT_CONE_PRESERVING, None)
     mantissa, k = math.frexp(abs(lam))
-    scale = math.ldexp(mantissa, k + 2 * e) if k + 2 * e <= 1024 else math.inf
+    k += 2 * int(e)
+    scale = math.ldexp(mantissa, k) if k <= 1024 else math.inf
     if not 0.0 < scale < math.inf:
         raise KinematicsError("scale: not a finite nonzero float")
     kind = ConeClass.CONFORMAL_LORENTZ if lam > 0.0 else ConeClass.SIGN_FLIP

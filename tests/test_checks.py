@@ -1,7 +1,12 @@
 """Tests for the check registry, selectors, and deterministic seeding."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fringelab.checks as checks
 from fringelab.checks import (
@@ -17,11 +22,15 @@ from fringelab.checks import (
     run_checks,
     select_checks,
 )
+from fringelab.constants import REL_TOL_SAMPLED
 from fringelab.interference import ConfigError
 from fringelab.kinematics import (
     ConeClass,
+    FrameMap,
+    boost_matrix,
     classify_cone_preserver,
     polyline_is_simple,
+    velocity_addition,
 )
 
 FAST = CheckContext(seed=7, trials=60, resolution=11)
@@ -225,3 +234,36 @@ def test_check_context_takes_numpy_integers_and_a_resolution_of_one():
     # The no-go check reports a resolution below 2 as its own FAIL line.
     ctx = CheckContext(trials=np.int64(3), resolution=1)
     assert ctx.resolution == 1 and ctx.trials == 3
+
+
+# -- velocity-addition-consistency's comparison, against np.allclose ---------
+
+_NUDGES = hnp.arrays(np.float64, (2, 2), elements=st.floats(-1.0, 1.0))
+_COMPOSE_FAILED = "two subluminal boosts failed to compose to one"
+_compose = checks.compose
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rel=_NUDGES, absolute=_NUDGES,
+       spread=st.floats(0.0, 4.0))
+def test_velocity_addition_check_compares_the_product_as_allclose_did(
+        seed, rel, absolute, spread):
+    # The check's first product, moved by up to spread times each tolerance
+    # per entry, is refused exactly when np.allclose refuses it.
+    compared = []
+
+    def nudged(f, g):
+        lin = _compose(f, g).linear_part
+        expected = boost_matrix(velocity_addition(f.V, g.V))
+        atol = REL_TOL_SAMPLED * np.max(np.abs(expected))
+        lin = lin + spread * (rel * REL_TOL_SAMPLED * abs(expected)
+                              + absolute * atol)
+        compared.append(np.allclose(lin, expected, rtol=REL_TOL_SAMPLED,
+                                    atol=atol))
+        return FrameMap.general_linear(lin)
+
+    with mock.patch.object(checks, "compose", nudged):
+        _, detail = checks._check_velocity_addition(
+            CheckContext(seed=seed, trials=1), np.random.default_rng(seed))
+    assert compared == [compared[0]]
+    assert (detail == _COMPOSE_FAILED) is not compared[0]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fringelab.constants as constants
 import fringelab.kinematics as kinematics
@@ -1290,6 +1291,197 @@ def test_branch_stores_what_the_old_lookup_stored(value):
         assert new is old
     else:
         assert type(new) is str and new == old
+
+
+# -- restated kernels against their earlier code -----------------------------
+
+
+def _old_finite_array(value):
+    # kinematics._finite_array before a float64 array was tested whole.
+    try:
+        entries = np.array(value, dtype=object)
+        floats = [constants.finite_float(v) for v in entries.flat]
+    except (ValueError, RuntimeError):
+        return None
+    if None in floats:
+        return None
+    return np.array(floats).reshape(entries.shape)
+
+
+def _old_require_invertible(lin, c):
+    # kinematics._require_invertible before c = 1 skipped the rescale.
+    rows, _ = kinematics._unit_scaled(lin, 1)
+    rows[:, 0] /= c
+    rows, _ = kinematics._unit_scaled(rows, 1)
+    with np.errstate(all="ignore"):
+        det = abs(np.linalg.det(rows))
+    if not REL_TOL_ALGEBRA * np.prod(np.linalg.norm(rows, axis=1)) < det < math.inf:
+        raise SingularMapError("linear_part: singular within tolerance, "
+                               "relative to its row lengths")
+
+
+def _old_classify_cone_preserver(linear_part, c=1.0):
+    # kinematics.classify_cone_preserver before c = 1 skipped the rescale
+    # and the norms of the metric took their closed forms.
+    lin = _old_finite_array(linear_part)
+    if lin is None or lin.shape not in ((2, 2), (4, 4)):
+        raise KinematicsError("linear_part: must be a 2x2 (1+1) or 4x4 (1+3) "
+                              "matrix of finite numbers")
+    c = kinematics._require_light_speed(c)
+    _old_require_invertible(lin, c)
+    lin, e0 = kinematics._unit_scaled(lin)
+    lin[0, 1:] *= c
+    lin[1:, 0] /= c
+    lin, e1 = kinematics._unit_scaled(lin)
+    e = int(e0 + e1)
+    g = np.eye(len(lin))
+    g[0, 0] = -1.0
+    pulled = lin.T @ g @ lin
+    lam = float(np.sum(pulled * g) / np.sum(g * g))
+    residual = float(np.linalg.norm(pulled - lam * g))
+    bound = float(np.linalg.norm(lin)) ** 2 * float(np.linalg.norm(g))
+    if not residual <= REL_TOL_ALGEBRA * bound:
+        return kinematics.ConeClassification(ConeClass.NOT_CONE_PRESERVING, None)
+    mantissa, k = math.frexp(abs(lam))
+    scale = math.ldexp(mantissa, k + 2 * e) if k + 2 * e <= 1024 else math.inf
+    if not 0.0 < scale < math.inf:
+        raise KinematicsError("scale: not a finite nonzero float")
+    kind = ConeClass.CONFORMAL_LORENTZ if lam > 0.0 else ConeClass.SIGN_FLIP
+    return kinematics.ConeClassification(kind, scale)
+
+
+def _array_bits(a):
+    # Everything a caller can see of a returned array, or None.
+    if a is None:
+        return None
+    return (type(a), a.dtype.str, a.shape, a.tobytes(), a.flags.c_contiguous,
+            a.flags.writeable)
+
+
+_ARRAY_ENTRY = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, math.nan, math.inf,
+     -math.inf]))
+
+
+@st.composite
+def _float64_arrays(draw):
+    # Float64 arrays of 0 to 3 dimensions, some empty, handed over whole,
+    # transposed, as a strided view or read-only.
+    a = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                     min_side=0, max_side=4),
+                        elements=_ARRAY_ENTRY))
+    view = draw(st.sampled_from(["whole", "transposed", "strided", "read-only"]))
+    if view == "transposed":
+        a = a.T
+    elif view == "strided" and a.ndim:
+        a = a[..., ::2]
+    elif view == "read-only":
+        a.setflags(write=False)
+    return a
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_float64_arrays())
+@example(a=np.array(-0.0))
+@example(a=np.zeros((0, 2)))
+@example(a=np.array([[5e-324, -0.0], [math.nan, 1.0]]))
+@example(a=np.array([math.inf, -math.inf]).reshape(1, 2)[:, ::-1])
+def test_finite_array_gives_what_the_entry_walk_gave(a):
+    given_bits, writeable = a.tobytes(), a.flags.writeable
+    new = kinematics._finite_array(a)
+    assert _array_bits(new) == _array_bits(_old_finite_array(a))
+    assert (new is None) is not bool(np.isfinite(a).all())
+    assert a.tobytes() == given_bits and a.flags.writeable is writeable
+    if new is not None:
+        assert not np.shares_memory(new, a)
+
+
+def _outcome(fn, *args):
+    # A kernel's verdict: its result (a scale as hex) or its error.
+    try:
+        result = fn(*args)
+    except KinematicsError as err:
+        return type(err), str(err)
+    if result is None:
+        return None
+    return result.kind, None if result.scale is None else result.scale.hex()
+
+
+# c = 1 takes the short path; the others rescale time.
+_KERNEL_C = st.sampled_from([1.0, 2.0 ** -7, 0.7, 3.0, 2.0 ** 20])
+_KERNEL_ENTRY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1e308, -1e308,
+                     1.7976931348623157e308]))
+
+
+@st.composite
+def _kernel_matrices(draw, c):
+    # 2x2 and 4x4 matrices: random entries (some with a zero row), boosts
+    # and interval flips at c and scaled 1+3 Lorentz maps, each times a
+    # power of two, and maps whose Hadamard ratio is near the singular
+    # bound, so their verdict turns on how time is scaled.
+    shape = draw(st.sampled_from(["random", "boost", "flip", "lorentz-4d",
+                                  "near-singular"]))
+    with np.errstate(all="ignore"):
+        if shape == "random":
+            n = draw(st.sampled_from([2, 4]))
+            lin = np.array(draw(st.lists(_KERNEL_ENTRY, min_size=n * n,
+                                         max_size=n * n))).reshape(n, n)
+            row = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+            if row is not None:
+                lin[row] = 0.0
+            return lin
+        if shape == "near-singular":
+            x = math.ldexp(draw(st.floats(0.5, 1.0)), draw(st.integers(-70, 0)))
+            lin = np.array([[1.0, x], [1.0, 0.0]])
+            if draw(st.booleans()):
+                lin = lin[:, ::-1].copy()
+        elif shape == "boost":
+            lin = boost_matrix(draw(st.floats(-0.99, 0.99)) * c, c)
+        elif shape == "flip":
+            lin = superluminal_matrix(draw(st.floats(1.01, 100.0)) * c,
+                                      draw(st.sampled_from([1, -1])), c)
+        else:
+            seed = draw(st.integers(0, 2 ** 32 - 1))
+            lin = random_conformal_lorentz_4d(np.random.default_rng(seed))[0]
+        return np.ldexp(lin, draw(st.integers(-1000, 1000)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), c=_KERNEL_C)
+@example(data=None, c=1.0)
+def test_invertibility_and_cone_class_are_the_earlier_code_bit_for_bit(data, c):
+    if data is None:  # a zero row, subnormal and near-overflow entries
+        fixtures = [np.array([[0.0, 0.0], [1.0, 2.0]]),
+                    np.array([[5e-324, 0.0], [0.0, 5e-324]]),
+                    np.array([[1e308, -1e308], [1e308, 1.7e308]])]
+    else:
+        fixtures = [data.draw(_kernel_matrices(c))]
+    for lin in fixtures:
+        assume(np.isfinite(lin).all())
+        given_bits = lin.tobytes()
+        assert (_outcome(kinematics._require_invertible, lin, c)
+                == _outcome(_old_require_invertible, lin, c))
+        assert (_outcome(classify_cone_preserver, lin, c)
+                == _outcome(_old_classify_cone_preserver, lin, c))
+        assert lin.tobytes() == given_bits
+
+
+@pytest.mark.parametrize("c", [1.0, 3.0])
+def test_kernels_leave_the_callers_float64_arrays_as_they_were(c):
+    a = boost_matrix(0.6 * c, c)
+    t = np.array([0.5, -0.25])
+    p = np.array([[0.0, 0.0], [1.0, 0.3], [2.0, -0.1]])
+    kept = [(x, x.tobytes()) for x in (a, t, p)]
+    m = FrameMap.general_linear(a, translation=t, c=c)
+    assert classify_cone_preserver(a, c).kind is ConeClass.CONFORMAL_LORENTZ
+    assert kinematics.polyline_is_simple(p)
+    for x, bits in kept:
+        assert x.flags.writeable and x.tobytes() == bits
+    stored = m.linear_part.tobytes()
+    a[0, 0] = 99.0
+    assert m.linear_part.tobytes() == stored
 
 
 _FIRST_USE_FROM_TWO_THREADS = """
