@@ -22,6 +22,7 @@ import codecs
 import dataclasses
 import io
 import math
+import struct
 import sys
 
 from .checks import (
@@ -205,19 +206,29 @@ def cmd_interfere(args: argparse.Namespace) -> int:
     config = (ExperimentConfig() if args.config is None else
               experiment_config_from_dict(load_json(_read_text(args.config))))
     sweep = phase_sweep(config, args.phis)
-    vis = visibility(sweep)
-    lines = [f"# {_CONVENTION_NOTE}",
-             f"# visibility = {format_float(vis)}",
+    vis = format_float(visibility(sweep))
+    lines = [f"# {_CONVENTION_NOTE}", f"# visibility = {vis}",
              "phi,p_d0,p_d1,p_absorbed,p_d0_given_detected,p_d1_given_detected"]
-    row = row_format(6)
+    # Each row is row_format(6) % (phi, *outcome), written as the phase's
+    # text and the outcome's.  Where nothing recombines, the outcome repeats
+    # from phase to phase, so its text is kept while its five floats repeat
+    # bit for bit (-0.0 is not 0.0).  A conditional equal to its nonzero
+    # port probability has its bits, and takes that probability's text.
+    one, bits = row_format(1), struct.Struct("5d").pack
+    key = text = None
     for phi, d in sweep:  # an undefined conditional prints as nan
-        c0, c1 = d.p_d0_given_detected, d.p_d1_given_detected
-        lines.append(row % (phi, d.p_d0, d.p_d1, d.p_absorbed,
-                            math.nan if c0 is None else c0,
-                            math.nan if c1 is None else c1))
+        p0, p1, pa, c0, c1 = d
+        c0 = math.nan if c0 is None else c0
+        c1 = math.nan if c1 is None else c1
+        if key != (new := bits(p0, p1, pa, c0, c1)):
+            key, t0, t1 = new, one % p0, one % p1
+            text = ",".join((t0, t1, one % pa,
+                             t0 if c0 == p0 and c0 else one % c0,
+                             t1 if c1 == p1 and c1 else one % c1))
+        lines.append(one % phi + "," + text)
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.out is not None:
-        print(f"visibility = {format_float(vis)}")
+        print(f"visibility = {vis}")
     return 0
 
 

@@ -101,7 +101,8 @@ def parse_events_csv(text: str) -> list[SpacetimePoint]:
 def row_format(width: int) -> str:
     """The ``%`` format of a row of ``width`` floats, comma-joined, each in
     the 17 significant digits that parse back to its bits (nan, inf and
-    -0.0 included).  Both CSV writers build ``row_format(6)`` once."""
+    -0.0 included).  ``transform`` builds ``row_format(6)`` once per run;
+    ``interfere`` writes each value of a row with ``row_format(1)``."""
     return ",".join(["%.17g"] * width)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -19,13 +20,20 @@ import amplitude_oracle as oracle
 import fringelab.amplitudes as amplitudes
 import fringelab.interference as interference
 from fringelab.cli import _parse_phis, build_parser, main
-from fringelab.interference import BlockedArm, Composition, DetectorModel
+from fringelab.interference import (
+    BlockedArm,
+    Composition,
+    DetectorModel,
+    visibility,
+)
 from fringelab.kinematics import BranchKind, event_interval
 from fringelab.schemas import (
     dump_json,
+    experiment_config_from_dict,
     format_float,
     frame_map_from_dict,
     parse_events_csv,
+    row_format,
 )
 
 
@@ -268,8 +276,9 @@ def test_interfere_classical_flat_with_summary(tmp_path, capsys):
 @example(2.2250738585072009e-308)
 @example(1e16)
 def test_interfere_row_format_is_format_float(x):
-    # cmd_interfere prints each row with row_format(6), '%.17g' per value,
-    # the format format_float applies to one value.
+    # cmd_interfere prints the phase and each outcome value of a row with
+    # row_format(1), '%.17g', the format format_float applies to one value;
+    # the row oracle below prints the same row with row_format(6).
     assert "%.17g" % x == format_float(x)
 
 
@@ -303,6 +312,139 @@ def test_interfere_bytes_equal_the_oracle_graph_path(tmp_path, capsys,
                         oracle.simulate_amplitude)
     assert interfere("oracle.csv") == fast
     assert fast[0].count(b"\n") == 3 + 2001
+
+
+def _row_oracle(sweep):
+    """A sweep's rows as one row_format(6) % per phase: the writer that
+    printed each row whole, an undefined conditional as nan."""
+    row = row_format(6)
+    return [row % (phi, d.p_d0, d.p_d1, d.p_absorbed,
+                   math.nan if d.p_d0_given_detected is None
+                   else d.p_d0_given_detected,
+                   math.nan if d.p_d1_given_detected is None
+                   else d.p_d1_given_detected) for phi, d in sweep]
+
+
+def _assert_rows_are_the_oracle(table, doc, grid):
+    sweep = interference.phase_sweep(experiment_config_from_dict(doc),
+                                     _parse_phis(grid))
+    lines = table.split("\n")
+    assert lines[1] == f"# visibility = {format_float(visibility(sweep))}"
+    assert lines[3:] == _row_oracle(sweep) + [""]
+
+
+# Perfbench's five sweep config kinds: the graph-path three, then the two
+# that bypass the graph, whose outcome is the same at every phase.
+_SWEEP_KINDS = {
+    **_GRAPH_PATH_KINDS,
+    "blocked": {"schema": 1, "splitter1": 0.5, "splitter2": 0.5,
+                "blocked_arm": "lower"},
+    "classical": {"schema": 1, "splitter1": 0.3183098861837907,
+                  "splitter2": 0.7071067811865476,
+                  "composition": "classical_mixture",
+                  "mixture_weights": [0.5772156649015329, 0.4227843350984671]},
+}
+_SWEEP_GRID = "-2.0943951023931957:10.471975511965976:2001"
+
+
+@pytest.mark.parametrize("kind", sorted(_SWEEP_KINDS))
+def test_interfere_bytes_equal_the_row_oracle(tmp_path, capsys, kind):
+    doc = _SWEEP_KINDS[kind]
+    out = tmp_path / "sweep.csv"
+    code, stdout, _ = run(capsys, "interfere", "--config",
+                          write(tmp_path / "config.json", dump_json(doc)),
+                          f"--phis={_SWEEP_GRID}", "--out", str(out))
+    assert code == 0
+    table = out.read_bytes().decode("utf-8")
+    _assert_rows_are_the_oracle(table, doc, _SWEEP_GRID)
+    assert "# " + stdout == table.split("\n")[1] + "\n"
+    assert table.count("\n") == 3 + 2001
+
+
+# Transmissivities and weights at the ends of their range, both zeros among
+# them: a signed zero reaches an outcome as a signed zero probability.
+_UNIT_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+_GRID_ENDS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _interfere_runs(draw):
+    doc = {"schema": 1, "splitter1": draw(_UNIT_FLOATS),
+           "splitter2": draw(_UNIT_FLOATS),
+           "blocked_arm": draw(st.sampled_from(BlockedArm)).value,
+           "detector_model": draw(st.sampled_from(DetectorModel)).value,
+           "composition": draw(st.sampled_from(Composition)).value}
+    if doc["composition"] == "classical_mixture" and draw(st.booleans()):
+        w = draw(_UNIT_FLOATS)
+        doc["mixture_weights"] = draw(st.sampled_from([[w, 1.0 - w],
+                                                       [1.0 - w, w]]))
+    a, b = sorted([draw(_GRID_ENDS), draw(_GRID_ENDS)])
+    n = draw(st.integers(2, 40))
+    grid = draw(st.sampled_from([f"{a!r}:{b!r}:1", f"{a!r}:{a!r}:{n}",
+                                 f"{a!r}:{b!r}:{n}", f"{b!r}:{a!r}:{n}"]))
+    return doc, grid
+
+
+@given(_interfere_runs())
+@example(({"schema": 1, "splitter2": -0.0, "composition": "classical_mixture",
+           "mixture_weights": [1.0, -0.0]}, "0:1:5"))
+@example(({"schema": 1, "splitter1": 1.0, "blocked_arm": "upper"}, "1:-1:3"))
+@settings(max_examples=150, deadline=None)
+def test_interfere_rows_equal_the_row_oracle(fuzz_dir, run_doc):
+    doc, grid = run_doc
+    config = fuzz_dir / "oracle.json"
+    config.write_text(dump_json(doc), encoding="utf-8")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        assert main(["interfere", "--config", str(config),
+                     f"--phis={grid}"]) == 0
+    _assert_rows_are_the_oracle(sink.getvalue(), doc, grid)
+
+
+_NAN_BITS = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0123))[0]
+# Outcomes, one per phase, where a neighbour differs only in the sign of a
+# zero, or only as a shared NaN against a fresh NaN (another object, sign or
+# payload); and one where a conditional equals a probability of the other
+# sign.  Every row must print its own bits.
+_SCRIPTED_OUTCOMES = [
+    (0.5, 0.0, 0.5, 1.0, 0.0),
+    (0.5, -0.0, 0.5, 1.0, -0.0),
+    (0.5, -0.0, 0.5, 1.0, -0.0),
+    (0.5, -0.0, 0.5, 1.0, 0.0),
+    (-0.0, 1.0, 0.0, 0.0, 1.0),
+    (0.0, 1.0, 0.0, 0.0, 1.0),
+    (0.0, 0.0, 1.0, None, None),
+    (0.0, 0.0, 1.0, math.nan, math.nan),
+    (0.25, 0.25, 0.5, math.nan, 0.5),
+    (0.25, 0.25, 0.5, math.nan, 0.5),
+    (0.25, 0.25, 0.5, float("nan"), 0.5),
+    (0.25, 0.25, 0.5, -math.nan, 0.5),
+    (0.25, 0.25, 0.5, _NAN_BITS, 0.5),
+    (0.25, 0.25, 0.5, 0.5, 0.5),
+    (0.25, 0.25, -0.0, 0.5, 0.5),
+    (0.25, 0.25, 0.0, 0.5, 0.5),
+]
+
+
+def test_interfere_rows_keep_each_outcomes_bits(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr(
+        interference, "_classical_outcome",
+        lambda w_upper, w_lower, T2, blocked, phase:
+            _SCRIPTED_OUTCOMES[int(phase)])
+    doc = {"schema": 1, "composition": "classical_mixture"}
+    n = len(_SCRIPTED_OUTCOMES)
+    grid = f"0:{n - 1}:{n}"  # the phases 0, 1, ..., n - 1
+    code, out, _ = run(capsys, "interfere", "--config",
+                       write(tmp_path / "config.json", dump_json(doc)),
+                       "--phis", grid)
+    assert code == 0
+    _assert_rows_are_the_oracle(out, doc, grid)
+    rows = out.split("\n")[3:]
+    assert rows[:6] == ["0,0.5,0,0.5,1,0", "1,0.5,-0,0.5,1,-0",
+                        "2,0.5,-0,0.5,1,-0", "3,0.5,-0,0.5,1,0",
+                        "4,-0,1,0,0,1", "5,0,1,0,0,1"]
+    assert rows[14:16] == ["14,0.25,0.25,-0,0.5,0.5", "15,0.25,0.25,0,0.5,0.5"]
 
 
 def test_interfere_rejects_bad_config_listing_fields(tmp_path, capsys):
