@@ -335,11 +335,11 @@ def uniform_phase_grid(n: int) -> list[float]:
 class NoGoReport:
     """Brute-force contrast between classical mixtures and amplitudes.
 
-    ``max_classical_variation`` is the largest phase-to-phase change of any
-    outcome probability over every enumerated classical configuration; the
-    classical map never reads the phase, so anything other than exactly 0
-    would expose a leak.  ``amplitude_visibility`` is the fringe contrast of
-    the default amplitude configuration on the same phase grid.
+    ``max_classical_variation`` is the largest max - min, over the phase
+    grid, of any outcome probability of any enumerated classical mixture;
+    the classical map never reads the phase, so anything but exactly 0
+    would expose a leak.  ``amplitude_visibility`` is the fringe contrast
+    of the default amplitude configuration on the same phase grid.
     """
 
     resolution: int
@@ -360,15 +360,16 @@ def no_go_search(phis: Sequence[float],
 
     Enumerates path weights (w, 1-w) over a uniform grid at the requested
     resolution, crossed with every blocking and detector-model variant, all
-    in classical composition; records the worst phase variation of each
-    outcome probability.  Each enumerated config is validated once, when it
-    is built, and the phase grid once, on entry.  Every distinct kernel
-    input is evaluated at every phase, which the kernel gets as its own
-    argument, so a kernel that read the phase would show here.  The
-    detector-model variants of one (weights, blocking) pair share a row,
-    because the classical kernel is not handed the model.  The
-    companion number is the amplitude-mode fringe visibility on the same
-    phases, which should be maximal when the grid spans a full period.
+    in classical composition with the default second splitter; records the
+    worst phase variation of each outcome probability.  The kernel is not
+    handed the detector model, so the resolution x 3 x 4 configurations are
+    evaluated as 3 x resolution rows, one per (weights, blocking) pair; the
+    classical-no-go check confirms that the model does not move a mixture.
+    The phase grid is checked once, on entry, and every row calls the kernel
+    at every phase, which it gets as its own argument, so a kernel that read
+    the phase would show here.  The companion number is the amplitude-mode
+    fringe visibility on the same phases, which should be maximal when the
+    grid spans a full period.
     """
     phis = _phase_floats(phis)
     if len(phis) < 2:
@@ -378,44 +379,28 @@ def no_go_search(phis: Sequence[float],
     if (weight_grid_resolution := int(weight_grid_resolution)) < 2:
         raise ConfigError("weight grid resolution must be at least 2")
     steps = weight_grid_resolution - 1
+    T2 = ExperimentConfig.splitter2
     var_d0 = var_d1 = var_abs = 0.0
-    count = 0
-    last_key = None
     for k in range(weight_grid_resolution):
         w = k / steps
-        weights = (w, 1.0 - w)
         for blocked in BlockedArm:
-            for model in DetectorModel:
-                config = ExperimentConfig(
-                    composition=Composition.CLASSICAL_MIXTURE,
-                    mixture_weights=weights,
-                    blocked_arm=blocked,
-                    detector_model=model)
-                count += 1
-                # The kernel's own arguments, bar the phase.  The detector
-                # model is not one of them, so the model variants, innermost,
-                # repeat the row just reduced and leave every maximum as is.
-                key = (*config.mixture_weights, config.splitter2,
-                       config.blocked_arm)
-                if key == last_key:
-                    continue
-                last_key = key
-                row = [_classical_outcome(*key, p) for p in phis]
-                # A row of equal tuples varies by 0.0 in every column, which
-                # leaves each running maximum as it is.
-                if row.count(row[0]) == len(row):
-                    continue
-                d0, d1, ab, _, _ = zip(*row)
-                var_d0 = max(var_d0, max(d0) - min(d0))
-                var_d1 = max(var_d1, max(d1) - min(d1))
-                var_abs = max(var_abs, max(ab) - min(ab))
+            row = [_classical_outcome(w, 1.0 - w, T2, blocked, p) for p in phis]
+            # A row of equal tuples varies by 0.0 in every column, which
+            # leaves each running maximum as it is.
+            if row.count(row[0]) == len(row):
+                continue
+            d0, d1, ab, _, _ = zip(*row)
+            var_d0 = max(var_d0, max(d0) - min(d0))
+            var_d1 = max(var_d1, max(d1) - min(d1))
+            var_abs = max(var_abs, max(ab) - min(ab))
     overall = max(var_d0, var_d1, var_abs)
     vis = visibility(phase_sweep(ExperimentConfig(), phis))
     independent = overall == 0.0
     return NoGoReport(
         resolution=weight_grid_resolution,
         phase_count=len(phis),
-        classical_config_count=count,
+        classical_config_count=(weight_grid_resolution * len(BlockedArm)
+                                * len(DetectorModel)),
         max_variation_d0=var_d0,
         max_variation_d1=var_d1,
         max_variation_absorbed=var_abs,

@@ -479,6 +479,17 @@ def _skewed_conditional_simulate(config, rule=SQUARED_NORM):
         d.p_d0_given_detected, 1.0))
 
 
+def _recording_ports_swapped_simulate(config, rule=SQUARED_NORM):
+    # A classical mixture under a recording detector with p_d0 and p_d1
+    # swapped: a model the no-go search, which shares one row among the four
+    # models, cannot see.
+    d = interference.simulate(config, rule)
+    if (config.composition is interference.Composition.CLASSICAL_MIXTURE
+            and config.detector_model.records_which_way):
+        return d._replace(p_d0=d.p_d1, p_d1=d.p_d0)
+    return d
+
+
 def _evens_then_odds_sweep(config, phis):
     # Every (phi, outcome) pair kept, the odd-numbered ones moved to the end.
     out = interference.phase_sweep(config, phis)
@@ -566,6 +577,9 @@ FAIL_DETAIL_MUTATIONS = [
      "fringe moved faster than its slope bound"),
     ("seed-repeatability", "phase_sweep", _rotating_sweep,
      "re-running a sweep changed its numbers"),
+    ("classical-no-go", "simulate", _recording_ports_swapped_simulate,
+     "the classical mixture moved under the non_demolishing_recording "
+     "detector model"),
     ("classical-no-go", "interference._classical_outcome",
      _upper_ports_swapped_classical,
      "without recombination (non_demolishing_recording) the bench is "

@@ -840,9 +840,10 @@ def test_no_go_weight_grid_reaches_both_ends(monkeypatch, resolution):
 
 
 @pytest.mark.parametrize("resolution", [2, 11, 101])
-def test_no_go_search_validates_every_configuration(monkeypatch, resolution):
-    # Rows are shared, configurations are not: each of the 12 per weight is
-    # built through __init__, and so is the amplitude sweep's default.
+def test_no_go_search_builds_only_the_amplitude_companion(monkeypatch, resolution):
+    # The search generates every kernel input itself, so the one config it
+    # builds is the default of the amplitude sweep; it still counts the 12
+    # configurations per weight that its rows stand for.
     init, built = ExperimentConfig.__init__, []
 
     def counting(self, *args, **kwargs):
@@ -851,7 +852,7 @@ def test_no_go_search_validates_every_configuration(monkeypatch, resolution):
 
     monkeypatch.setattr(ExperimentConfig, "__init__", counting)
     report = no_go_search(uniform_phase_grid(8), resolution)
-    assert len(built) == 12 * resolution + 1
+    assert len(built) == 1
     assert report.classical_config_count == 12 * resolution
 
 
